@@ -7,6 +7,13 @@ inverse. Implemented directly from the standard: SubBytes / ShiftRows /
 MixColumns / AddRoundKey over 10 rounds with on-the-fly computed tables,
 validated against the FIPS-197 appendix vectors in the test suite.
 
+:meth:`AES128.encrypt_block` is the scalar, byte-at-a-time form of the
+standard. :meth:`AES128.encrypt_blocks` encrypts many independent
+blocks in one numpy pass (the CTR keystream path): each of rounds 1-9
+is one byte gather through a 4x256 T-table that fuses SubBytes,
+ShiftRows and MixColumns, so the number of numpy calls per round is
+fixed rather than proportional to the block count.
+
 This is an algorithmic reference implementation (it is not constant-time
 and must not be used to protect real secrets).
 """
@@ -14,6 +21,8 @@ and must not be used to protect real secrets).
 from __future__ import annotations
 
 from typing import List
+
+import numpy as np
 
 from ..errors import CryptoError
 
@@ -158,11 +167,70 @@ def _add_round_key(state: List[int], round_key: List[int]) -> None:
         state[i] ^= round_key[i]
 
 
+def _build_t_table() -> np.ndarray:
+    """The encryption T-table as 1024 words, row ``r`` at ``256 * r``.
+
+    Word ``256 * r + x`` holds the MixColumns output column that input
+    row ``r`` contributes when its byte is ``x`` (SubBytes applied):
+    byte ``j`` of the word is ``_MIX[j][r] * SBOX[x]`` in GF(2^8). The
+    words are built from their bytes and viewed as native ``uint32``;
+    only XOR ever touches them, which works bytewise, so the byte
+    order in memory is the AES state order on any host.
+    """
+    table = np.empty((4, 256, 4), dtype=np.uint8)
+    for row in range(4):
+        for out_row in range(4):
+            multiply = _MUL_TABLES[_MIX[out_row][row]]
+            table[row, :, out_row] = [multiply[s] for s in SBOX]
+    return table.reshape(1024, 4).view(np.uint32).reshape(1024)
+
+
+_T_WORDS = _build_t_table()
+_SBOX_ARRAY = np.array(SBOX, dtype=np.uint8)
+_SHIFT_INDEX = np.array(_SHIFT_MAP, dtype=np.intp)
+
+#: One round's gather, laid out row-major (``4 * r + c``): entry
+#: ``4 * r + c`` reads the state byte that ShiftRows moves to row ``r``
+#: of column ``c`` and looks it up in T-table row ``r``.
+_T_SOURCE = np.array([_SHIFT_MAP[4 * c + r] for r in range(4)
+                      for c in range(4)], dtype=np.intp)
+_T_OFFSET = np.array([256 * r for r in range(4) for c in range(4)],
+                     dtype=np.intp)
+
+
 class AES128:
     """AES-128: the ``subperm`` / ``invsubperm`` boxes of the paper."""
 
     def __init__(self, key: bytes) -> None:
         self._round_keys = expand_key(key)
+        self._round_bytes = np.array(self._round_keys, dtype=np.uint8)
+        self._round_words = self._round_bytes.view(np.uint32)
+
+    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Encrypt every row of an ``(n, 16)`` uint8 array in one pass.
+
+        Row ``i`` of the result equals
+        ``encrypt_block(bytes(blocks[i]))``. Rows are independent, so
+        the rounds run over all of them at once; the counter blocks of
+        a CTR keystream are the intended input.
+        """
+        blocks = np.asarray(blocks)
+        if (blocks.dtype != np.uint8 or blocks.ndim != 2
+                or blocks.shape[1] != BLOCK_SIZE):
+            raise CryptoError(
+                f"blocks must be an (n, {BLOCK_SIZE}) uint8 array, got "
+                f"{blocks.dtype} {blocks.shape}")
+        state = blocks ^ self._round_bytes[0]
+        for round_index in range(1, ROUNDS):
+            words = _T_WORDS.take(state.take(_T_SOURCE, axis=1)
+                                  + _T_OFFSET)
+            columns = words[:, 0:4] ^ words[:, 4:8]
+            columns ^= words[:, 8:12]
+            columns ^= words[:, 12:16]
+            columns ^= self._round_words[round_index]
+            state = columns.view(np.uint8)
+        return (_SBOX_ARRAY.take(state.take(_SHIFT_INDEX, axis=1))
+                ^ self._round_bytes[ROUNDS])
 
     def encrypt_block(self, plaintext: bytes) -> bytes:
         if len(plaintext) != BLOCK_SIZE:

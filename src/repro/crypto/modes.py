@@ -12,7 +12,9 @@ error-propagation behaviour, which is what the analysis measures.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Type
+from typing import Dict, Type, Union
+
+import numpy as np
 
 from ..errors import CryptoError
 from .aes import AES128, BLOCK_SIZE
@@ -35,8 +37,10 @@ class BlockMode(abc.ABC):
     #: Whether an IV/nonce is required.
     needs_iv = True
 
-    def __init__(self, key: bytes, iv: bytes = b"") -> None:
-        self.cipher = AES128(key)
+    def __init__(self, key: Union[bytes, AES128], iv: bytes = b"") -> None:
+        # An already expanded cipher is taken as is, so callers that
+        # build many modes under one key expand it once.
+        self.cipher = key if isinstance(key, AES128) else AES128(key)
         if self.needs_iv:
             if len(iv) != BLOCK_SIZE:
                 raise CryptoError(
@@ -163,6 +167,10 @@ class OFB(BlockMode):
 
     Ciphertext never feeds the chain, so a stored-bit flip corrupts
     exactly that plaintext bit — approximate-storage compatible.
+    OFB stays on the scalar :meth:`~repro.crypto.aes.AES128.encrypt_block`:
+    its chain is serial (each keystream block is the encryption of the
+    previous one), so there is no batch of independent blocks to hand
+    to ``encrypt_blocks`` the way CTR does.
     """
 
     def _keystream(self, length: int) -> bytes:
@@ -189,41 +197,56 @@ class OFB(BlockMode):
         return _xor_bytes(ciphertext, stream[byte_offset:])
 
 
+def _counter_blocks(iv: bytes, skip_blocks: int, count: int) -> np.ndarray:
+    """The CTR counter blocks ``iv + skip_blocks + i`` for ``i`` in
+    ``range(count)``, mod 2^128, as a ``(count, 16)`` uint8 array.
+
+    The 128-bit big-endian counter is held as two uint64 halves: the low
+    half wraps in uint64 arithmetic and a wrapped row carries one into
+    the high half (``count`` is far below 2^64, so at most once).
+    """
+    start = (int.from_bytes(iv, "big") + skip_blocks) % (1 << 128)
+    high, low = divmod(start, 1 << 64)
+    low_half = np.arange(count, dtype=np.uint64) + np.uint64(low)
+    carry = (low_half < np.uint64(low)).astype(np.uint64)
+    counters = np.empty((count, 2), dtype=">u8")
+    counters[:, 0] = carry + np.uint64(high)
+    counters[:, 1] = low_half
+    return counters.view(np.uint8)
+
+
 class CTR(BlockMode):
     """Counter mode: keystream from encrypting nonce+counter.
 
     Same approximate-storage compatibility as OFB, plus random access.
+    Counter blocks are independent, so every block a call needs is
+    encrypted in one :meth:`~repro.crypto.aes.AES128.encrypt_blocks`
+    pass.
     """
 
-    def _keystream(self, length: int) -> bytes:
-        stream = bytearray()
-        counter = int.from_bytes(self.iv, "big")
-        while len(stream) < length:
-            stream += self.cipher.encrypt_block(
-                counter.to_bytes(BLOCK_SIZE, "big"))
-            counter = (counter + 1) % (1 << (8 * BLOCK_SIZE))
-        return bytes(stream[:length])
+    def _xor_keystream(self, data: bytes, byte_offset: int) -> bytes:
+        """XOR ``data`` with the keystream from ``byte_offset`` on."""
+        if not data:
+            return b""
+        skip_blocks, phase = divmod(byte_offset, BLOCK_SIZE)
+        count = -(-(phase + len(data)) // BLOCK_SIZE)
+        keystream = self.cipher.encrypt_blocks(
+            _counter_blocks(self.iv, skip_blocks, count)).reshape(-1)
+        plain = np.frombuffer(data, dtype=np.uint8)
+        return (plain ^ keystream[phase:phase + len(data)]).tobytes()
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        return _xor_bytes(plaintext, self._keystream(len(plaintext)))
+        return self._xor_keystream(plaintext, 0)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        return _xor_bytes(ciphertext, self._keystream(len(ciphertext)))
+        return self._xor_keystream(ciphertext, 0)
 
     def decrypt_range(self, ciphertext: bytes, byte_offset: int) -> bytes:
         """CTR random access: jump the counter to the slice's block and
         phase into it — ``O(len(ciphertext))`` regardless of offset."""
         if byte_offset < 0:
             raise CryptoError(f"negative byte offset {byte_offset}")
-        skip_blocks, phase = divmod(byte_offset, BLOCK_SIZE)
-        counter = (int.from_bytes(self.iv, "big")
-                   + skip_blocks) % (1 << (8 * BLOCK_SIZE))
-        stream = bytearray()
-        while len(stream) < phase + len(ciphertext):
-            stream += self.cipher.encrypt_block(
-                counter.to_bytes(BLOCK_SIZE, "big"))
-            counter = (counter + 1) % (1 << (8 * BLOCK_SIZE))
-        return _xor_bytes(ciphertext, bytes(stream[phase:]))
+        return self._xor_keystream(ciphertext, byte_offset)
 
 
 #: Mode registry by canonical name.

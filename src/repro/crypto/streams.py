@@ -14,13 +14,13 @@ partitioned streams, and decryption happens before merging and decoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from dataclasses import dataclass, field
+from typing import Dict
 
 from ..errors import CryptoError
 from ..obs import trace as obs_trace
 from .aes import AES128, BLOCK_SIZE
-from .modes import make_mode
+from .modes import MODES, BlockMode
 
 #: Modes acceptable for stream encryption (requirements 1-3).
 APPROVED_MODES = ("OFB", "CTR")
@@ -28,6 +28,10 @@ APPROVED_MODES = ("OFB", "CTR")
 
 def derive_stream_iv(master_iv: bytes, stream_id: int, key: bytes) -> bytes:
     """Per-stream IV: encrypt (master_iv XOR stream_id) under the key."""
+    return _stream_iv(AES128(key), master_iv, stream_id)
+
+
+def _stream_iv(cipher: AES128, master_iv: bytes, stream_id: int) -> bytes:
     if len(master_iv) != BLOCK_SIZE:
         raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
     if stream_id < 0:
@@ -36,7 +40,7 @@ def derive_stream_iv(master_iv: bytes, stream_id: int, key: bytes) -> bytes:
     identifier = stream_id.to_bytes(BLOCK_SIZE, "big")
     for index in range(BLOCK_SIZE):
         mixed[index] ^= identifier[index]
-    return AES128(key).encrypt_block(bytes(mixed))
+    return cipher.encrypt_block(bytes(mixed))
 
 
 @dataclass
@@ -46,6 +50,7 @@ class StreamEncryptor:
     key: bytes
     master_iv: bytes
     mode: str = "CTR"
+    _cipher: AES128 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode.upper() not in APPROVED_MODES:
@@ -58,10 +63,12 @@ class StreamEncryptor:
             raise CryptoError(f"key must be {BLOCK_SIZE} bytes")
         if len(self.master_iv) != BLOCK_SIZE:
             raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
+        # Expanded once: every stream's IV and mode share this cipher.
+        self._cipher = AES128(self.key)
 
-    def _mode_for(self, stream_id: int):
-        iv = derive_stream_iv(self.master_iv, stream_id, self.key)
-        return make_mode(self.mode, self.key, iv)
+    def _mode_for(self, stream_id: int) -> BlockMode:
+        iv = _stream_iv(self._cipher, self.master_iv, stream_id)
+        return MODES[self.mode](self._cipher, iv)
 
     def encrypt_streams(self, streams: Dict[int, bytes]) -> Dict[int, bytes]:
         """Encrypt each stream under its derived IV (sizes preserved)."""
@@ -93,20 +100,7 @@ class StreamEncryptor:
         :meth:`~repro.crypto.modes.OFB.decrypt_range`).
         """
         with obs_trace.span("aes.decrypt_at", mode=self.mode,
-                            offset=byte_offset, size=len(data)):
+                            stream=stream_id, offset=byte_offset,
+                            size=len(data)):
             return self._mode_for(stream_id).decrypt_range(
                 data, byte_offset)
-
-    def encrypt_list(self, payloads: List[bytes]) -> List[bytes]:
-        """Encrypt an ordered payload list (ids are list positions)."""
-        with obs_trace.span("aes.encrypt", mode=self.mode,
-                            streams=len(payloads)):
-            return [self._mode_for(index).encrypt(data)
-                    for index, data in enumerate(payloads)]
-
-    def decrypt_list(self, payloads: List[bytes]) -> List[bytes]:
-        """Decrypt an ordered payload list (ids are list positions)."""
-        with obs_trace.span("aes.decrypt", mode=self.mode,
-                            streams=len(payloads)):
-            return [self._mode_for(index).decrypt(data)
-                    for index, data in enumerate(payloads)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto import StreamEncryptor, derive_stream_iv
+from repro.crypto import CTR, OFB, StreamEncryptor, derive_stream_iv
 from repro.errors import CryptoError
 
 KEY = bytes(range(16))
@@ -54,11 +54,12 @@ class TestStreamEncryptor:
         encrypted = encryptor.encrypt_streams({0: bytes(64), 1: bytes(64)})
         assert encrypted[0] != encrypted[1]
 
-    def test_list_interface(self):
+    def test_short_and_empty_streams_roundtrip(self):
         encryptor = StreamEncryptor(key=KEY, master_iv=MASTER_IV)
-        payloads = [b"alpha", b"beta", b""]
-        assert encryptor.decrypt_list(encryptor.encrypt_list(payloads)) == \
-            payloads
+        streams = {0: b"alpha", 1: b"beta", 2: b""}
+        encrypted = encryptor.encrypt_streams(streams)
+        assert [len(encrypted[i]) for i in range(3)] == [5, 4, 0]
+        assert encryptor.decrypt_streams(encrypted) == streams
 
     def test_ofb_supported(self):
         encryptor = StreamEncryptor(key=KEY, master_iv=MASTER_IV, mode="ofb")
@@ -105,3 +106,32 @@ class TestRandomAccessStreams:
         encrypted = encryptor.encrypt_streams({0: plaintext, 1: plaintext})
         # Same window, same plaintext, different stream: different bytes.
         assert encryptor.decrypt_at(0, encrypted[1][16:32], 16) != plaintext[16:32]
+
+
+class TestSharedCipher:
+    """The encryptor expands its key once and reuses that cipher for
+    every stream's IV and mode; output must not change."""
+
+    STREAMS = {0: bytes(range(256)) * 8, 1: b"x" * 33, 3: b"",
+               5: bytes(720), 9: bytes(range(112))}
+
+    @pytest.mark.parametrize("mode, mode_class", [("CTR", CTR),
+                                                  ("OFB", OFB)])
+    def test_matches_a_fresh_mode_per_stream(self, mode, mode_class):
+        encryptor = StreamEncryptor(key=KEY, master_iv=MASTER_IV,
+                                    mode=mode)
+        encrypted = encryptor.encrypt_streams(self.STREAMS)
+        for stream_id, data in self.STREAMS.items():
+            reference = mode_class(
+                KEY, derive_stream_iv(MASTER_IV, stream_id, KEY))
+            assert encrypted[stream_id] == reference.encrypt(data)
+        assert encryptor.decrypt_streams(encrypted) == self.STREAMS
+
+    def test_decrypt_at_matches_a_fresh_ctr(self):
+        encryptor = StreamEncryptor(key=KEY, master_iv=MASTER_IV)
+        encrypted = encryptor.encrypt_streams(self.STREAMS)
+        for stream_id in (0, 5):
+            reference = CTR(KEY, derive_stream_iv(MASTER_IV, stream_id, KEY))
+            window = encrypted[stream_id][100:600]
+            assert encryptor.decrypt_at(stream_id, window, 100) == \
+                reference.decrypt_range(window, 100)

@@ -105,13 +105,15 @@ class TestSpanCoverage:
 
         trace.enable()
         encryptor = StreamEncryptor(key=bytes(16), master_iv=bytes(16))
-        streams = [b"payload-one", b"payload-two"]
-        encrypted = encryptor.encrypt_list(streams)
-        encryptor.decrypt_list(encrypted)
-        records = trace.active().drain()
-        names = {r.name for r in records}
-        assert "aes.encrypt" in names
-        assert "aes.decrypt" in names
+        streams = {0: b"payload-one", 1: b"payload-two"}
+        encrypted = encryptor.encrypt_streams(streams)
+        encryptor.decrypt_streams(encrypted)
+        encryptor.decrypt_at(1, encrypted[1][3:9], 3)
+        records = {r.name: r for r in trace.active().drain()}
+        assert records["aes.encrypt"].attrs == {"mode": "CTR", "streams": 2}
+        assert records["aes.decrypt"].attrs == {"mode": "CTR", "streams": 2}
+        assert records["aes.decrypt_at"].attrs == {
+            "mode": "CTR", "stream": 1, "offset": 3, "size": 6}
 
 
 @pytest.mark.skipif(not fork_available(),

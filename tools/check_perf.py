@@ -2,10 +2,11 @@
 """Bench perf gate: current bench run vs committed baseline.
 
 Compares a bench output file (``BENCH_codec_throughput.json``,
-``BENCH_batch_throughput.json``, ``BENCH_service_loadgen.json``, or
-``BENCH_seek_latency.json``) against its committed snapshot under
-``benchmarks/baselines/`` and fails when any throughput metric
-regressed by more than the tolerance band (default 25%).
+``BENCH_batch_throughput.json``, ``BENCH_service_loadgen.json``,
+``BENCH_seek_latency.json``, or ``BENCH_read_path.json``) against its
+committed snapshot under ``benchmarks/baselines/`` and fails when any
+throughput metric regressed by more than the tolerance band (default
+25%).
 
 Raw fps is meaningless across machines, so every throughput metric is
 first divided by its run's *yardstick* — a fixed numpy workload timed
@@ -26,7 +27,8 @@ The batch-throughput exhibit additionally carries *absolute* floors:
 on the same host), so it needs no yardstick and is gated against fixed
 floors (``ABSOLUTE_FLOORS``) — the batched encode farm must stay >=
 2.0x the per-clip path at width 32 and >= 1.5x at width 8, on any
-host.
+host. The seek-latency and read-path exhibits carry floors of the same
+kind (``seek_speedup``, ``keystream_speedup``).
 
 Usage::
 
@@ -55,6 +57,7 @@ EXHIBIT_METRICS = {
     "batch_throughput": ("clips_per_second",),
     "service_loadgen": ("ingest_clips_per_second", "reads_per_second"),
     "seek_latency": ("seeks_per_second",),
+    "read_path": ("keystream_bytes_per_second",),
 }
 
 #: Absolute floors, keyed by exhibit then clip label: (metric, floor).
@@ -77,6 +80,13 @@ ABSOLUTE_FLOORS = {
     # for a 4-GOP clip (a seek touches ~1 of 4 GOPs).
     "seek_latency": {
         "gop8": ("seek_speedup", 2.0),
+    },
+    # The vectorized CTR keystream against the scalar one-block-per-call
+    # loop, both timed interleaved in one run. A whole-object stream
+    # (2048 B, 128 counter blocks) must decrypt >= 10x faster; a drop
+    # below that means the batch kernel fell back to per-block work.
+    "read_path": {
+        "bytes2048": ("keystream_speedup", 10.0),
     },
 }
 
