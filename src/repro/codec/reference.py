@@ -15,13 +15,13 @@ the change was *not* on purpose, the production kernel is wrong.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .intra import MODE_ORDER, predict_intra
 from .transform import CF, SCALE, inverse_transform, quant_step
-from .types import IntraMode, MotionVector
+from .types import IntraMode, MacroblockMode, MotionVector
 
 
 def sad_scalar(block_a: np.ndarray, block_b: np.ndarray) -> int:
@@ -123,6 +123,24 @@ def reconstruct_residual_block_scalar(levels: np.ndarray,
     return inverse_transform(dequantized[np.newaxis])[0]
 
 
+def reconstruct_residuals_many_dense(levels_stack: np.ndarray,
+                                     qps) -> np.ndarray:
+    """(M, 16, 4, 4) levels -> (M, 16, 16) residuals, every block
+    through the inverse einsum, zero or not."""
+    stack = np.asarray(levels_stack)
+    count = stack.shape[0]
+    steps = np.array([quant_step(int(qp)) for qp in qps],
+                     dtype=np.float64)
+    dequantized = (stack.astype(np.float64)
+                   * steps[:, None, None, None] * SCALE)
+    blocks = inverse_transform(dequantized.reshape(count * 16, 4, 4))
+    return (
+        blocks.reshape(count, 4, 4, 4, 4)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(count, 16, 16)
+    )
+
+
 def deblock_edge_scalar(p1: int, p0: int, q0: int, q1: int, alpha: int,
                         beta: int, clip_limit: int) -> Tuple[int, int]:
     """H.264 normal filter for one pixel quadruple across an edge."""
@@ -196,6 +214,119 @@ def coded_block_pattern_scalar(coefficients: np.ndarray
     return tuple(flags)  # type: ignore[return-value]
 
 
+# ----------------------------------------------------------------------
+# Neighbor queries: FrameMbState's context and prediction rules written
+# out over its raw ``modes`` / ``mvs`` / ``nnz`` grids.
+# ----------------------------------------------------------------------
+
+def _available_ref(state, mb_row: int, mb_col: int,
+                   min_mb_row: int) -> bool:
+    return (
+        min_mb_row <= mb_row < state.mb_rows
+        and 0 <= mb_col < state.mb_cols
+        and state.modes[mb_row][mb_col] != state.UNSET
+    )
+
+
+def _mode_at_ref(state, mb_row: int, mb_col: int,
+                 min_mb_row: int) -> Optional[int]:
+    if (min_mb_row <= mb_row < state.mb_rows
+            and 0 <= mb_col < state.mb_cols):
+        mode = state.modes[mb_row][mb_col]
+        if mode != state.UNSET:
+            return mode
+    return None
+
+
+def predict_mv_reference(state, mb_row: int, mb_col: int,
+                         min_mb_row: int) -> MotionVector:
+    """Median of A/B/C (C falling back to D), one-inter-neighbor rule."""
+    positions = [
+        (mb_row, mb_col - 1),       # A
+        (mb_row - 1, mb_col),       # B
+        (mb_row - 1, mb_col + 1),   # C
+    ]
+    if not _available_ref(state, *positions[2], min_mb_row):
+        positions[2] = (mb_row - 1, mb_col - 1)  # D fallback
+    candidates: List[MotionVector] = []
+    inter_vectors: List[MotionVector] = []
+    for row, col in positions:
+        mode = _mode_at_ref(state, row, col, min_mb_row)
+        if mode in (int(MacroblockMode.INTER), int(MacroblockMode.SKIP)):
+            mv = state.mvs[row][col]
+            vector = MotionVector(mv[0], mv[1])
+            candidates.append(vector)
+            inter_vectors.append(vector)
+        else:
+            candidates.append(MotionVector(0, 0))
+    if not inter_vectors:
+        return MotionVector(0, 0)
+    if len(inter_vectors) == 1:
+        return inter_vectors[0]
+    dys = sorted(c.dy for c in candidates)
+    dxs = sorted(c.dx for c in candidates)
+    return MotionVector(dys[1], dxs[1])
+
+
+def _neighbor_mode_count_ref(state, mb_row: int, mb_col: int,
+                             min_mb_row: int, mode: MacroblockMode) -> int:
+    modes = [
+        _mode_at_ref(state, mb_row, mb_col - 1, min_mb_row),
+        _mode_at_ref(state, mb_row - 1, mb_col, min_mb_row),
+    ]
+    return sum(1 for m in modes if m == int(mode))
+
+
+def skip_context_reference(state, mb_row: int, mb_col: int,
+                           min_mb_row: int) -> int:
+    """Number of A/B neighbors coded as skip."""
+    return _neighbor_mode_count_ref(state, mb_row, mb_col, min_mb_row,
+                                    MacroblockMode.SKIP)
+
+
+def intra_context_reference(state, mb_row: int, mb_col: int,
+                            min_mb_row: int) -> int:
+    """Number of A/B neighbors coded as intra."""
+    return _neighbor_mode_count_ref(state, mb_row, mb_col, min_mb_row,
+                                    MacroblockMode.INTRA)
+
+
+def partition_context_reference(state, mb_row: int, mb_col: int,
+                                min_mb_row: int) -> int:
+    """Number of A/B neighbors coded as (non-skip) inter."""
+    return _neighbor_mode_count_ref(state, mb_row, mb_col, min_mb_row,
+                                    MacroblockMode.INTER)
+
+
+def mvd_context_reference(state, mb_row: int, mb_col: int,
+                          min_mb_row: int) -> int:
+    """Bucket of the A/B neighbors' summed |mv|."""
+    total = 0
+    for row, col in ((mb_row, mb_col - 1), (mb_row - 1, mb_col)):
+        if _available_ref(state, row, col, min_mb_row):
+            mv = state.mvs[row][col]
+            total += abs(mv[0]) + abs(mv[1])
+    if total < 3:
+        return 0
+    if total < 32:
+        return 1
+    return 2
+
+
+def nnz_context_reference(state, mb_row: int, mb_col: int,
+                          min_mb_row: int) -> int:
+    """Bucket of the A/B neighbors' summed nonzero-coefficient counts."""
+    total = 0
+    for row, col in ((mb_row, mb_col - 1), (mb_row - 1, mb_col)):
+        if _available_ref(state, row, col, min_mb_row):
+            total += state.nnz[row][col]
+    if total == 0:
+        return 0
+    if total < 16:
+        return 1
+    return 2
+
+
 __all__ = [
     "sad_scalar",
     "best_mv_scalar",
@@ -203,6 +334,7 @@ __all__ = [
     "forward_transform_scalar",
     "quantize_scalar",
     "reconstruct_residual_block_scalar",
+    "reconstruct_residuals_many_dense",
     "deblock_edge_scalar",
     "filter_vertical_edges_scalar",
     "encode_bypass_bits_scalar",
@@ -210,4 +342,10 @@ __all__ = [
     "write_bits_scalar",
     "read_bits_scalar",
     "coded_block_pattern_scalar",
+    "predict_mv_reference",
+    "skip_context_reference",
+    "intra_context_reference",
+    "partition_context_reference",
+    "mvd_context_reference",
+    "nnz_context_reference",
 ]

@@ -5,14 +5,21 @@ symbols encoded with either backend decodes to the identical sequence —
 including the context variants, which must match between the two sides.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.codec import EncoderConfig
+from repro.codec.batch import encode_batch
 from repro.codec.cabac import CabacDecoder, CabacEncoder
 from repro.codec.cavlc import CavlcDecoder, CavlcEncoder
 from repro.codec.contexts import DEFAULT_CONTEXT_MODEL, build_context_model
+from repro.codec.decoder import Decoder
+from repro.codec.encoder import Encoder
 from repro.codec.entropy import ContextGroup
 from repro.errors import BitstreamError
+from repro.video import SceneConfig, synthesize_scene
 
 MODEL = DEFAULT_CONTEXT_MODEL
 
@@ -159,6 +166,24 @@ class TestContextModel:
         group = ContextGroup(base=0, variants=2)
         with pytest.raises(BitstreamError):
             group.first_bin_context(2)
+
+    def test_pickles_ignore_coding_history(self):
+        # Campaign journals hash pickles that embed the shared model, so
+        # memo tables filled by coding must never ride along.
+        def pickles():
+            return (pickle.dumps(MODEL),
+                    {name: pickle.dumps(group)
+                     for name, group in MODEL.groups.items()})
+
+        before = pickles()
+        video = synthesize_scene(SceneConfig(width=32, height=32,
+                                             num_frames=3, seed=1))
+        config = EncoderConfig(crf=24, gop_size=3, bframes=1)
+        encoded = Encoder(config).encode(video)
+        encode_batch([video, video], config)
+        Decoder().decode(encoded)
+        assert pickles() == before
+        assert before[0] == pickle.dumps(build_context_model())
 
     def test_bits_emitted_monotone(self):
         encoder = CabacEncoder(MODEL.total_contexts)
