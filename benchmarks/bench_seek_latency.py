@@ -10,6 +10,9 @@ gate:
 * yardstick-normalized ``seeks_per_second`` (regression band) — the
   end-to-end rate of `get_frame` including shard range reads, CTR
   counter-jump decryption, merge, and GOP decode;
+* yardstick-normalized ``full_reads_per_second`` (regression band) —
+  the rate of whole-object `get`s (every stream fetched, decrypted,
+  merged and decoded), i.e. the read path's reads/sec;
 * an **absolute floor** on ``seek_speedup`` at GOP 8 — one seek must
   run >= 2x faster than one whole-clip read of the same object. Both
   paths are timed interleaved on the same host, so the ratio needs no
@@ -94,6 +97,7 @@ def _run_once(video, gop_size, seeks, seed):
         "seek_p50_ms": float(np.percentile(seek_ms, 50)),
         "seek_p99_ms": float(np.percentile(seek_ms, 99)),
         "full_read_ms": full_ms,
+        "full_reads_per_second": 1000.0 / full_ms,
         "seek_speedup": full_ms / mean_seek,
     }
     digest = hashlib.sha256(

@@ -18,7 +18,7 @@ garbage — never to a crash or an unbounded loop.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from ..errors import BitstreamError
 from .entropy import (
@@ -26,6 +26,7 @@ from .entropy import (
     ContextGroup,
     EntropyDecoder,
     EntropyEncoder,
+    ResidualContexts,
 )
 
 _PROB_BITS = 11
@@ -452,3 +453,176 @@ class CabacDecoder(EntropyDecoder):
         self._code = code
         self._pos = pos
         return value if value < max_value else max_value
+
+    def decode_residual(self, contexts: ResidualContexts, nnz_variant: int
+                        ) -> Tuple[Tuple[bool, ...], List[int], List[int]]:
+        """Fused mirror of :meth:`EntropyDecoder.decode_residual`.
+
+        The decode-side counterpart of :meth:`CabacEncoder.encode_bins`:
+        the four CBP flags and every coded block's nnz, significance
+        map, levels and signs are decoded by one loop with the register
+        state in locals, reading exactly the bins, contexts and
+        renormalization bytes of the generic symbol-by-symbol path (the
+        equivalence tests compare the two after every macroblock,
+        corrupted payloads included). The rare Exp-Golomb suffix of a
+        large nnz or level goes through the shared
+        ``_decode_eg0_bypass`` with the registers written back first.
+        """
+        probs = self._probs
+        rng = self._range
+        code = self._code
+        data = self._data
+        pos = self._pos
+        data_len = len(data)
+        prob_bits = _PROB_BITS
+        move_bits = _MOVE_BITS
+        prob_one = _PROB_ONE
+        top = _TOP
+        mask32 = _MASK32
+
+        cbp_base = contexts.cbp.first_bin_context(0)
+        cbp = []
+        for ctx in range(cbp_base, cbp_base + 4):
+            prob = probs[ctx]
+            bound = (rng >> prob_bits) * prob
+            if code < bound:
+                rng = bound
+                probs[ctx] = prob + ((prob_one - prob) >> move_bits)
+                cbp.append(False)
+            else:
+                code -= bound
+                rng -= bound
+                probs[ctx] = prob - (prob >> move_bits)
+                cbp.append(True)
+            while rng < top:
+                byte = data[pos] if pos < data_len else 0
+                pos += 1
+                code = ((code << 8) | byte) & mask32
+                rng = (rng << 8) & mask32
+
+        positions: List[int] = []
+        levels: List[int] = []
+        if True in cbp:
+            nnz_group = contexts.nnz
+            nnz_ladder = nnz_group.unary_ladder(nnz_variant)
+            nnz_cap = nnz_group.tu_cap
+            nnz_max = nnz_group.max_value
+            sig_base = contexts.sig.first_bin_context(0)
+            level_cap = contexts.level.tu_cap
+            level_max = contexts.level.max_value
+            level_ladders = contexts.level_ladders
+            for quadrant in range(4):
+                if not cbp[quadrant]:
+                    continue
+                for offset in contexts.block_offsets[quadrant]:
+                    # nnz: truncated-unary prefix, EG0 suffix at the cap.
+                    nonzero = 0
+                    while nonzero < nnz_cap:
+                        ctx = nnz_ladder[nonzero]
+                        prob = probs[ctx]
+                        bound = (rng >> prob_bits) * prob
+                        if code < bound:
+                            rng = bound
+                            probs[ctx] = prob + ((prob_one - prob)
+                                                 >> move_bits)
+                            bit = 0
+                        else:
+                            code -= bound
+                            rng -= bound
+                            probs[ctx] = prob - (prob >> move_bits)
+                            bit = 1
+                        while rng < top:
+                            byte = data[pos] if pos < data_len else 0
+                            pos += 1
+                            code = ((code << 8) | byte) & mask32
+                            rng = (rng << 8) & mask32
+                        if not bit:
+                            break
+                        nonzero += 1
+                    else:
+                        self._range, self._code, self._pos = rng, code, pos
+                        nonzero += self._decode_eg0_bypass()
+                        rng, code, pos = self._range, self._code, self._pos
+                    if nonzero > nnz_max:
+                        nonzero = nnz_max
+
+                    remaining = nonzero
+                    position = 0
+                    while remaining:
+                        if 16 - position != remaining:
+                            # Significance flag; the last ``remaining``
+                            # positions are implied once they must all
+                            # be set.
+                            ctx = sig_base + position
+                            prob = probs[ctx]
+                            bound = (rng >> prob_bits) * prob
+                            if code < bound:
+                                rng = bound
+                                probs[ctx] = prob + ((prob_one - prob)
+                                                     >> move_bits)
+                                bit = 0
+                            else:
+                                code -= bound
+                                rng -= bound
+                                probs[ctx] = prob - (prob >> move_bits)
+                                bit = 1
+                            while rng < top:
+                                byte = data[pos] if pos < data_len else 0
+                                pos += 1
+                                code = ((code << 8) | byte) & mask32
+                                rng = (rng << 8) & mask32
+                            if not bit:
+                                position += 1
+                                continue
+                        # Magnitude - 1: truncated unary, EG0 suffix.
+                        ladder = level_ladders[position]
+                        magnitude = 0
+                        while magnitude < level_cap:
+                            ctx = ladder[magnitude]
+                            prob = probs[ctx]
+                            bound = (rng >> prob_bits) * prob
+                            if code < bound:
+                                rng = bound
+                                probs[ctx] = prob + ((prob_one - prob)
+                                                     >> move_bits)
+                                bit = 0
+                            else:
+                                code -= bound
+                                rng -= bound
+                                probs[ctx] = prob - (prob >> move_bits)
+                                bit = 1
+                            while rng < top:
+                                byte = data[pos] if pos < data_len else 0
+                                pos += 1
+                                code = ((code << 8) | byte) & mask32
+                                rng = (rng << 8) & mask32
+                            if not bit:
+                                break
+                            magnitude += 1
+                        else:
+                            self._range, self._code, self._pos = \
+                                rng, code, pos
+                            magnitude += self._decode_eg0_bypass()
+                            rng, code, pos = \
+                                self._range, self._code, self._pos
+                        if magnitude > level_max:
+                            magnitude = level_max
+                        magnitude += 1
+                        # Sign: one bypass bin.
+                        rng >>= 1
+                        if code >= rng:
+                            code -= rng
+                            magnitude = -magnitude
+                        while rng < top:
+                            byte = data[pos] if pos < data_len else 0
+                            pos += 1
+                            code = ((code << 8) | byte) & mask32
+                            rng = (rng << 8) & mask32
+                        positions.append(offset + position)
+                        levels.append(magnitude)
+                        remaining -= 1
+                        position += 1
+        self._range = rng
+        self._code = code
+        self._pos = pos
+        return tuple(cbp), positions, levels

@@ -43,21 +43,21 @@ class ContextModel:
         return self.groups[name]
 
     def __getstate__(self) -> dict:
-        """Pickle the layout, never the block-plan memo cache.
+        """Pickle the layout, never the syntax layer's memo caches.
 
-        The syntax layer memoizes whole-block op plans on the model
-        (``_block_plan_caches``), and the default model is shared by
-        every encoder and decoder in the process. The cache is a pure
-        speedup — plans are recomputed on miss — but it grows with the
-        coefficient patterns seen so far, so letting it ride in pickles
-        would make encoder/decoder (and store) pickles depend on
-        encoding history. Campaign journals hash those pickles into the
-        context digest; a history-dependent pickle would orphan any
-        journal on resume.
+        The syntax layer memoizes whole-block op plans
+        (``_block_plan_caches``) and the resolved context groups
+        (``_syntax_contexts``) on the model, and the default model is
+        shared by every encoder and decoder in the process. The caches
+        are a pure speedup — rebuilt on miss — but the plan cache grows
+        with the coefficient patterns seen so far, so letting caches
+        ride in pickles would make encoder/decoder (and store) pickles
+        depend on coding history. Campaign journals hash those pickles
+        into the context digest; a history-dependent pickle would orphan
+        any journal on resume.
         """
-        state = self.__dict__.copy()
-        state.pop("_block_plan_caches", None)
-        return state
+        return {"groups": self.groups,
+                "total_contexts": self.total_contexts}
 
 
 def build_context_model() -> ContextModel:

@@ -55,7 +55,7 @@ from .encoder import slice_bands
 from .motion import pad_reference
 from .neighbors import FrameMbState
 from .reconstruct import ReferenceSet, build_prediction, reconstruct_macroblock
-from .syntax import decode_macroblock, finalize_macroblock
+from .syntax import finalize_macroblock, parse_macroblock, scatter_coefficients
 from .transform import reconstruct_residuals_many
 from .types import (
     FrameType,
@@ -69,6 +69,33 @@ DamageRanges = Sequence[Tuple[int, int]]
 
 #: Frame position in the container -> that frame's damage ranges.
 DamageMap = Dict[int, DamageRanges]
+
+#: One parsed macroblock: (decision, mb_row, mb_col, slice's first MB
+#: row, residual positions, residual levels) — the sparse pairs of
+#: :func:`~repro.codec.syntax.parse_macroblock`.
+_ParsedMacroblock = Tuple[MacroblockDecision, int, int, int, List[int],
+                         List[int]]
+
+
+class _DecodedFrames:
+    """Decoded display frames, padded into references on first read.
+
+    Only frames a later frame references (or concealment copies from)
+    are ever padded; B frames are never references, so a plain decode
+    never pads them.
+    """
+
+    def __init__(self, pad: int) -> None:
+        self.pad = pad
+        self.frames: Dict[int, np.ndarray] = {}
+        self._padded: Dict[int, np.ndarray] = {}
+
+    def padded(self, display: int) -> np.ndarray:
+        reference = self._padded.get(display)
+        if reference is None:
+            reference = pad_reference(self.frames[display], self.pad)
+            self._padded[display] = reference
+        return reference
 
 #: Default ceiling on the pixel volume (width x height x frames) a
 #: container may *declare* before decode refuses it. Decode time and
@@ -123,19 +150,22 @@ class Decoder:
         if not self.conceal_uncorrectable:
             damage = None
         with obs_trace.span("decode", frames=header.num_frames):
-            pad = header.search_range
-            reconstructed: Dict[int, np.ndarray] = {}
-            padded: Dict[int, np.ndarray] = {}
-            for position, frame in enumerate(encoded.frames):
-                frame_damage = damage.get(position) if damage else None
-                recon = self._decode_frame(frame, encoded, padded,
-                                           frame_damage)
-                if header.deblocking:
-                    recon = deblock_frame(recon, frame.header.base_qp)
-                reconstructed[frame.header.display_index] = recon
-                padded[frame.header.display_index] = pad_reference(recon, pad)
-            frames = [reconstructed[i] for i in range(header.num_frames)]
+            decoded = self._decode_frames(
+                encoded, range(len(encoded.frames)), damage)
+            frames = [decoded.frames[i] for i in range(header.num_frames)]
             return VideoSequence(frames, fps=header.fps)
+
+    def _decode_frames(self, encoded: EncodedVideo,
+                       positions: Sequence[int],
+                       damage: Optional[DamageMap]) -> _DecodedFrames:
+        """Decode the frames at container ``positions``, in order."""
+        decoded = _DecodedFrames(encoded.header.search_range)
+        for position in positions:
+            frame = encoded.frames[position]
+            frame_damage = damage.get(position) if damage else None
+            decoded.frames[frame.header.display_index] = self._decode_frame(
+                frame, encoded, decoded, frame_damage)
+        return decoded
 
     # -- random access -----------------------------------------------------
 
@@ -204,21 +234,8 @@ class Decoder:
                 len(positions))
             obs_metrics.counter("decode_seek_frames_skipped_total").inc(
                 len(encoded.frames) - len(positions))
-            pad = header.search_range
-            reconstructed: Dict[int, np.ndarray] = {}
-            padded: Dict[int, np.ndarray] = {}
             try:
-                for position in positions:
-                    frame = encoded.frames[position]
-                    frame_damage = (damage.get(position) if damage
-                                    else None)
-                    recon = self._decode_frame(frame, encoded, padded,
-                                               frame_damage)
-                    if header.deblocking:
-                        recon = deblock_frame(recon, frame.header.base_qp)
-                    reconstructed[frame.header.display_index] = recon
-                    padded[frame.header.display_index] = \
-                        pad_reference(recon, pad)
+                decoded = self._decode_frames(encoded, positions, damage)
             except BitstreamError:
                 # A chain the closure accepted but the frame decoder
                 # rejects (hostile refs): same fallback as above.
@@ -226,7 +243,7 @@ class Decoder:
                 full = self.decode(encoded, damage)
                 return VideoSequence([full.frames[d] for d in targets],
                                      fps=header.fps)
-            return VideoSequence([reconstructed[d] for d in targets],
+            return VideoSequence([decoded.frames[d] for d in targets],
                                  fps=header.fps)
 
     def _validate_structure(self, encoded: EncodedVideo) -> None:
@@ -286,24 +303,31 @@ class Decoder:
         return CavlcDecoder(payload, self._model.total_contexts)
 
     def _references(self, frame: EncodedFrame,
-                    padded: Dict[int, np.ndarray]) -> ReferenceSet:
+                    decoded: _DecodedFrames) -> ReferenceSet:
         references: ReferenceSet = {}
         fh = frame.header
-        if fh.ref_forward is not None and fh.ref_forward in padded:
-            references[PredictionDirection.FORWARD] = padded[fh.ref_forward]
-        if fh.ref_backward is not None and fh.ref_backward in padded:
-            references[PredictionDirection.BACKWARD] = padded[fh.ref_backward]
+        if fh.ref_forward is not None and fh.ref_forward in decoded.frames:
+            references[PredictionDirection.FORWARD] = decoded.padded(
+                fh.ref_forward)
+        if fh.ref_backward is not None and fh.ref_backward in decoded.frames:
+            references[PredictionDirection.BACKWARD] = decoded.padded(
+                fh.ref_backward)
         return references
 
     def _decode_frame(self, frame: EncodedFrame, encoded: EncodedVideo,
-                      padded: Dict[int, np.ndarray],
+                      decoded: _DecodedFrames,
                       damage: Optional[DamageRanges] = None) -> np.ndarray:
+        """One frame, in-loop filtered: the pixels it displays and that
+        later frames reference."""
         fh = frame.header
         with obs_trace.span("decode.frame", coded_index=fh.coded_index,
                             frame_type=fh.frame_type.name):
             stages = obs_trace.stage_clock()
-            recon = self._decode_frame_body(frame, encoded, padded, stages,
+            recon = self._decode_frame_body(frame, encoded, decoded, stages,
                                             damage)
+            if encoded.header.deblocking:
+                with stages.time("decode.deblock"):
+                    recon = deblock_frame(recon, fh.base_qp)
             stages.emit()
             return recon
 
@@ -323,34 +347,36 @@ class Decoder:
         return min(hits) if hits else None
 
     def _decode_frame_body(self, frame: EncodedFrame, encoded: EncodedVideo,
-                           padded: Dict[int, np.ndarray], stages,
+                           decoded: _DecodedFrames, stages,
                            damage: Optional[DamageRanges] = None
                            ) -> np.ndarray:
         header = encoded.header
         fh = frame.header
         mb_rows = header.height // MACROBLOCK_SIZE
         mb_cols = header.width // MACROBLOCK_SIZE
-        if fh.frame_type != FrameType.I and not padded:
+        if fh.frame_type != FrameType.I and not decoded.frames:
             raise BitstreamError(
                 f"frame {fh.coded_index} needs references but none decoded"
             )
-        references = self._references(frame, padded)
+        # Reference padding is the other half of turning a decoded frame
+        # into a reference, so it is timed with the in-loop filter.
+        with stages.time("decode.deblock"):
+            references = self._references(frame, decoded)
         if fh.frame_type != FrameType.I and (
                 PredictionDirection.FORWARD not in references):
             raise BitstreamError(
                 f"frame {fh.coded_index}: forward reference "
                 f"{fh.ref_forward} unavailable"
             )
-        state = FrameMbState(mb_rows, mb_cols)
-        recon = np.zeros((header.height, header.width), dtype=np.uint8)
-        bands = slice_bands(mb_rows, len(fh.slice_byte_lengths))
         # Pass 1: entropy-decode every macroblock decision. This pass is
         # inherently sequential (adaptive contexts and neighbor state),
         # but it needs no pixels.
-        mbs: List[Tuple[MacroblockDecision, int, int, int]] = []
+        mbs: List[_ParsedMacroblock] = []
         concealed_bands: List[Tuple[int, int, int, int]] = []
         offset = 0
         with stages.time("decode.entropy"):
+            state = FrameMbState(mb_rows, mb_cols)
+            bands = slice_bands(mb_rows, len(fh.slice_byte_lengths))
             for (start_row, end_row), length in zip(bands,
                                                     fh.slice_byte_lengths):
                 payload = frame.payload[offset:offset + length]
@@ -376,21 +402,24 @@ class Decoder:
                 state.start_slice(fh.base_qp)
                 for mb_row in range(start_row, end_row):
                     for mb_col in range(mb_cols):
-                        decision = decode_macroblock(
+                        decision, positions, levels = parse_macroblock(
                             entropy, self._model, state, fh.frame_type,
                             mb_row, mb_col, start_row)
-                        finalize_macroblock(state, decision, mb_row, mb_col)
-                        mbs.append((decision, mb_row, mb_col, start_row))
+                        finalize_macroblock(state, decision, mb_row, mb_col,
+                                            len(levels))
+                        mbs.append((decision, mb_row, mb_col, start_row,
+                                    positions, levels))
         # Pass 2: one batched inverse transform for every coded residual
         # in the frame, then a sequential prediction sweep (intra
         # prediction reads reconstructed neighbor pixels).
         with stages.time("decode.reconstruct"):
+            recon = np.zeros((header.height, header.width), dtype=np.uint8)
             residuals = self._frame_residuals(mbs)
             pad = 0
             if references:
                 reference = next(iter(references.values()))
                 pad = (reference.shape[0] - recon.shape[0]) // 2
-            for index, (decision, mb_row, mb_col, min_mb_row) in \
+            for index, (decision, mb_row, mb_col, min_mb_row, _, _) in \
                     enumerate(mbs):
                 prediction = build_prediction(decision, recon, references,
                                               pad, mb_row, mb_col,
@@ -401,15 +430,15 @@ class Decoder:
                       left:left + MACROBLOCK_SIZE] = reconstruct_macroblock(
                           decision, prediction, residuals.get(index))
             if concealed_bands:
-                earlier = [d for d in padded if d < fh.display_index]
-                source = padded[max(earlier)] if earlier else None
+                earlier = [d for d in decoded.frames
+                           if d < fh.display_index]
+                source = decoded.padded(max(earlier)) if earlier else None
                 self._conceal_bands(recon, concealed_bands, mb_cols, source)
         return recon
 
     def _salvage_slice(self, payload: bytes, header, state: FrameMbState,
                        fh, start_row: int, end_row: int, mb_cols: int,
-                       first_bad: int,
-                       mbs: List[Tuple[MacroblockDecision, int, int, int]],
+                       first_bad: int, mbs: List[_ParsedMacroblock],
                        ) -> Optional[Tuple[int, int]]:
         """Decode a damaged slice's clean prefix; report where it ends.
 
@@ -417,11 +446,12 @@ class Decoder:
         bit count stays at or before ``first_bad`` — those provably never
         saw a damaged bit, so they decode bit-identically to the clean
         stream. The first macroblock whose decode crosses the damage is
-        discarded (``decode_macroblock`` never mutates ``state``; only
-        ``finalize_macroblock`` does), and its raster position is
-        returned as the concealment start. Returns ``None`` when every
-        macroblock decoded clean — the damage sits entirely in the
-        slice's padding bits and nothing needs concealing.
+        discarded with its residual pairs (``parse_macroblock`` never
+        mutates ``state``; only ``finalize_macroblock`` does), and its
+        raster position is returned as the concealment start. Returns
+        ``None`` when every macroblock decoded clean — the damage sits
+        entirely in the slice's padding bits and nothing needs
+        concealing.
         """
         if first_bad <= 0:
             return start_row, 0
@@ -430,15 +460,17 @@ class Decoder:
         for mb_row in range(start_row, end_row):
             for mb_col in range(mb_cols):
                 try:
-                    decision = decode_macroblock(
+                    decision, positions, levels = parse_macroblock(
                         entropy, self._model, state, fh.frame_type,
                         mb_row, mb_col, start_row)
                 except BitstreamError:
                     return mb_row, mb_col
                 if entropy.bits_consumed > first_bad:
                     return mb_row, mb_col
-                finalize_macroblock(state, decision, mb_row, mb_col)
-                mbs.append((decision, mb_row, mb_col, start_row))
+                finalize_macroblock(state, decision, mb_row, mb_col,
+                                    len(levels))
+                mbs.append((decision, mb_row, mb_col, start_row,
+                            positions, levels))
         return None
 
     @staticmethod
@@ -516,26 +548,37 @@ class Decoder:
         obs_metrics.counter("decode_concealed_mbs_total").inc(concealed_mbs)
 
     @staticmethod
-    def _frame_residuals(
-        mbs: List[Tuple[MacroblockDecision, int, int, int]],
-    ) -> Dict[int, np.ndarray]:
-        """Reconstruct every coded residual of a frame in one batch.
+    def _frame_residuals(mbs: List[_ParsedMacroblock]
+                         ) -> Dict[int, np.ndarray]:
+        """Reconstruct every nonzero residual of a frame in one batch.
 
         Returns macroblock index (position in ``mbs``) -> 16x16 residual
-        for macroblocks that carry coded coefficients; others are absent.
+        for macroblocks with at least one nonzero coefficient; the rest
+        are absent (an all-zero residual would leave the prediction
+        unchanged). One scatter and one inverse zigzag build the whole
+        frame's coefficient stack.
         """
         indices: List[int] = []
-        stacks: List[np.ndarray] = []
         qps: List[int] = []
-        for index, (decision, _, _, _) in enumerate(mbs):
-            if decision.coefficients is not None and any(decision.cbp):
+        counts: List[int] = []
+        positions: List[int] = []
+        levels: List[int] = []
+        for index, (decision, _, _, _, mb_positions, mb_levels) in \
+                enumerate(mbs):
+            if mb_levels:
                 indices.append(index)
-                stacks.append(decision.coefficients)
                 qps.append(decision.qp)
+                counts.append(len(mb_levels))
+                positions.extend(mb_positions)
+                levels.extend(mb_levels)
         if not indices:
             return {}
-        residuals = reconstruct_residuals_many(np.stack(stacks), qps)
-        return {index: residuals[i] for i, index in enumerate(indices)}
+        count = len(indices)
+        offsets = np.repeat(np.arange(0, 256 * count, 256), counts)
+        coefficients = scatter_coefficients(offsets + positions, levels,
+                                            count)
+        residuals = reconstruct_residuals_many(coefficients, qps)
+        return dict(zip(indices, residuals))
 
 
 def dependency_closure(encoded: EncodedVideo,

@@ -37,7 +37,7 @@ from .syntax import encode_macroblock, finalize_macroblock
 from .transform import (
     MAX_QP,
     MIN_QP,
-    reconstruct_residual,
+    reconstruct_residuals_many,
     transform_and_quantize,
 )
 from .types import (
@@ -325,8 +325,8 @@ class Encoder:
         with stages.time("encode.transform"):
             residual_pixels = None
             if decision.coefficients is not None and any(decision.cbp):
-                residual_pixels = reconstruct_residual(decision.coefficients,
-                                                       decision.qp)
+                residual_pixels = reconstruct_residuals_many(
+                    decision.coefficients[np.newaxis], [decision.qp])[0]
             recon_mb = reconstruct_macroblock(decision, prediction,
                                               residual_pixels)
         recon[top:top + MACROBLOCK_SIZE, left:left + MACROBLOCK_SIZE] = recon_mb

@@ -26,7 +26,7 @@ from .contexts import DEFAULT_CONTEXT_MODEL
 from .encoded import EncodedVideo
 from .encoder import slice_bands
 from .neighbors import FrameMbState
-from .syntax import decode_macroblock, finalize_macroblock
+from .syntax import finalize_macroblock, parse_macroblock
 from .types import FrameType, MacroblockMode
 
 
@@ -130,7 +130,7 @@ def inspect_video(encoded: EncodedVideo) -> VideoStats:
             state.start_slice(fh.base_qp)
             for mb_row in range(start_row, end_row):
                 for mb_col in range(mb_cols):
-                    decision = decode_macroblock(
+                    decision, _, levels = parse_macroblock(
                         entropy, model, state, fh.frame_type, mb_row,
                         mb_col, start_row)
                     frame_stats.modes[decision.mode] += 1
@@ -145,9 +145,8 @@ def inspect_video(encoded: EncodedVideo) -> VideoStats:
                             frame_stats.total_mv_magnitude += \
                                 partition.mv.magnitude
                             frame_stats.inter_partitions += 1
-                    if decision.coefficients is not None:
-                        frame_stats.total_nonzero_coefficients += int(
-                            np.count_nonzero(decision.coefficients))
-                    finalize_macroblock(state, decision, mb_row, mb_col)
+                    frame_stats.total_nonzero_coefficients += len(levels)
+                    finalize_macroblock(state, decision, mb_row, mb_col,
+                                        len(levels))
         stats.append(frame_stats)
     return VideoStats(frames=stats)

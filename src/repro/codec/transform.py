@@ -49,6 +49,13 @@ def quant_step(qp: int) -> float:
     return 0.625 * (2.0 ** (qp / 6.0))
 
 
+#: ``quant_step(qp)`` for every legal QP, indexed by QP: the scalar
+#: values themselves, so batched lookups match the scalar path bit for
+#: bit.
+_QUANT_STEPS = np.array([quant_step(qp) for qp in range(MIN_QP, MAX_QP + 1)],
+                        dtype=np.float64)
+
+
 def blockify(mb: np.ndarray) -> np.ndarray:
     """Split a 16x16 macroblock into 16 4x4 blocks in raster order."""
     if mb.shape != (16, 16):
@@ -131,18 +138,29 @@ def reconstruct_residuals_many(levels_stack: np.ndarray,
     """(M, 16, 4, 4) levels with per-MB QPs -> (M, 16, 16) residuals.
 
     Bitwise identical to :func:`reconstruct_residual` per macroblock:
-    steps come from the scalar :func:`quant_step` (not a vectorized
+    steps are the scalar :func:`quant_step` values (not a vectorized
     power, which could differ in the last ulp), the per-element multiply
     order matches :func:`dequantize`, and the inverse einsum's reduction
     order is independent of batch size.
+
+    Only nonzero 4x4 blocks go through the einsum: a zero block
+    dequantizes and transforms to exactly 0, and most blocks of a
+    typical stack are zero.
     """
     stack = np.asarray(levels_stack)
     count = stack.shape[0]
-    steps = np.array([quant_step(int(qp)) for qp in qps],
-                     dtype=np.float64)
-    dequantized = (stack.astype(np.float64)
-                   * steps[:, None, None, None] * SCALE)
-    blocks = inverse_transform(dequantized.reshape(count * 16, 4, 4))
+    qp_index = np.asarray(qps, dtype=np.intp).reshape(count)
+    if count and (qp_index.min() < MIN_QP or qp_index.max() > MAX_QP):
+        raise EncoderError(
+            f"qp must be in {MIN_QP}..{MAX_QP}, got {qp_index.tolist()}")
+    levels = stack.reshape(count * 16, 4, 4)
+    coded = np.flatnonzero(levels.reshape(count * 16, 16).any(axis=1))
+    blocks = np.zeros((count * 16, 4, 4), dtype=np.int32)
+    if coded.size:
+        steps = _QUANT_STEPS[qp_index[coded // 16]]
+        blocks[coded] = inverse_transform(
+            levels[coded].astype(np.float64) * steps[:, None, None]
+            * SCALE)
     return (
         blocks.reshape(count, 4, 4, 4, 4)
         .transpose(0, 1, 3, 2, 4)

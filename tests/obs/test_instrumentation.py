@@ -4,6 +4,7 @@ pipeline, worker spans/metrics merge across the process boundary."""
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +88,41 @@ class TestSpanCoverage:
         frames = {r.span_id: r for r in records
                   if r.name == "encode.frame"}
         assert all(a.parent_id in frames for a in aggregates)
+
+    def test_decode_stages_time_deblock_and_padding(self, encoded_small,
+                                                    monkeypatch):
+        # The in-loop filter and reference padding run inside the
+        # per-frame stage clock, so the decode.* aggregates account for
+        # the frame loop: slowed down, they show up in decode.deblock.
+        from repro.codec import decoder as decoder_module
+        from repro.codec.decoder import Decoder
+
+        delay = 0.002
+        calls = []
+
+        def slowed(function):
+            def wrapper(*args):
+                calls.append(function.__name__)
+                time.sleep(delay)
+                return function(*args)
+            return wrapper
+
+        for name in ("deblock_frame", "pad_reference"):
+            monkeypatch.setattr(decoder_module, name,
+                                slowed(getattr(decoder_module, name)))
+        trace.enable()
+        Decoder().decode(encoded_small)
+        records = trace.active().drain()
+        assert calls.count("deblock_frame") == len(encoded_small.frames)
+        assert "pad_reference" in calls
+        deblock = sum(r.duration for r in records
+                      if r.name == "decode.deblock")
+        assert deblock >= delay * len(calls)
+        decode = next(r.duration for r in records if r.name == "decode")
+        stages = sum(r.duration for r in records
+                     if r.attrs.get("aggregate")
+                     and r.name.startswith("decode."))
+        assert 0.95 * decode <= stages <= decode
 
     def test_bch_and_device_spans(self):
         from repro.storage.device import ApproximateDevice

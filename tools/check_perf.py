@@ -56,7 +56,7 @@ EXHIBIT_METRICS = {
     "codec_throughput": ("encode_fps", "decode_fps"),
     "batch_throughput": ("clips_per_second",),
     "service_loadgen": ("ingest_clips_per_second", "reads_per_second"),
-    "seek_latency": ("seeks_per_second",),
+    "seek_latency": ("seeks_per_second", "full_reads_per_second"),
     "read_path": ("keystream_bytes_per_second",),
 }
 
