@@ -59,7 +59,6 @@ from .gop import FramePlan, plan_gop
 from .motion import (
     _ENCODER_RECT_MASK,
     _RECT_COLUMN,
-    _TILE_ONES,
     _CHUNK_BUDGET_BYTES,
     MB_SIZE,
     MotionVector,
@@ -105,10 +104,10 @@ class BatchFrameMotionSearch:
 
     Runs the same chunked streaming pass over the displacement window
     with a leading clip axis: per chunk, one strided window view, one
-    abs-diff, one float32 tile reduction, and one float64 masked matmul
-    cover every clip at once. All intermediates are exact integers in
-    their float dtypes (the PR 4 guarantees are batch-shape
-    independent), and the first-minimum-within-chunk / strict-less-than
+    int16 abs-diff and tile reduction, and one float64 masked matmul
+    cover every clip at once. Every intermediate is an exact integer in
+    its dtype (tile SADs fit int16, rect SADs are exact in float64),
+    and the first-minimum-within-chunk / strict-less-than
     cross-chunk merge makes results chunk-size invariant — so the
     per-clip SAD tables are bitwise identical to N separate
     :class:`FrameMotionSearch` passes.
@@ -131,7 +130,9 @@ class BatchFrameMotionSearch:
         diameter = 2 * search_range + 1
         self._diameter = diameter
         num_mbs = (height // MB_SIZE) * self._mb_cols
-        mask = _ENCODER_RECT_MASK.astype(np.float64)
+        # Rect SADs come out of a float64 BLAS matmul over 4x4 tile
+        # SADs; every sum is an integer <= 65280, exact in float64.
+        rect_mask = _ENCODER_RECT_MASK.T.astype(np.float64)
         source = currents.astype(np.int16)
         tile_rows = height // 4
         tile_cols = width // 4
@@ -147,14 +148,13 @@ class BatchFrameMotionSearch:
             pad - search_range:pad + search_range + height,
             pad - search_range:pad + search_range + width]
 
-        # The per-clip cache budget, grown with the batch (capped at 4x:
-        # measured throughput peaks there and thrashes beyond) so the
-        # chunk does not degenerate to single displacement rows at batch
-        # 8+. Chunk size never affects results — the strict-< merge is
-        # chunk-invariant.
+        # dy rows per chunk: the whole batch's buffers (~6 bytes per
+        # candidate pixel) stay inside one cache budget, so wide batches
+        # take one displacement row at a time (measured fastest at
+        # batch 16 and 32). Chunk size never affects results — the
+        # strict-< merge is chunk-invariant.
         row_bytes = 6 * num_clips * diameter * height * width
-        budget = _CHUNK_BUDGET_BYTES * min(num_clips, 4)
-        chunk = max(1, min(diameter, budget // row_bytes))
+        chunk = max(1, min(diameter, _CHUNK_BUDGET_BYTES // row_bytes))
 
         best_cost = np.full((num_clips, num_mbs, num_rects), np.inf)
         best_sad = np.zeros((num_clips, num_mbs, num_rects),
@@ -167,28 +167,38 @@ class BatchFrameMotionSearch:
             sub = band_full[:, start:start + rows - 1 + height, :]
             windows = np.lib.stride_tricks.sliding_window_view(
                 sub, (height, width), axis=(1, 2))
-            diff = np.abs(source[:, None, None] - windows)
-            col_sums = (
-                diff.reshape(-1, 4).astype(np.float32) @ _TILE_ONES
-            ).reshape(num_clips, dd, tile_rows, 4, tile_cols)
-            tiles = col_sums.sum(axis=3, dtype=np.float32)
+            diff = source[:, None, None] - windows
+            np.abs(diff, out=diff)
+            # 4x4 tile SADs in int16 (at most 16 * 255): add each
+            # tile's four rows, then its four columns. Plain slice adds
+            # beat both a float32 matvec and a small-axis .sum() here.
+            quads = diff.reshape(num_clips, dd, tile_rows, 4, width)
+            row_sums = quads[:, :, :, 0] + quads[:, :, :, 1]
+            row_sums += quads[:, :, :, 2]
+            row_sums += quads[:, :, :, 3]
+            cols = row_sums.reshape(num_clips, dd, tile_rows, tile_cols, 4)
+            tiles = cols[..., 0] + cols[..., 1]
+            tiles += cols[..., 2]
+            tiles += cols[..., 3]
+            # (clip, mb, tile, displacement): the displacement axis goes
+            # last so the argmin below runs along contiguous memory.
             mb_tiles = tiles.reshape(
                 num_clips, dd, mb_rows_count, 4, self._mb_cols, 4
-            ).transpose(0, 1, 2, 4, 3, 5).reshape(
-                num_clips, dd, num_mbs, MB_SIZE)
-            sads = mb_tiles.astype(np.float64) @ mask
+            ).transpose(0, 2, 4, 3, 5, 1).reshape(
+                num_clips, num_mbs, MB_SIZE, dd)
+            sads = rect_mask @ mb_tiles.astype(np.float64)
             cost = sads + penalty_flat[start * diameter:
-                                       start * diameter + dd][None, :,
-                                                              None, None]
-            pick = np.argmin(cost, axis=1)
-            picked = pick[:, None]
-            chunk_cost = np.take_along_axis(cost, picked, axis=1)[:, 0]
-            chunk_sad = np.take_along_axis(sads, picked, axis=1)[:, 0]
+                                       start * diameter + dd]
+            # First minimum within the chunk, strict < across chunks:
+            # the scalar path's row-major flat argmin tie-breaking.
+            pick = np.argmin(cost, axis=-1)
+            picked = pick[..., None]
+            chunk_cost = np.take_along_axis(cost, picked, axis=-1)[..., 0]
+            chunk_sad = np.take_along_axis(sads, picked, axis=-1)[..., 0]
             better = chunk_cost < best_cost
             best_cost[better] = chunk_cost[better]
             best_sad[better] = chunk_sad[better]
-            best_flat[better] = np.broadcast_to(
-                start * diameter + pick, best_flat.shape)[better]
+            best_flat[better] = (start * diameter + pick)[better]
         self._best_sad = best_sad.astype(np.int64)
         self._best_flat = best_flat.astype(np.int32)
 
