@@ -13,10 +13,11 @@ from repro.codec.cavlc import CavlcDecoder, CavlcEncoder
 from repro.codec.contexts import DEFAULT_CONTEXT_MODEL
 from repro.codec.neighbors import FrameMbState
 from repro.codec.syntax import (
-    decode_macroblock,
     encode_macroblock,
     finalize_macroblock,
+    parse_macroblock,
     partition_rectangles,
+    scatter_coefficients,
 )
 from repro.codec.types import (
     FrameType,
@@ -82,6 +83,16 @@ def _random_decision(rng, frame_type, pred_mv, prev_qp):
         sub_types=sub_types, partitions=partitions,
         coefficients=coefficients, cbp=cbp,
     )
+
+
+def _parse_dense(decoder, state, frame_type, row, col):
+    """``parse_macroblock`` with the residual scattered into the
+    decision's dense ``(16, 4, 4)`` coefficients (``None`` for a skip)."""
+    decision, positions, levels = parse_macroblock(
+        decoder, MODEL, state, frame_type, row, col, 0)
+    if decision.mode != MacroblockMode.SKIP:
+        decision.coefficients = scatter_coefficients(positions, levels, 1)[0]
+    return decision
 
 
 def _quadrant_blocks(quadrant):
@@ -170,8 +181,8 @@ class TestMacroblockRoundTrip:
         index = 0
         for row in range(rows):
             for col in range(cols):
-                decoded = decode_macroblock(decoder, MODEL, dec_state,
-                                            frame_type, row, col, 0)
+                decoded = _parse_dense(decoder, dec_state, frame_type,
+                                       row, col)
                 assert _decisions_equal(decisions[index], decoded), (
                     f"mismatch at MB ({row},{col}): "
                     f"{decisions[index]} vs {decoded}")
@@ -210,8 +221,8 @@ class TestCorruptionRobustness:
             decoder = decoder_cls(bytes(corrupted), MODEL.total_contexts)
             for row in range(rows):
                 for col in range(cols):
-                    decision = decode_macroblock(decoder, MODEL, dec_state,
-                                                 FrameType.P, row, col, 0)
+                    decision = _parse_dense(decoder, dec_state,
+                                            FrameType.P, row, col)
                     assert 0 <= decision.qp <= 51
                     finalize_macroblock(dec_state, decision, row, col)
 
