@@ -19,12 +19,13 @@ The two paths are interleaved within each timing repeat (per-clip
 pass, then each batch width, repeated) so cache and scheduler noise
 lands on both alternatives equally; each label keeps its best repeat.
 Before any timing, the batched streams are asserted byte-identical to
-the per-clip streams — the farm's speed is only interesting because it
-changes nothing.
+the per-clip streams, at ``bframes=1`` as well as at the timed config —
+the farm's speed is only interesting because it changes nothing.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -88,22 +89,22 @@ def _corpus(scale_name):
             for index in range(clips)]
 
 
-def _per_clip_pass(videos):
+def _per_clip_pass(videos, config=_CONFIG):
     """The pre-farm pipeline: encode then decode every clip."""
     streams = []
     for video in videos:
-        encoded = Encoder(_CONFIG).encode(video)
+        encoded = Encoder(config).encode(video)
         list(Decoder().decode(encoded))
         streams.append(encoded)
     return streams
 
 
-def _batched_pass(videos, width):
+def _batched_pass(videos, width, config=_CONFIG):
     """The farm pipeline: stacked encode with closed-loop recon."""
     streams = []
     for start in range(0, len(videos), width):
         encoded, _recon = encode_batch_with_recon(
-            videos[start:start + width], _CONFIG)
+            videos[start:start + width], config)
         streams.extend(encoded)
     return streams
 
@@ -122,6 +123,16 @@ def test_batch_throughput(scale):
         batched = [s.serialize() for s in _batched_pass(videos, width)]
         assert batched == reference, (
             f"width-{width} batched streams diverge from per-clip")
+    # B-frames take the same batched decision path; check it at the
+    # widest batch too. Untimed: the timed passes stay at _CONFIG.
+    bframe_config = dataclasses.replace(_CONFIG, bframes=1)
+    widest = BATCH_WIDTHS[-1]
+    per_clip = [s.serialize()
+                for s in _per_clip_pass(videos, bframe_config)]
+    batched = [s.serialize()
+               for s in _batched_pass(videos, widest, bframe_config)]
+    assert batched == per_clip, (
+        f"width-{widest} batched B-frame streams diverge from per-clip")
 
     # Interleaved best-of timing: each repeat runs every alternative.
     labels = ["per-clip"] + [f"batch{w}" for w in BATCH_WIDTHS]

@@ -14,9 +14,11 @@ What batches (one call for all N clips):
 * motion search — :class:`BatchFrameMotionSearch` streams the chunked
   SAD pipeline of :class:`~repro.codec.motion.FrameMotionSearch` with a
   leading clip axis;
-* the whole P-frame inter mode decision — partition costs for every
-  macroblock of every clip come out of the stacked SAD tables with a
-  handful of argmins (the scalar ``_decide_inter`` loop disappears);
+* the whole inter mode decision of P- and B-frames — direction picks
+  (forward, backward, or the bidirectional average) and partition costs
+  for every macroblock of every clip come out of the stacked SAD tables
+  with a few gathers and a handful of argmins (the scalar
+  ``_decide_inter`` loop disappears);
 * intra mode selection, the 4x4 transform/quantization, coefficient
   block patterns, reconstruction, and the deblocking filter.
 
@@ -29,10 +31,8 @@ guarantees PR 4 established), the emitted streams and traces are
 bitwise identical to per-clip :meth:`Encoder.encode` — enforced by
 ``tests/codec/test_vectorized_equivalence.py``.
 
-B-frames fall back to the scalar per-macroblock decision (bidirectional
-candidates need per-MB compensation) while still batching every other
-stage; mixed-geometry inputs and ``REPRO_BATCH_DISABLE=1`` fall back to
-the per-clip encoder entirely.
+Mixed-geometry inputs are grouped by geometry, and every group —
+a single clip included — runs through the batched kernels.
 
 GOP work units: with ``bframes == 0`` every GOP is self-contained, so
 :func:`gop_unit_bounds` / :func:`assemble_gop_units` let a scheduler
@@ -43,7 +43,6 @@ to encoding the clip in one piece.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +59,7 @@ from .motion import (
     _ENCODER_RECT_MASK,
     _RECT_COLUMN,
     _CHUNK_BUDGET_BYTES,
+    ENCODER_RECTS,
     MB_SIZE,
     MotionVector,
 )
@@ -89,14 +89,6 @@ from .types import (
     PredictionDirection,
     SubPartitionType,
 )
-
-#: Environment knob: ``1`` disables batching (per-clip scalar fallback).
-BATCH_DISABLE_ENV = "REPRO_BATCH_DISABLE"
-
-
-def batching_enabled() -> bool:
-    """False when ``REPRO_BATCH_DISABLE=1`` forces the per-clip path."""
-    return os.environ.get(BATCH_DISABLE_ENV, "").strip() != "1"
 
 
 class BatchFrameMotionSearch:
@@ -202,41 +194,8 @@ class BatchFrameMotionSearch:
         self._best_sad = best_sad.astype(np.int64)
         self._best_flat = best_flat.astype(np.int32)
 
-    def clip_view(self, clip: int) -> "_ClipSearchView":
-        """A per-clip adapter duck-typing ``FrameMotionSearch``."""
-        return _ClipSearchView(self._best_sad[clip], self._best_flat[clip],
-                               self.search_range, self._diameter,
-                               self._mb_cols)
 
-
-class _ClipSearchView:
-    """One clip's slice of a batched search, for the scalar decision
-    path (B-frames): answers :meth:`mb_table` exactly like
-    :class:`~repro.codec.motion.FrameMotionSearch`."""
-
-    def __init__(self, best_sad: np.ndarray, best_flat: np.ndarray,
-                 search_range: int, diameter: int, mb_cols: int) -> None:
-        self._best_sad = best_sad
-        self._best_flat = best_flat
-        self.search_range = search_range
-        self._diameter = diameter
-        self._mb_cols = mb_cols
-
-    def mb_table(self, mb_row: int, mb_col: int
-                 ) -> List[Tuple[MotionVector, float]]:
-        mb = mb_row * self._mb_cols + mb_col
-        flats = self._best_flat[mb].tolist()
-        sads = self._best_sad[mb].tolist()
-        diameter = self._diameter
-        radius = self.search_range
-        return [
-            (MotionVector(flat // diameter - radius,
-                          flat % diameter - radius), float(sad))
-            for flat, sad in zip(flats, sads)
-        ]
-
-
-# -- vectorized P-frame inter decision tables ---------------------------------
+# -- vectorized inter decision tables -----------------------------------------
 
 _P16x16_COL = _RECT_COLUMN[(0, 0, 16, 16)]
 _P16x8_COLS = np.array([_RECT_COLUMN[r]
@@ -267,30 +226,124 @@ def _sub_layout_tables():
 
 _SUB_COLS, _SUB_VALID, _SUB_COUNTS, _SUB_RECTS = _sub_layout_tables()
 
+
+def _rect_shape_groups():
+    """:data:`ENCODER_RECTS` grouped by shape: ``[((height, width),
+    columns, row offsets, column offsets), ...]``. Every partition
+    layout tiles the macroblock, so each group covers 256 pixels."""
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for column, (_oy, _ox, height, width) in enumerate(ENCODER_RECTS):
+        groups.setdefault((height, width), []).append(column)
+    return [(shape, np.array(columns),
+             np.array([ENCODER_RECTS[c][0] for c in columns]),
+             np.array([ENCODER_RECTS[c][1] for c in columns]))
+            for shape, columns in groups.items()]
+
+
+_RECT_SHAPE_GROUPS = _rect_shape_groups()
+
 #: Candidate order of the scalar decision loop (argmin tie-break order).
 _PTYPE_ORDER = (PartitionType.P16x16, PartitionType.P16x8,
                 PartitionType.P8x16, PartitionType.P8x8)
 _SUBTYPE_ORDER = tuple(SubPartitionType)
+_DIRECTIONS = tuple(PredictionDirection)
+
+
+def _bidirectional_sads(source_stack: np.ndarray, forward_ref: np.ndarray,
+                        backward_ref: np.ndarray,
+                        forward: BatchFrameMotionSearch,
+                        backward: BatchFrameMotionSearch,
+                        pad: int) -> np.ndarray:
+    """``(N, M, 41)`` SADs of every rect's bidirectional candidate.
+
+    The candidate is the rounded average of the forward and backward
+    winners' blocks, exactly what the scalar ``best_for_rect`` scores.
+    Per rect shape, one fancy index into a sliding-window view of each
+    padded reference gathers the winners' uint8 blocks for all (clip,
+    MB, rect) triples at once. Winners lie within the search range and
+    ``pad >= search_range``, so no block needs the clamping
+    :func:`~repro.codec.motion.compensate` applies.
+    """
+    num_clips, height, width = source_stack.shape
+    mb_rows, mb_cols = height // MB_SIZE, width // MB_SIZE
+    num_mbs = mb_rows * mb_cols
+    current = source_stack.reshape(
+        num_clips, mb_rows, MB_SIZE, mb_cols, MB_SIZE
+    ).transpose(0, 1, 3, 2, 4).reshape(
+        num_clips, num_mbs, MB_SIZE, MB_SIZE).astype(np.int16)
+    # Padded-reference origin of each MB at displacement (-R, -R): a
+    # winner's flat index adds (dy + R, dx + R) back.
+    origin = pad - forward.search_range
+    mb_tops = origin + MB_SIZE * np.repeat(np.arange(mb_rows), mb_cols)
+    mb_lefts = origin + MB_SIZE * np.tile(np.arange(mb_cols), mb_rows)
+    clips = np.arange(num_clips)[:, None, None]
+    displacements = [np.divmod(search._best_flat, search._diameter)
+                     for search in (forward, backward)]
+    sads = np.empty((num_clips, num_mbs, len(ENCODER_RECTS)),
+                    dtype=np.int64)
+    for shape, columns, oys, oxs in _RECT_SHAPE_GROUPS:
+        rows = mb_tops[:, None] + oys  # (M, rects of this shape)
+        cols = mb_lefts[:, None] + oxs
+        blocks = [
+            np.lib.stride_tricks.sliding_window_view(
+                reference, shape, axis=(1, 2))[
+                    clips, rows + dy[..., columns], cols + dx[..., columns]]
+            for reference, (dy, dx) in zip((forward_ref, backward_ref),
+                                           displacements)
+        ]
+        averaged = (blocks[0].astype(np.int16) + blocks[1] + 1) >> 1
+        targets = np.lib.stride_tricks.sliding_window_view(
+            current, shape, axis=(2, 3))[:, :, oys, oxs]
+        sads[..., columns] = np.abs(targets - averaged).sum(axis=(3, 4))
+    return sads
 
 
 class _FrameInterTables:
-    """All P-frame inter decisions of a batch, precomputed per frame.
+    """All inter decisions of a batch's P- or B-frame, precomputed.
 
-    From the stacked forward SAD tables ``(N, M, 41)`` this derives, in
-    a few whole-frame numpy calls, exactly what the scalar
-    ``Encoder._decide_inter`` computes per macroblock for
-    single-reference frames: the winning partition layout, its cost,
-    and the chosen sub-layouts. Candidate evaluation order (P16x16,
-    P16x8, P8x16, P8x8; sub-types in enum order) matches the scalar
-    strict-less-than scan, and every cost is an exact integer in
-    float64 (SAD sums plus penalty products), so argmin reproduces the
-    scalar tie-breaking bit for bit.
+    From the stacked SAD tables ``(N, M, 41)`` of each reference this
+    derives, in a few whole-frame numpy calls, exactly what the scalar
+    ``Encoder._decide_inter`` computes per macroblock: each rect's
+    direction (B-frames: forward by default, backward only if strictly
+    lower, bidirectional only if strictly lower than that with
+    ``bi_penalty`` included — the scalar ``best_for_rect`` scan), the
+    winning partition layout, its cost, and the chosen sub-layouts.
+    Candidate evaluation order (P16x16, P16x8, P8x16, P8x8; sub-types in
+    enum order) matches the scalar strict-less-than scan, and every cost
+    is an exact integer in float64 (SAD sums plus penalty products), so
+    argmin reproduces the scalar tie-breaking bit for bit.
     """
 
-    def __init__(self, search: BatchFrameMotionSearch,
-                 partition_penalty: float) -> None:
-        sad = search._best_sad.astype(np.float64)
-        pp = partition_penalty
+    def __init__(self, searches: Dict[PredictionDirection,
+                                      BatchFrameMotionSearch],
+                 source_stack: np.ndarray,
+                 references: Dict[PredictionDirection, np.ndarray],
+                 pad: int, config: EncoderConfig) -> None:
+        forward = searches[PredictionDirection.FORWARD]
+        backward = searches.get(PredictionDirection.BACKWARD)
+        sad = forward._best_sad.astype(np.float64)
+        # Plain nested lists: the per-MB winner construction in the
+        # lockstep loop indexes these heavily, and Python-level list
+        # access beats array scalar reads there.
+        self._directions: Optional[List[List[List[int]]]] = None
+        self._back_flats: Optional[List[List[List[int]]]] = None
+        if backward is not None:
+            backward_sad = backward._best_sad.astype(np.float64)
+            backward_wins = backward_sad < sad
+            sad = np.where(backward_wins, backward_sad, sad)
+            bi_cost = _bidirectional_sads(
+                source_stack, references[PredictionDirection.FORWARD],
+                references[PredictionDirection.BACKWARD], forward,
+                backward, pad) + config.bi_penalty
+            bi_wins = bi_cost < sad
+            sad = np.where(bi_wins, bi_cost, sad)
+            directions = np.where(
+                bi_wins, int(PredictionDirection.BIDIRECTIONAL),
+                np.where(backward_wins, int(PredictionDirection.BACKWARD),
+                         int(PredictionDirection.FORWARD)))
+            self._directions = directions.tolist()
+            self._back_flats = backward._best_flat.tolist()
+        pp = config.partition_penalty
         c16 = sad[..., _P16x16_COL]
         c168 = sad[..., _P16x8_COLS].sum(axis=-1) + pp
         c816 = sad[..., _P8x16_COLS].sum(axis=-1) + pp
@@ -305,24 +358,36 @@ class _FrameInterTables:
         best_cost = np.take_along_axis(
             candidates, ptype_pick[..., None], axis=-1)[..., 0]
 
-        # Plain nested lists: the per-MB winner construction in the
-        # lockstep loop indexes these heavily, and Python-level list
-        # access beats array scalar reads there.
         self.best_cost: List[List[float]] = best_cost.tolist()
         self._ptype_pick: List[List[int]] = ptype_pick.tolist()
         self._sub_pick: List[List[List[int]]] = sub_pick.tolist()
-        self._flats: List[List[List[int]]] = search._best_flat.tolist()
-        self._diameter = search._diameter
-        self._radius = search.search_range
+        self._flats: List[List[List[int]]] = forward._best_flat.tolist()
+        self._diameter = forward._diameter
+        self._radius = forward.search_range
 
     def _mv(self, flat: int) -> MotionVector:
         return MotionVector(flat // self._diameter - self._radius,
                             flat % self._diameter - self._radius)
 
+    def _partition(self, clip: int, mb: int,
+                   rect: Tuple[int, int, int, int]) -> InterPartition:
+        column = _RECT_COLUMN[rect]
+        mv = self._mv(self._flats[clip][mb][column])
+        if self._directions is None:
+            return InterPartition(rect=rect, mv=mv)
+        direction = _DIRECTIONS[self._directions[clip][mb][column]]
+        if direction == PredictionDirection.FORWARD:
+            return InterPartition(rect=rect, mv=mv)
+        backward_mv = self._mv(self._back_flats[clip][mb][column])
+        if direction == PredictionDirection.BACKWARD:
+            return InterPartition(rect=rect, mv=backward_mv,
+                                  direction=direction)
+        return InterPartition(rect=rect, mv=mv, direction=direction,
+                              mv_backward=backward_mv)
+
     def decision(self, clip: int, mb: int, qp: int) -> MacroblockDecision:
         """Materialize the winning inter decision (winner only — the
         losing candidates' partition objects are never built)."""
-        flats = self._flats[clip][mb]
         ptype = _PTYPE_ORDER[self._ptype_pick[clip][mb]]
         sub_types: Optional[List[SubPartitionType]] = None
         if ptype == PartitionType.P8x8:
@@ -331,14 +396,10 @@ class _FrameInterTables:
             for q, s in enumerate(self._sub_pick[clip][mb]):
                 sub_types.append(_SUBTYPE_ORDER[s])
                 for rect in _SUB_RECTS[q][s]:
-                    partitions.append(InterPartition(
-                        rect=rect, mv=self._mv(flats[_RECT_COLUMN[rect]])))
+                    partitions.append(self._partition(clip, mb, rect))
         else:
-            partitions = [
-                InterPartition(rect=rect,
-                               mv=self._mv(flats[_RECT_COLUMN[rect]]))
-                for rect in PARTITION_RECTS[ptype]
-            ]
+            partitions = [self._partition(clip, mb, rect)
+                          for rect in PARTITION_RECTS[ptype]]
         return MacroblockDecision(
             mode=MacroblockMode.INTER, qp=qp, partition_type=ptype,
             sub_types=sub_types, partitions=partitions,
@@ -465,8 +526,8 @@ def _coded_block_patterns_many(levels: np.ndarray) -> np.ndarray:
 
 
 class BatchEncoder:
-    """Encodes N same-geometry clips in lockstep through the batched
-    kernels; streams and traces are bitwise identical to per-clip
+    """Encodes clips in lockstep through the batched kernels, one stack
+    per geometry; streams and traces are bitwise identical to per-clip
     :class:`~repro.codec.encoder.Encoder` output."""
 
     def __init__(self, config: Optional[EncoderConfig] = None) -> None:
@@ -492,25 +553,30 @@ class BatchEncoder:
         clip — the encoder's closed-loop reconstruction in display
         order, byte-identical to a clean decode of the stream. Callers
         measuring quality get it without paying for a decoder pass.
+        Clips are grouped by geometry (frames, height, width); each
+        group, a single clip included, is one lockstep batch, and the
+        results come back in input order.
         """
         if not videos:
             raise EncoderError("cannot encode an empty batch")
-        geometries = {(len(v), v.height, v.width) for v in videos}
-        if (len(videos) == 1 or len(geometries) > 1
-                or not batching_enabled()):
-            # Scalar fallback: mixed geometries (the farm layer groups
-            # by geometry before calling us), single clips, or the env
-            # kill switch.
-            encoded = [self._scalar.encode(v) for v in videos]
-            from .decoder import Decoder  # local import to avoid a cycle
-            recons = [Decoder().decode(e).to_array() for e in encoded]
-            return encoded, recons
-        if len(videos[0]) == 0:
-            raise EncoderError("cannot encode an empty sequence")
-        with obs_trace.span("encode.batch", clips=len(videos),
-                            frames=len(videos[0]),
-                            entropy=self.config.entropy_coder.name):
-            return self._encode_sequences(videos)
+        groups: Dict[Tuple[int, int, int], List[int]] = {}
+        for index, video in enumerate(videos):
+            groups.setdefault((len(video), video.height, video.width),
+                              []).append(index)
+        encoded: List[Optional[EncodedVideo]] = [None] * len(videos)
+        recons: List[Optional[np.ndarray]] = [None] * len(videos)
+        for (frames, _height, _width), indices in groups.items():
+            if frames == 0:
+                raise EncoderError("cannot encode an empty sequence")
+            with obs_trace.span("encode.batch", clips=len(indices),
+                                frames=frames,
+                                entropy=self.config.entropy_coder.name):
+                group_encoded, group_recons = self._encode_sequences(
+                    [videos[index] for index in indices])
+            for slot, index in enumerate(indices):
+                encoded[index] = group_encoded[slot]
+                recons[index] = group_recons[slot]
+        return encoded, recons
 
     # -- batched sequence loop -------------------------------------------
 
@@ -606,29 +672,19 @@ class BatchEncoder:
                 frame_activity_offsets(source_stack[clip]).tolist()
                 for clip in range(num_clips)
             ]
-        searches: Dict[PredictionDirection, BatchFrameMotionSearch] = {}
-        clip_searches: List[Dict[PredictionDirection, _ClipSearchView]] = []
         inter_tables: Optional[_FrameInterTables] = None
         if plan.frame_type != FrameType.I:
             with stages.time("encode.inter"):
+                # One search per reference; the entire per-MB scalar
+                # mode decision collapses into whole-frame numpy.
                 searches = {
                     direction: BatchFrameMotionSearch(
                         source_stack, stack, self._pad,
                         config.search_range, config.mv_cost_lambda)
                     for direction, stack in references.items()
                 }
-                if plan.frame_type == FrameType.P:
-                    # Single reference: the entire per-MB scalar mode
-                    # decision collapses into whole-frame numpy.
-                    inter_tables = _FrameInterTables(
-                        searches[PredictionDirection.FORWARD],
-                        config.partition_penalty)
-                else:
-                    clip_searches = [
-                        {direction: search.clip_view(clip)
-                         for direction, search in searches.items()}
-                        for clip in range(num_clips)
-                    ]
+                inter_tables = _FrameInterTables(
+                    searches, source_stack, references, self._pad, config)
 
         recon_stack = np.zeros_like(source_stack)
         slice_payloads: List[List[bytes]] = [[] for _ in range(num_clips)]
@@ -651,7 +707,7 @@ class BatchEncoder:
                         plan, source_stack, recon_stack, clip_references,
                         ref_coded, states, encoders, base_qp, mb_row,
                         mb_col, start_row, stages, inter_tables,
-                        clip_searches, qp_offset_lists)
+                        qp_offset_lists)
                     mb_index = mb_row * mb_cols + mb_col
                     for clip in range(num_clips):
                         mb_traces[clip].append(MacroblockTrace(
@@ -707,7 +763,6 @@ class BatchEncoder:
                             base_qp: int, mb_row: int, mb_col: int,
                             min_mb_row: int, stages,
                             inter_tables: Optional[_FrameInterTables],
-                            clip_searches: List[Dict],
                             qp_offset_lists) -> Tuple[List, List]:
         config = self.config
         num_clips = source_stack.shape[0]
@@ -725,61 +780,30 @@ class BatchEncoder:
                     for state in states]
 
         decisions: List[MacroblockDecision] = []
-        intra_choice: Optional[_BatchIntraChoice] = None
-        if plan.frame_type == FrameType.I:
-            with stages.time("encode.intra"):
-                intra_choice = _BatchIntraChoice(
-                    current_stack, recon_stack, mb_row, mb_col, min_mb_row)
-                decisions = [
-                    MacroblockDecision(mode=MacroblockMode.INTRA,
-                                       qp=qps[clip],
-                                       intra_mode=intra_choice.modes[clip])
-                    for clip in range(num_clips)
-                ]
-        elif inter_tables is not None:
-            with stages.time("encode.inter"):
-                intra_choice = _BatchIntraChoice(
-                    current_stack, recon_stack, mb_row, mb_col, min_mb_row)
-                mb = mb_row * (source_stack.shape[2] // MACROBLOCK_SIZE) \
-                    + mb_col
-                intra_penalty = config.intra_penalty
-                for clip in range(num_clips):
-                    if (intra_choice.sads[clip] + intra_penalty
-                            < inter_tables.best_cost[clip][mb]):
-                        decisions.append(MacroblockDecision(
-                            mode=MacroblockMode.INTRA, qp=qps[clip],
-                            intra_mode=intra_choice.modes[clip]))
-                    else:
-                        decisions.append(
-                            inter_tables.decision(clip, mb, qps[clip]))
-        else:
-            # B-frames: bidirectional candidates need per-MB
-            # compensation; reuse the scalar decision (it also runs the
-            # intra compete) against this clip's slice of the batched
-            # search tables.
-            with stages.time("encode.inter"):
-                decisions = [
-                    self._scalar._decide_inter(
-                        plan, current_stack[clip], recon_stack[clip],
-                        clip_references[clip], clip_searches[clip],
-                        states[clip], mb_row, mb_col, min_mb_row,
-                        qps[clip], pred_mvs[clip])
-                    for clip in range(num_clips)
-                ]
+        with stages.time("encode.intra" if inter_tables is None
+                         else "encode.inter"):
+            intra_choice = _BatchIntraChoice(
+                current_stack, recon_stack, mb_row, mb_col, min_mb_row)
+            mb = mb_row * (source_stack.shape[2] // MACROBLOCK_SIZE) + mb_col
+            for clip in range(num_clips):
+                # Intra competes in inter frames too.
+                if (inter_tables is None
+                        or intra_choice.sads[clip] + config.intra_penalty
+                        < inter_tables.best_cost[clip][mb]):
+                    decisions.append(MacroblockDecision(
+                        mode=MacroblockMode.INTRA, qp=qps[clip],
+                        intra_mode=intra_choice.modes[clip]))
+                else:
+                    decisions.append(
+                        inter_tables.decision(clip, mb, qps[clip]))
 
         # Residual coding against the chosen predictions, batched.
         with stages.time("encode.transform"):
             predictions = np.empty_like(current_stack)
             for clip, decision in enumerate(decisions):
                 if decision.mode == MacroblockMode.INTRA:
-                    if intra_choice is not None:
-                        predictions[clip] = intra_choice.prediction(
-                            clip, decision.intra_mode)
-                    else:
-                        predictions[clip] = build_prediction(
-                            decision, recon_stack[clip],
-                            clip_references[clip], self._pad, mb_row,
-                            mb_col, min_mb_row)
+                    predictions[clip] = intra_choice.prediction(
+                        clip, decision.intra_mode)
                 else:
                     predictions[clip] = build_prediction(
                         decision, recon_stack[clip], clip_references[clip],
@@ -853,7 +877,7 @@ class BatchEncoder:
 def encode_batch(videos: Sequence[VideoSequence],
                  config: Optional[EncoderConfig] = None
                  ) -> List[EncodedVideo]:
-    """Encode N same-geometry clips in one batched pass.
+    """Encode clips in one batched pass per geometry.
 
     The module-level convenience entry point; see :class:`BatchEncoder`.
     """

@@ -171,9 +171,15 @@ def scatter_coefficients(positions: Sequence[int], levels: Sequence[int],
 # Residual blocks
 # ----------------------------------------------------------------------
 
-#: Per-variant cap on cached whole-block plans; quantized residual
-#: blocks repeat heavily, so the cache saturates far below this.
-_PLAN_CACHE_LIMIT = 1 << 16
+#: Per-variant cap on cached whole-block plans. The memo lives on the
+#: process-wide context model and never saturates on its own: new
+#: residual patterns keep arriving (~100 per ingest-sized clip in the
+#: largest variant), so an unbounded cache grows with every clip a
+#: process encodes. Past the cap a block is planned on every use
+#: (4-10 us, denser blocks cost more, against a 0.7 us hit); over 160
+#: 64x48 and 48x32 clips the hit rate is 0.81 at this cap against
+#: 0.84 unbounded.
+_PLAN_CACHE_LIMIT = 1 << 10
 
 
 def _block_ops(plan_cache, nnz_ops, sig_base, level_tables, level_group,

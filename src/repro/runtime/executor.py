@@ -178,11 +178,6 @@ def _batchable_key(state: WorkerState,
     context = state.context
     if context.clips is None or context.encoder_config is None:
         return None
-    if getattr(context.encoder_config, "bframes", 0):
-        # Whole-clip fallback units (B-frame configs) must take the
-        # scalar path: the batch encoder's GOP stacking assumes
-        # self-contained bframes == 0 units.
-        return None
     try:
         clip = context.clips[spec.clip_ref]
         start = 0 if spec.unit_start is None else spec.unit_start

@@ -89,10 +89,10 @@ def clip_unit_bounds(num_frames: int,
     GOP-aligned units when the structure supports splitting; for
     configurations :func:`gop_unit_bounds` refuses with a
     :class:`GopStructureError` (``bframes > 0``), the clip becomes a
-    single whole-clip unit. The scalar encoder handles B-frames, so the
-    farm still encodes such corpora — it just cannot split or batch
-    them (``_batchable_key`` excludes B-frame configs), trading
-    granularity for correctness instead of refusing the corpus.
+    single whole-clip unit. The farm still encodes such corpora — it
+    just cannot split them, trading granularity for correctness instead
+    of refusing the corpus. Equal-length whole-clip units still stack
+    into one batched encode, like any same-geometry units.
     """
     try:
         return gop_unit_bounds(num_frames, config)

@@ -400,10 +400,10 @@ def execute_trial_batch(state: WorkerState,
 
     All specs must be ``KIND_ENCODE_UNIT``. Same-geometry units are
     stacked through the vectorized kernels by
-    :class:`~repro.codec.batch.BatchEncoder` (mixed geometry falls back
-    to its scalar path internally); each unit's stream is bitwise
-    identical to :func:`execute_trial` on the same spec, and the
-    encoder-side reconstruction replaces the redundant decode.
+    :class:`~repro.codec.batch.BatchEncoder` (mixed geometries become
+    one stack per geometry); each unit's stream is bitwise identical to
+    :func:`execute_trial` on the same spec, and the encoder-side
+    reconstruction replaces the redundant decode.
     """
     from ..codec.batch import BatchEncoder
 

@@ -228,34 +228,19 @@ class VideoObjectStore:
                  videos: List[VideoSequence]) -> List[str]:
         """Ingest a batch of clips for ``tenant``; returns object ids.
 
-        Clips are grouped by geometry so each group rides the batched
-        encode kernel (a lone or odd-shaped clip falls back to the
-        scalar-equivalent single-item batch). Identical content dedupes
-        against the tenant's existing objects without touching the
-        shards again.
+        One batched encode covers every clip (the encoder groups them
+        by geometry). Identical content dedupes against the tenant's
+        existing objects without touching the shards again.
         """
         self.keyring.add_tenant(tenant)
         encryptor = self.keyring.encryptor(tenant)
         with obs_trace.span("service.ingest", tenant=tenant,
                             clips=len(videos)):
-            groups: Dict[Tuple[int, int, int], List[int]] = {}
-            for index, video in enumerate(videos):
-                geometry = (video.height, video.width, len(video))
-                groups.setdefault(geometry, []).append(index)
-            encoded_by_index: Dict[int, object] = {}
-            recon_by_index: Dict[int, np.ndarray] = {}
-            for indices in groups.values():
-                encodes, recons = encode_batch_with_recon(
-                    [videos[i] for i in indices], self.config)
-                for slot, i in enumerate(indices):
-                    encoded_by_index[i] = encodes[slot]
-                    recon_by_index[i] = recons[slot]
-            ids: List[str] = []
-            for index in range(len(videos)):
-                ids.append(self._place_one(
-                    tenant, encryptor, encoded_by_index[index],
-                    recon_by_index[index]))
-            return ids
+            if not videos:
+                return []
+            encodes, recons = encode_batch_with_recon(videos, self.config)
+            return [self._place_one(tenant, encryptor, encoded, recon)
+                    for encoded, recon in zip(encodes, recons)]
 
     def put(self, tenant: str, video: VideoSequence) -> str:
         """Ingest one clip (see :meth:`put_many`)."""

@@ -8,9 +8,12 @@ backends.
 import numpy as np
 import pytest
 
+from repro.codec import syntax
 from repro.codec.cabac import CabacDecoder, CabacEncoder
 from repro.codec.cavlc import CavlcDecoder, CavlcEncoder
+from repro.codec.config import EncoderConfig
 from repro.codec.contexts import DEFAULT_CONTEXT_MODEL
+from repro.codec.encoder import Encoder
 from repro.codec.neighbors import FrameMbState
 from repro.codec.syntax import (
     encode_macroblock,
@@ -30,6 +33,7 @@ from repro.codec.types import (
     PredictionDirection,
     SubPartitionType,
 )
+from repro.video import SceneConfig, synthesize_scene
 
 MODEL = DEFAULT_CONTEXT_MODEL
 BACKENDS = [(CabacEncoder, CabacDecoder), (CavlcEncoder, CavlcDecoder)]
@@ -238,3 +242,23 @@ class TestCorruptionRobustness:
         with pytest.raises(EncoderError):
             encode_macroblock(encoder, MODEL, state, decision, FrameType.I,
                               0, 0, 0)
+
+
+class TestBlockPlanCache:
+    """The residual-plan memo is a bounded pure speedup: past its cap,
+    blocks are planned on every use and never stored."""
+
+    def test_capped_cache_keeps_streams_identical(self, monkeypatch):
+        video = synthesize_scene(SceneConfig(width=48, height=32,
+                                             num_frames=4, seed=5))
+        config = EncoderConfig(crf=20, gop_size=4, bframes=1)
+        monkeypatch.delattr(MODEL, "_block_plan_caches", raising=False)
+        want = Encoder(config).encode(video).serialize()
+        cap = 8
+        assert max(len(c) for c in MODEL._block_plan_caches) > cap
+        monkeypatch.setattr(syntax, "_PLAN_CACHE_LIMIT", cap)
+        monkeypatch.delattr(MODEL, "_block_plan_caches")
+        assert Encoder(config).encode(video).serialize() == want
+        sizes = [len(c) for c in MODEL._block_plan_caches]
+        assert max(sizes) == cap
+        assert all(size <= cap for size in sizes)

@@ -26,7 +26,7 @@ from repro.codec.batch import (
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.cabac import CabacDecoder, CabacEncoder
 from repro.codec.cavlc import CavlcDecoder, CavlcEncoder
-from repro.codec.config import EncoderConfig
+from repro.codec.config import EncoderConfig, EntropyCoder
 from repro.codec.contexts import DEFAULT_CONTEXT_MODEL
 from repro.codec.decoder import Decoder
 from repro.codec.deblock import (
@@ -52,7 +52,12 @@ from repro.codec.transform import (
     reconstruct_residual,
     reconstruct_residuals_many,
 )
-from repro.codec.types import MacroblockMode, MotionVector
+from repro.codec.types import (
+    FrameType,
+    MacroblockMode,
+    MotionVector,
+    PredictionDirection,
+)
 from repro.video.frame import VideoSequence
 
 pixels = st.integers(min_value=0, max_value=255)
@@ -564,25 +569,109 @@ def clip_stacks(count: int, min_frames: int = 2, max_frames: int = 5):
     )
 
 
+def _texture(seed: int, height: int, width: int) -> np.ndarray:
+    """Uniform noise: every displacement matches somewhere else worse,
+    so the motion search locks onto the true shift."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+
+
+def _coded_bframe_decisions(videos, config):
+    """Batch-encode ``videos`` (asserting each stream equals the scalar
+    encoder's) and return every B-frame macroblock decision coded."""
+    with mock.patch.object(batch_module, "encode_macroblock",
+                           wraps=batch_module.encode_macroblock) as spy:
+        encodeds, recons = encode_batch_with_recon(videos, config)
+    for video, encoded in zip(videos, encodeds):
+        assert encoded.serialize() == Encoder(config).encode(
+            video).serialize()
+    decisions = [call.args[3] for call in spy.call_args_list
+                 if call.args[4] == FrameType.B]
+    assert decisions
+    return decisions, recons
+
+
 class TestBatchEncoderEquivalence:
     """The batch encoder's contract is bit-for-bit equality: same
     streams (traces included — ``serialize`` covers them) and the same
     reconstruction the decoder would produce from those streams."""
 
-    @settings(max_examples=8, deadline=None)
-    @given(data=st.data(), crf=st.integers(18, 42), gop=st.integers(2, 4))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), crf=st.integers(18, 42), gop=st.integers(2, 4),
+           coder=st.sampled_from(list(EntropyCoder)))
     def test_batched_streams_and_recon_match_per_clip(self, data, crf,
-                                                      gop):
-        count = data.draw(st.integers(2, 3))
+                                                      gop, coder):
+        count = data.draw(st.integers(1, 3))
         stack = data.draw(clip_stacks(count))
+        bframes = data.draw(st.integers(0, min(2, gop - 1)))
+        slices = data.draw(st.integers(1, stack.shape[2] // 16))
         videos = [VideoSequence.from_array(clip) for clip in stack]
-        config = EncoderConfig(crf=crf, gop_size=gop)
+        config = EncoderConfig(crf=crf, gop_size=gop, bframes=bframes,
+                               slices=slices, entropy_coder=coder)
         encodeds, recons = encode_batch_with_recon(videos, config)
         for video, encoded, recon in zip(videos, encodeds, recons):
             want = Encoder(config).encode(video)
             assert encoded.serialize() == want.serialize()
             decoded = Decoder().decode(want).to_array()
             np.testing.assert_array_equal(recon, decoded)
+
+    def test_mixed_geometries_keep_input_order(self):
+        config = EncoderConfig(crf=26, gop_size=4, bframes=1)
+        videos = [VideoSequence.from_array(np.stack(
+            [_texture(seed + t, 16 * rows, 32) for t in range(3)]))
+            for seed, rows in ((1, 2), (2, 1), (3, 2))]
+        encodeds, recons = encode_batch_with_recon(videos, config)
+        for video, encoded, recon in zip(videos, encodeds, recons):
+            want = Encoder(config).encode(video)
+            assert encoded.serialize() == want.serialize()
+            np.testing.assert_array_equal(
+                recon, Decoder().decode(want).to_array())
+
+    @pytest.mark.parametrize("bi_penalty", [48.0, 0.0])
+    def test_identical_anchors_keep_forward(self, bi_penalty):
+        # I0 P2 B1 with equal anchors: every rect's forward and backward
+        # candidates tie, and at bi_penalty 0 so does their average.
+        # The scalar scan keeps forward on every tie.
+        config = EncoderConfig(crf=28, gop_size=4, bframes=1,
+                               deblocking=False, bi_penalty=bi_penalty)
+        videos = []
+        for seed in (1, 2):
+            texture = _texture(seed, 56, 72)
+            anchor = texture[4:52, 4:68]
+            videos.append(VideoSequence.from_array(
+                np.stack([anchor, texture[2:50, 5:69], anchor])))
+        decisions, recons = _coded_bframe_decisions(videos, config)
+        for recon in recons:
+            np.testing.assert_array_equal(recon[0], recon[2])
+        inter = [d for d in decisions if d.mode != MacroblockMode.INTRA]
+        assert inter
+        for decision in inter:
+            for partition in decision.partitions:
+                assert partition.direction == PredictionDirection.FORWARD
+                assert partition.mv_backward is None
+
+    def test_averaged_anchors_pick_bidirectional(self):
+        # The B-frame is the rounded average of its two anchors, each
+        # displaced differently: the bidirectional candidate (forward
+        # mv, backward mv_backward) beats both single directions.
+        config = EncoderConfig(crf=28, gop_size=4, bframes=1)
+        videos = []
+        for seed in (1, 2):
+            first = _texture(seed, 56, 72)
+            last = _texture(seed + 100, 56, 72)
+            middle = (first[3:51, 6:70].astype(np.int32)
+                      + last[6:54, 2:66] + 1) >> 1
+            videos.append(VideoSequence.from_array(np.stack(
+                [first[4:52, 4:68], middle.astype(np.uint8),
+                 last[4:52, 4:68]])))
+        decisions, _recons = _coded_bframe_decisions(videos, config)
+        for decision in decisions:
+            assert decision.mode == MacroblockMode.INTER
+            for partition in decision.partitions:
+                assert (partition.direction
+                        == PredictionDirection.BIDIRECTIONAL)
+                assert partition.mv == MotionVector(-1, 2)
+                assert partition.mv_backward == MotionVector(2, -2)
 
     @settings(max_examples=6, deadline=None)
     @given(data=st.data(), crf=st.integers(20, 40), gop=st.integers(2, 4))

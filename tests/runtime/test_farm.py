@@ -98,13 +98,6 @@ class TestFarmInvariances:
         by_segment = self._run(clips, use_shared_memory=True)
         assert by_value == by_segment
 
-    def test_batch_disable_invariant(self, monkeypatch):
-        clips = _clips()
-        batched = self._run(clips, use_shared_memory=False)
-        monkeypatch.setenv("REPRO_BATCH_DISABLE", "1")
-        scalar = self._run(clips, use_shared_memory=False)
-        assert batched == scalar
-
 
 class TestFarmJournalResume:
     def test_completed_farm_replays_from_journal(self, tmp_path):
