@@ -2,10 +2,12 @@
 
 Times the same 32-clip corpus two ways — per-clip
 (``Encoder.encode`` + ``Decoder.decode`` per clip, the pre-farm
-pipeline) and batched (``encode_batch_with_recon`` at widths 8, 16,
+pipeline) and batched (``encode_batch_with_recon`` at widths 1, 8, 16,
 and 32, which stacks all clips through each vectorized stage and
 reuses the encoder's closed-loop reconstruction instead of
-re-decoding) — and writes ``BENCH_batch_throughput.json``.  The
+re-decoding) — and writes ``BENCH_batch_throughput.json``. Width 1 is
+what every one-clip ``put`` runs; its ``batch1`` row is informational
+(no floor, no baseline row).  The
 committed snapshot ``benchmarks/baselines/batch_throughput.json`` plus
 ``tools/check_perf.py`` gate two things in CI:
 
@@ -57,7 +59,7 @@ _CORPUS = {
 _REPEATS = {"quick": 5, "full": 5}
 
 #: Batch widths measured; the corpus splits evenly into each.
-BATCH_WIDTHS = (8, 16, 32)
+BATCH_WIDTHS = (1, 8, 16, 32)
 
 _CONFIG = EncoderConfig(crf=24, gop_size=8)
 

@@ -9,26 +9,32 @@ clips* instead: N same-geometry clips are stacked on a leading batch
 axis and driven through the vectorized kernels in lockstep, one numpy
 call per stage per macroblock position instead of one per clip.
 
-What batches (one call for all N clips):
+What batches, for all N clips at once:
 
-* motion search — :class:`BatchFrameMotionSearch` streams the chunked
-  SAD pipeline of :class:`~repro.codec.motion.FrameMotionSearch` with a
-  leading clip axis;
-* the whole inter mode decision of P- and B-frames — direction picks
-  (forward, backward, or the bidirectional average) and partition costs
-  for every macroblock of every clip come out of the stacked SAD tables
-  with a few gathers and a handful of argmins (the scalar
-  ``_decide_inter`` loop disappears);
-* intra mode selection, the 4x4 transform/quantization, coefficient
-  block patterns, reconstruction, and the deblocking filter.
+* motion search — :class:`BatchFrameMotionSearch` walks each frame one
+  macroblock row at a time, in chunks of tile rows and clips sized by
+  a fixed byte budget, and picks every rect's motion vector with one
+  argmin over the whole displacement window;
+* everything inter, once per P- or B-frame — :class:`_FrameInterTables`
+  makes the whole inter mode decision (direction picks and partition
+  costs of every macroblock, from the stacked SAD tables) and then
+  predicts, transforms, quantizes and reconstructs every (clip, MB)'s
+  winning inter candidate in one pass. None of that reads the frame
+  being reconstructed: an inter candidate needs only the source, the
+  deblocked references and a QP derived from the source;
+* per macroblock position: intra mode selection and, for the clips
+  that choose intra, their residual coding (which replaces the inter
+  one); per frame, the deblocking filter.
 
-What stays per clip: entropy coding, neighbor state, and trace
-dependencies — inherently sequential Python that every clip needs
-anyway. Because those consume *decisions*, and every batched stage
-produces decisions bitwise identical to the scalar encoder's (integer
-arithmetic batches exactly; the float stages reuse the exact-in-float
-guarantees PR 4 established), the emitted streams and traces are
-bitwise identical to per-clip :meth:`Encoder.encode` — enforced by
+What stays per clip: the intra-versus-inter compete, skip conversion,
+entropy coding, neighbor state and trace dependencies — inherently
+sequential Python that every clip needs anyway. Because those consume
+*decisions*, and every batched stage produces decisions bitwise
+identical to the scalar encoder's (integer arithmetic batches exactly;
+a float stage either holds only exactly representable integers or
+repeats the scalar path's float operations element for element), the
+emitted streams and traces are bitwise identical to per-clip
+:meth:`Encoder.encode` — enforced by
 ``tests/codec/test_vectorized_equivalence.py``.
 
 Mixed-geometry inputs are grouped by geometry, and every group —
@@ -58,14 +64,12 @@ from .gop import FramePlan, plan_gop
 from .motion import (
     _ENCODER_RECT_MASK,
     _RECT_COLUMN,
-    _CHUNK_BUDGET_BYTES,
     ENCODER_RECTS,
     MB_SIZE,
     MotionVector,
 )
 from .neighbors import FrameMbState
 from .ratecontrol import frame_activity_offsets, frame_qp
-from .reconstruct import build_prediction
 from .syntax import encode_macroblock, finalize_macroblock
 from .transform import (
     MAX_QP,
@@ -91,18 +95,30 @@ from .types import (
 )
 
 
+#: Byte budget of one motion-search chunk: per clip chunk, the int16
+#: candidate differences of its tile rows and the float64 rect costs of
+#: one macroblock row. Chunks take as many clips (at least one) and
+#: tile rows (one, two or a whole MB row) as fit, so transient memory
+#: does not grow with the batch width. 256 KB to 1 MB measured alike.
+_SEARCH_BUDGET_BYTES = 512 << 10
+
+
 class BatchFrameMotionSearch:
     """Stacked :class:`~repro.codec.motion.FrameMotionSearch` for N clips.
 
-    Runs the same chunked streaming pass over the displacement window
-    with a leading clip axis: per chunk, one strided window view, one
-    int16 abs-diff and tile reduction, and one float64 masked matmul
-    cover every clip at once. Every intermediate is an exact integer in
-    its dtype (tile SADs fit int16, rect SADs are exact in float64),
-    and the first-minimum-within-chunk / strict-less-than
-    cross-chunk merge makes results chunk-size invariant — so the
-    per-clip SAD tables are bitwise identical to N separate
-    :class:`FrameMotionSearch` passes.
+    Walks the frame one macroblock row at a time, in chunks of tile
+    rows. A chunk's int16 absolute differences are laid out as
+    ``(clip, y, dy, dx, x)``, displacements ahead of x, so each 4x4
+    tile's four rows sum with contiguous slab adds and its four columns
+    with strided ones (a tile SAD is at most 4080, exact in int16).
+    After each MB row, one float64 ``(41 x 16) @ (16 x D^2)`` matmul
+    per (clip, MB) turns tile SADs into every encoder rect's SAD at
+    every displacement (at most 65280, exact in float64); the
+    motion-vector penalty is added and one argmin over all ``D^2``
+    displacements in row-major order picks each rect's first minimum.
+    That argmin is the scalar tie-break outright, so the per-clip
+    tables are bitwise identical to N separate
+    :class:`FrameMotionSearch` passes whatever the chunking.
     """
 
     def __init__(self, currents: np.ndarray, refs_padded: np.ndarray,
@@ -118,81 +134,95 @@ class BatchFrameMotionSearch:
                 f"frame {height}x{width} is not macroblock-aligned"
             )
         self.search_range = search_range
-        self._mb_cols = width // MB_SIZE
         diameter = 2 * search_range + 1
         self._diameter = diameter
-        num_mbs = (height // MB_SIZE) * self._mb_cols
-        # Rect SADs come out of a float64 BLAS matmul over 4x4 tile
-        # SADs; every sum is an integer <= 65280, exact in float64.
-        rect_mask = _ENCODER_RECT_MASK.T.astype(np.float64)
-        source = currents.astype(np.int16)
-        tile_rows = height // 4
+        candidates = diameter * diameter
+        mb_rows, mb_cols = height // MB_SIZE, width // MB_SIZE
         tile_cols = width // 4
-        mb_rows_count = tile_rows // 4
-
-        num_rects = _ENCODER_RECT_MASK.shape[1]
+        num_rects = len(ENCODER_RECTS)
+        rect_mask = _ENCODER_RECT_MASK.T.astype(np.float64)
         offsets = np.abs(np.arange(-search_range, search_range + 1))
-        penalty_flat = (mv_cost_lambda * (
+        penalty = (mv_cost_lambda * (
             offsets[:, None] + offsets[None, :]).reshape(-1)
         ).astype(np.float64)
-        band_full = refs_padded[
+        source = currents.astype(np.int16)
+        # Every candidate pixel lies in this band; int16 once, so the
+        # subtract below has no mixed-dtype cast.
+        band = refs_padded[
             :,
             pad - search_range:pad + search_range + height,
-            pad - search_range:pad + search_range + width]
+            pad - search_range:pad + search_range + width].astype(np.int16)
 
-        # dy rows per chunk: the whole batch's buffers (~6 bytes per
-        # candidate pixel) stay inside one cache budget, so wide batches
-        # take one displacement row at a time (measured fastest at
-        # batch 16 and 32). Chunk size never affects results — the
-        # strict-< merge is chunk-invariant.
-        row_bytes = 6 * num_clips * diameter * height * width
-        chunk = max(1, min(diameter, _CHUNK_BUDGET_BYTES // row_bytes))
+        # Per clip: the diffs of one tile row, the rect costs of one MB
+        # row.
+        tile_row_bytes = 2 * 4 * candidates * width
+        rect_bytes = 8 * mb_cols * num_rects * candidates
+        clip_chunk = max(1, min(num_clips, _SEARCH_BUDGET_BYTES
+                                // max(tile_row_bytes, rect_bytes)))
+        tile_chunk = 4
+        while (tile_chunk > 1 and clip_chunk * tile_chunk * tile_row_bytes
+               > _SEARCH_BUDGET_BYTES):
+            tile_chunk //= 2
+        pixel_rows = 4 * tile_chunk
 
-        best_cost = np.full((num_clips, num_mbs, num_rects), np.inf)
-        best_sad = np.zeros((num_clips, num_mbs, num_rects),
-                            dtype=np.float64)
-        best_flat = np.zeros((num_clips, num_mbs, num_rects),
-                             dtype=np.int64)
-        for start in range(0, diameter, chunk):
-            rows = min(chunk, diameter - start)
-            dd = rows * diameter
-            sub = band_full[:, start:start + rows - 1 + height, :]
-            windows = np.lib.stride_tricks.sliding_window_view(
-                sub, (height, width), axis=(1, 2))
-            diff = source[:, None, None] - windows
-            np.abs(diff, out=diff)
-            # 4x4 tile SADs in int16 (at most 16 * 255): add each
-            # tile's four rows, then its four columns. Plain slice adds
-            # beat both a float32 matvec and a small-axis .sum() here.
-            quads = diff.reshape(num_clips, dd, tile_rows, 4, width)
-            row_sums = quads[:, :, :, 0] + quads[:, :, :, 1]
-            row_sums += quads[:, :, :, 2]
-            row_sums += quads[:, :, :, 3]
-            cols = row_sums.reshape(num_clips, dd, tile_rows, tile_cols, 4)
-            tiles = cols[..., 0] + cols[..., 1]
-            tiles += cols[..., 2]
-            tiles += cols[..., 3]
-            # (clip, mb, tile, displacement): the displacement axis goes
-            # last so the argmin below runs along contiguous memory.
-            mb_tiles = tiles.reshape(
-                num_clips, dd, mb_rows_count, 4, self._mb_cols, 4
-            ).transpose(0, 2, 4, 3, 5, 1).reshape(
-                num_clips, num_mbs, MB_SIZE, dd)
-            sads = rect_mask @ mb_tiles.astype(np.float64)
-            cost = sads + penalty_flat[start * diameter:
-                                       start * diameter + dd]
-            # First minimum within the chunk, strict < across chunks:
-            # the scalar path's row-major flat argmin tie-breaking.
-            pick = np.argmin(cost, axis=-1)
-            picked = pick[..., None]
-            chunk_cost = np.take_along_axis(cost, picked, axis=-1)[..., 0]
-            chunk_sad = np.take_along_axis(sads, picked, axis=-1)[..., 0]
-            better = chunk_cost < best_cost
-            best_cost[better] = chunk_cost[better]
-            best_sad[better] = chunk_sad[better]
-            best_flat[better] = (start * diameter + pick)[better]
-        self._best_sad = best_sad.astype(np.int64)
-        self._best_flat = best_flat.astype(np.int32)
+        diff = np.empty((clip_chunk, pixel_rows, diameter, diameter, width),
+                        dtype=np.int16)
+        row_sums = np.empty((clip_chunk, tile_chunk, candidates * width),
+                            dtype=np.int16)
+        tiles = np.empty((clip_chunk, 4, candidates, tile_cols),
+                         dtype=np.int16)
+        mb_tiles = np.empty((clip_chunk, mb_cols, 4, 4, candidates))
+        costs = np.empty((clip_chunk, mb_cols, num_rects, candidates))
+        best_sad = np.empty((num_clips, mb_rows * mb_cols, num_rects),
+                            dtype=np.int64)
+        best_flat = np.empty((num_clips, mb_rows * mb_cols, num_rects),
+                             dtype=np.int32)
+        for first in range(0, num_clips, clip_chunk):
+            count = min(clip_chunk, num_clips - first)
+            clips = slice(first, first + count)
+            chunk_diff = diff[:count]
+            quads = chunk_diff.reshape(count, tile_chunk, 4, -1)
+            chunk_rows = row_sums[:count]
+            cols = chunk_rows.reshape(count, tile_chunk, candidates,
+                                      tile_cols, 4)
+            # (clip, MB, tile row, tile column, displacement) view of one
+            # MB row's tile SADs, and its float64 copy.
+            mb_view = tiles[:count].reshape(
+                count, 4, candidates, mb_cols, 4).transpose(0, 3, 1, 4, 2)
+            chunk_tiles = mb_tiles[:count]
+            flat_tiles = chunk_tiles.reshape(count, mb_cols, MB_SIZE,
+                                             candidates)
+            chunk_costs = costs[:count]
+            for mb_row in range(mb_rows):
+                for tile_row in range(0, 4, tile_chunk):
+                    top = MB_SIZE * mb_row + 4 * tile_row
+                    windows = np.lib.stride_tricks.sliding_window_view(
+                        band[clips, top:top + pixel_rows + diameter - 1],
+                        (diameter, width), axis=(1, 2)
+                    ).transpose(0, 1, 3, 2, 4)
+                    np.subtract(source[clips, top:top + pixel_rows,
+                                       None, None], windows, out=chunk_diff)
+                    np.abs(chunk_diff, out=chunk_diff)
+                    np.add(quads[:, :, 0], quads[:, :, 1], out=chunk_rows)
+                    chunk_rows += quads[:, :, 2]
+                    chunk_rows += quads[:, :, 3]
+                    out = tiles[:count, tile_row:tile_row + tile_chunk]
+                    np.add(cols[..., 0], cols[..., 1], out=out)
+                    out += cols[..., 2]
+                    out += cols[..., 3]
+                np.copyto(chunk_tiles, mb_view)
+                np.matmul(rect_mask, flat_tiles, out=chunk_costs)
+                chunk_costs += penalty
+                pick = np.argmin(chunk_costs, axis=-1)  # (clip, MB, rect)
+                # Each winner's raw SAD, summed exactly from its tiles.
+                picked_tiles = np.take_along_axis(
+                    flat_tiles, pick[:, :, None, :], axis=-1)
+                mbs = slice(mb_row * mb_cols, (mb_row + 1) * mb_cols)
+                best_flat[clips, mbs] = pick
+                best_sad[clips, mbs] = (picked_tiles
+                                        * _ENCODER_RECT_MASK).sum(axis=2)
+        self._best_sad = best_sad
+        self._best_flat = best_flat
 
 
 # -- vectorized inter decision tables -----------------------------------------
@@ -249,47 +279,91 @@ _SUBTYPE_ORDER = tuple(SubPartitionType)
 _DIRECTIONS = tuple(PredictionDirection)
 
 
-def _bidirectional_sads(source_stack: np.ndarray, forward_ref: np.ndarray,
+def _tile_cover_tables():
+    """Which encoder rect covers each raster 4x4 tile of a macroblock.
+
+    Returns ``(layout_cols, sub_cols, quadrant_of)``:
+    ``layout_cols[p, t]`` is the :data:`ENCODER_RECTS` column of the
+    rect covering tile ``t`` under ``_PTYPE_ORDER[p]`` (P8x8's row is
+    unused), ``sub_cols[s, t]`` the one under sub-type
+    ``_SUBTYPE_ORDER[s]`` of the quadrant holding tile ``t``, and
+    ``quadrant_of[t]`` that quadrant's :data:`QUADRANT_ORIGINS` index.
+    """
+    def cover(rects) -> np.ndarray:
+        columns = np.zeros(MB_SIZE, dtype=np.intp)
+        for oy, ox, height, width in rects:
+            for ty in range(oy // 4, (oy + height) // 4):
+                for tx in range(ox // 4, (ox + width) // 4):
+                    columns[4 * ty + tx] = _RECT_COLUMN[
+                        (oy, ox, height, width)]
+        return columns
+
+    layout_cols = np.stack(
+        [cover(PARTITION_RECTS[ptype]) for ptype in _PTYPE_ORDER[:3]]
+        + [np.zeros(MB_SIZE, dtype=np.intp)])
+    sub_cols = np.stack([
+        cover([rect for quadrant in _SUB_RECTS for rect in quadrant[s]])
+        for s in range(len(_SUBTYPE_ORDER))])
+    quadrant_of = np.zeros(MB_SIZE, dtype=np.intp)
+    for q, (qy, qx) in enumerate(QUADRANT_ORIGINS):
+        for ty in range(qy // 4, qy // 4 + 2):
+            quadrant_of[4 * ty + qx // 4:4 * ty + qx // 4 + 2] = q
+    return layout_cols, sub_cols, quadrant_of
+
+
+_LAYOUT_TILE_COLS, _SUB_TILE_COLS, _TILE_QUADRANT = _tile_cover_tables()
+
+#: Offsets of each raster 4x4 tile inside its macroblock.
+_TILE_TOPS = 4 * (np.arange(MB_SIZE) // 4)
+_TILE_LEFTS = 4 * (np.arange(MB_SIZE) % 4)
+
+
+def _displaced_blocks(reference: np.ndarray, shape: Tuple[int, int],
+                      rows: np.ndarray, cols: np.ndarray,
+                      flats: np.ndarray, diameter: int) -> np.ndarray:
+    """uint8 blocks of ``shape`` from a padded ``(N, ...)`` reference
+    stack at search winners' displacements.
+
+    ``rows``/``cols`` are each block's top-left in the padded frame at
+    displacement ``(-R, -R)``, and ``flats`` (leading axis: clip) the
+    winners' row-major indices into the ``diameter``-wide window, which
+    add ``(dy + R, dx + R)`` back. One fancy index into a sliding-window
+    view gathers every block. Winners lie within the search range and
+    ``pad >= search_range``, so no block needs the clamping
+    :func:`~repro.codec.motion.compensate` applies.
+    """
+    dy, dx = np.divmod(flats, diameter)
+    clips = np.arange(flats.shape[0]).reshape(
+        (-1,) + (1,) * (flats.ndim - 1))
+    return np.lib.stride_tricks.sliding_window_view(
+        reference, shape, axis=(1, 2))[clips, rows + dy, cols + dx]
+
+
+def _bidirectional_sads(source_mbs: np.ndarray, forward_ref: np.ndarray,
                         backward_ref: np.ndarray,
                         forward: BatchFrameMotionSearch,
                         backward: BatchFrameMotionSearch,
-                        pad: int) -> np.ndarray:
+                        mb_tops: np.ndarray,
+                        mb_lefts: np.ndarray) -> np.ndarray:
     """``(N, M, 41)`` SADs of every rect's bidirectional candidate.
 
     The candidate is the rounded average of the forward and backward
     winners' blocks, exactly what the scalar ``best_for_rect`` scores.
-    Per rect shape, one fancy index into a sliding-window view of each
-    padded reference gathers the winners' uint8 blocks for all (clip,
-    MB, rect) triples at once. Winners lie within the search range and
-    ``pad >= search_range``, so no block needs the clamping
-    :func:`~repro.codec.motion.compensate` applies.
+    Per rect shape, :func:`_displaced_blocks` gathers the winners'
+    blocks of each reference for all (clip, MB, rect) triples at once.
     """
-    num_clips, height, width = source_stack.shape
-    mb_rows, mb_cols = height // MB_SIZE, width // MB_SIZE
-    num_mbs = mb_rows * mb_cols
-    current = source_stack.reshape(
-        num_clips, mb_rows, MB_SIZE, mb_cols, MB_SIZE
-    ).transpose(0, 1, 3, 2, 4).reshape(
-        num_clips, num_mbs, MB_SIZE, MB_SIZE).astype(np.int16)
-    # Padded-reference origin of each MB at displacement (-R, -R): a
-    # winner's flat index adds (dy + R, dx + R) back.
-    origin = pad - forward.search_range
-    mb_tops = origin + MB_SIZE * np.repeat(np.arange(mb_rows), mb_cols)
-    mb_lefts = origin + MB_SIZE * np.tile(np.arange(mb_cols), mb_rows)
-    clips = np.arange(num_clips)[:, None, None]
-    displacements = [np.divmod(search._best_flat, search._diameter)
-                     for search in (forward, backward)]
-    sads = np.empty((num_clips, num_mbs, len(ENCODER_RECTS)),
+    current = source_mbs.astype(np.int16)
+    sads = np.empty(current.shape[:2] + (len(ENCODER_RECTS),),
                     dtype=np.int64)
     for shape, columns, oys, oxs in _RECT_SHAPE_GROUPS:
         rows = mb_tops[:, None] + oys  # (M, rects of this shape)
         cols = mb_lefts[:, None] + oxs
         blocks = [
-            np.lib.stride_tricks.sliding_window_view(
-                reference, shape, axis=(1, 2))[
-                    clips, rows + dy[..., columns], cols + dx[..., columns]]
-            for reference, (dy, dx) in zip((forward_ref, backward_ref),
-                                           displacements)
+            _displaced_blocks(reference, shape, rows, cols,
+                              search._best_flat[..., columns],
+                              search._diameter)
+            for reference, search in ((forward_ref, forward),
+                                      (backward_ref, backward))
         ]
         averaged = (blocks[0].astype(np.int16) + blocks[1] + 1) >> 1
         targets = np.lib.stride_tricks.sliding_window_view(
@@ -298,8 +372,31 @@ def _bidirectional_sads(source_stack: np.ndarray, forward_ref: np.ndarray,
     return sads
 
 
+def _code_residuals(currents: np.ndarray, predictions: np.ndarray,
+                    qps) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual-code K macroblocks at once.
+
+    ``currents`` and ``predictions`` are ``(K, 16, 16)`` uint8, ``qps``
+    one QP per MB. Returns the ``(K, 16, 4, 4)`` levels, the ``(K, 4)``
+    coded-quadrant flags and the ``(K, 16, 16)`` closed-loop
+    reconstruction — per MB, what the scalar encoder's transform and
+    reconstruction steps produce.
+    """
+    residuals = currents.astype(np.int32) - predictions.astype(np.int32)
+    levels = transform_and_quantize_many(residuals, qps)
+    cbps = _coded_block_patterns_many(levels)
+    recon = predictions.copy()
+    coded = np.flatnonzero(cbps.any(axis=1))
+    if coded.size:
+        residual_pixels = reconstruct_residuals_many(
+            levels[coded], np.asarray(qps)[coded])
+        combined = predictions[coded].astype(np.int32) + residual_pixels
+        recon[coded] = np.clip(combined, 0, 255).astype(np.uint8)
+    return levels, cbps, recon
+
+
 class _FrameInterTables:
-    """All inter decisions of a batch's P- or B-frame, precomputed.
+    """All inter work of a batch's P- or B-frame, done once per frame.
 
     From the stacked SAD tables ``(N, M, 41)`` of each reference this
     derives, in a few whole-frame numpy calls, exactly what the scalar
@@ -312,6 +409,13 @@ class _FrameInterTables:
     enum order) matches the scalar strict-less-than scan, and every cost
     is an exact integer in float64 (SAD sums plus penalty products), so
     argmin reproduces the scalar tie-breaking bit for bit.
+
+    :meth:`code_residuals` then residual-codes every (clip, MB)'s
+    winning inter candidate in one pass. That is exact because an inter
+    candidate reads only the source, the deblocked references and a
+    source-derived QP — never the frame being reconstructed — so the
+    lockstep loop is left with what does: the intra choice and compete,
+    skip conversion, entropy coding and neighbor state.
     """
 
     def __init__(self, searches: Dict[PredictionDirection,
@@ -321,26 +425,42 @@ class _FrameInterTables:
                  pad: int, config: EncoderConfig) -> None:
         forward = searches[PredictionDirection.FORWARD]
         backward = searches.get(PredictionDirection.BACKWARD)
+        num_clips, height, width = source_stack.shape
+        mb_rows, mb_cols = height // MB_SIZE, width // MB_SIZE
+        self._source_mbs = source_stack.reshape(
+            num_clips, mb_rows, MB_SIZE, mb_cols, MB_SIZE
+        ).transpose(0, 1, 3, 2, 4).reshape(
+            num_clips, mb_rows * mb_cols, MB_SIZE, MB_SIZE)
+        # Padded-reference origin of each MB at displacement (-R, -R).
+        origin = pad - forward.search_range
+        self._mb_tops = origin + MB_SIZE * np.repeat(np.arange(mb_rows),
+                                                     mb_cols)
+        self._mb_lefts = origin + MB_SIZE * np.tile(np.arange(mb_cols),
+                                                    mb_rows)
+        self._searches = searches
+        self._references = references
         sad = forward._best_sad.astype(np.float64)
         # Plain nested lists: the per-MB winner construction in the
         # lockstep loop indexes these heavily, and Python-level list
         # access beats array scalar reads there.
         self._directions: Optional[List[List[List[int]]]] = None
         self._back_flats: Optional[List[List[List[int]]]] = None
+        self._direction_array: Optional[np.ndarray] = None
         if backward is not None:
             backward_sad = backward._best_sad.astype(np.float64)
             backward_wins = backward_sad < sad
             sad = np.where(backward_wins, backward_sad, sad)
             bi_cost = _bidirectional_sads(
-                source_stack, references[PredictionDirection.FORWARD],
+                self._source_mbs, references[PredictionDirection.FORWARD],
                 references[PredictionDirection.BACKWARD], forward,
-                backward, pad) + config.bi_penalty
+                backward, self._mb_tops, self._mb_lefts) + config.bi_penalty
             bi_wins = bi_cost < sad
             sad = np.where(bi_wins, bi_cost, sad)
             directions = np.where(
                 bi_wins, int(PredictionDirection.BIDIRECTIONAL),
                 np.where(backward_wins, int(PredictionDirection.BACKWARD),
                          int(PredictionDirection.FORWARD)))
+            self._direction_array = directions
             self._directions = directions.tolist()
             self._back_flats = backward._best_flat.tolist()
         pp = config.partition_penalty
@@ -359,11 +479,76 @@ class _FrameInterTables:
             candidates, ptype_pick[..., None], axis=-1)[..., 0]
 
         self.best_cost: List[List[float]] = best_cost.tolist()
+        self._ptype_array = ptype_pick
+        self._sub_array = sub_pick
         self._ptype_pick: List[List[int]] = ptype_pick.tolist()
         self._sub_pick: List[List[List[int]]] = sub_pick.tolist()
         self._flats: List[List[List[int]]] = forward._best_flat.tolist()
         self._diameter = forward._diameter
         self._radius = forward.search_range
+        # Filled by code_residuals().
+        self.levels: Optional[np.ndarray] = None
+        self.cbps: Optional[List[List[List[bool]]]] = None
+        self.recon: Optional[np.ndarray] = None
+
+    def code_residuals(self, qps: np.ndarray) -> None:
+        """Residual-code every (clip, MB)'s winning inter candidate.
+
+        ``qps`` is the ``(N, M)`` grid of activity QPs. Sets ``levels``
+        ``(N, M, 16, 4, 4)``, ``cbps`` (per clip, per MB, four coded
+        flags) and ``recon`` ``(N, M, 16, 16)``, the reconstruction
+        each MB gets if it stays inter (a skip MB included: its
+        prediction is the 16x16 forward winner's, and it has no
+        residual).
+        """
+        num_clips, num_mbs = qps.shape
+        levels, cbps, recon = _code_residuals(
+            self._source_mbs.reshape(-1, MB_SIZE, MB_SIZE),
+            self._predictions().reshape(-1, MB_SIZE, MB_SIZE),
+            qps.reshape(-1))
+        self.levels = levels.reshape(num_clips, num_mbs, 16, 4, 4)
+        self.cbps = cbps.reshape(num_clips, num_mbs, 4).tolist()
+        self.recon = recon.reshape(num_clips, num_mbs, MB_SIZE, MB_SIZE)
+
+    def _predictions(self) -> np.ndarray:
+        """``(N, M, 16, 16)`` uint8 prediction of every winning inter
+        decision — what :func:`~repro.codec.reconstruct.build_prediction`
+        makes of :meth:`decision`, tile by tile.
+
+        Each 4x4 tile takes the direction and motion vectors of the
+        rect covering it in the winning layout; a bidirectional tile is
+        the ``(f + b + 1) >> 1`` average of its two blocks.
+        """
+        columns = np.where(
+            (self._ptype_array == _PTYPE_ORDER.index(PartitionType.P8x8)
+             )[..., None],
+            _SUB_TILE_COLS[self._sub_array[..., _TILE_QUADRANT],
+                           np.arange(MB_SIZE)],
+            _LAYOUT_TILE_COLS[self._ptype_array])  # (N, M, 16 tiles)
+        rows = self._mb_tops[:, None] + _TILE_TOPS
+        cols = self._mb_lefts[:, None] + _TILE_LEFTS
+
+        def blocks(direction: PredictionDirection) -> np.ndarray:
+            search = self._searches[direction]
+            return _displaced_blocks(
+                self._references[direction], (4, 4), rows, cols,
+                np.take_along_axis(search._best_flat, columns, axis=-1),
+                search._diameter)
+
+        tiles = blocks(PredictionDirection.FORWARD)
+        if self._direction_array is not None:
+            backward = blocks(PredictionDirection.BACKWARD)
+            averaged = ((tiles.astype(np.uint16) + backward + 1) >> 1
+                        ).astype(np.uint8)
+            directions = np.take_along_axis(
+                self._direction_array, columns, axis=-1)[..., None, None]
+            tiles = np.where(
+                directions == int(PredictionDirection.FORWARD), tiles,
+                np.where(directions == int(PredictionDirection.BACKWARD),
+                         backward, averaged))
+        num_clips, num_mbs = tiles.shape[:2]
+        return tiles.reshape(num_clips, num_mbs, 4, 4, 4, 4).transpose(
+            0, 1, 2, 4, 3, 5).reshape(num_clips, num_mbs, MB_SIZE, MB_SIZE)
 
     def _mv(self, flat: int) -> MotionVector:
         return MotionVector(flat // self._diameter - self._radius,
@@ -654,11 +839,6 @@ class BatchEncoder:
         if plan.ref_backward is not None:
             references[PredictionDirection.BACKWARD] = \
                 padded[plan.ref_backward]
-        clip_references = [
-            {direction: stack[clip] for direction, stack
-             in references.items()}
-            for clip in range(num_clips)
-        ]
         ref_coded = {
             PredictionDirection.FORWARD:
                 coded_of.get(plan.ref_forward, -1),
@@ -666,25 +846,30 @@ class BatchEncoder:
                 coded_of.get(plan.ref_backward, -1),
         }
         states = [FrameMbState(mb_rows, mb_cols) for _ in range(num_clips)]
-        qp_offset_lists: Optional[List[List[List[int]]]] = None
+        # (clip, MB) activity QPs: a function of the source alone.
+        qp_grid = np.full((num_clips, mb_rows * mb_cols), base_qp)
         if config.adaptive_qp:
-            qp_offset_lists = [
-                frame_activity_offsets(source_stack[clip]).tolist()
-                for clip in range(num_clips)
-            ]
-        inter_tables: Optional[_FrameInterTables] = None
+            for clip in range(num_clips):
+                qp_grid[clip] = np.clip(
+                    base_qp + frame_activity_offsets(source_stack[clip]),
+                    MIN_QP, MAX_QP).reshape(-1)
+        qp_lists: List[List[int]] = qp_grid.tolist()
+        inter: Optional[_FrameInterTables] = None
         if plan.frame_type != FrameType.I:
-            with stages.time("encode.inter"):
-                # One search per reference; the entire per-MB scalar
-                # mode decision collapses into whole-frame numpy.
+            with stages.time("encode.search"):
                 searches = {
                     direction: BatchFrameMotionSearch(
                         source_stack, stack, self._pad,
                         config.search_range, config.mv_cost_lambda)
                     for direction, stack in references.items()
                 }
-                inter_tables = _FrameInterTables(
+            # The entire per-MB scalar mode decision collapses into
+            # whole-frame numpy, and so does the inter residual.
+            with stages.time("encode.inter"):
+                inter = _FrameInterTables(
                     searches, source_stack, references, self._pad, config)
+            with stages.time("encode.transform"):
+                inter.code_residuals(qp_grid)
 
         recon_stack = np.zeros_like(source_stack)
         slice_payloads: List[List[bytes]] = [[] for _ in range(num_clips)]
@@ -703,11 +888,10 @@ class BatchEncoder:
                     bit_starts = [offset_bits[clip]
                                   + encoders[clip].bits_emitted
                                   for clip in range(num_clips)]
-                    decisions, deps_lists = self._encode_macroblocks(
-                        plan, source_stack, recon_stack, clip_references,
-                        ref_coded, states, encoders, base_qp, mb_row,
-                        mb_col, start_row, stages, inter_tables,
-                        qp_offset_lists)
+                    deps_lists = self._encode_macroblocks(
+                        plan, source_stack, recon_stack, ref_coded, states,
+                        encoders, mb_row, mb_col, start_row, stages, inter,
+                        qp_lists)
                     mb_index = mb_row * mb_cols + mb_col
                     for clip in range(num_clips):
                         mb_traces[clip].append(MacroblockTrace(
@@ -757,112 +941,90 @@ class BatchEncoder:
 
     def _encode_macroblocks(self, plan: FramePlan, source_stack: np.ndarray,
                             recon_stack: np.ndarray,
-                            clip_references: List[Dict],
                             ref_coded: Dict[PredictionDirection, int],
                             states: List[FrameMbState], encoders: List,
-                            base_qp: int, mb_row: int, mb_col: int,
-                            min_mb_row: int, stages,
-                            inter_tables: Optional[_FrameInterTables],
-                            qp_offset_lists) -> Tuple[List, List]:
+                            mb_row: int, mb_col: int, min_mb_row: int,
+                            stages, inter: Optional[_FrameInterTables],
+                            qp_lists: List[List[int]]) -> List[List]:
+        """Code one MB position of every clip; returns each clip's trace
+        dependencies. Only what reads the frame being reconstructed, or
+        serial per-clip state, happens here: the inter candidates are
+        already residual-coded (:meth:`_FrameInterTables.code_residuals`).
+        """
         config = self.config
         num_clips = source_stack.shape[0]
-        top = mb_row * MACROBLOCK_SIZE
-        left = mb_col * MACROBLOCK_SIZE
-        current_stack = source_stack[:, top:top + MACROBLOCK_SIZE,
-                                     left:left + MACROBLOCK_SIZE]
-        if qp_offset_lists is not None:
-            qps = [min(max(base_qp + qp_offset_lists[clip][mb_row][mb_col],
-                           MIN_QP), MAX_QP)
-                   for clip in range(num_clips)]
-        else:
-            qps = [base_qp] * num_clips
-        pred_mvs = [state.predict_mv(mb_row, mb_col, min_mb_row)
-                    for state in states]
+        rows = slice(mb_row * MACROBLOCK_SIZE, (mb_row + 1) * MACROBLOCK_SIZE)
+        cols = slice(mb_col * MACROBLOCK_SIZE, (mb_col + 1) * MACROBLOCK_SIZE)
+        mb = mb_row * (source_stack.shape[2] // MACROBLOCK_SIZE) + mb_col
+        current_stack = source_stack[:, rows, cols]
+        qps = [qp_lists[clip][mb] for clip in range(num_clips)]
 
-        decisions: List[MacroblockDecision] = []
-        with stages.time("encode.intra" if inter_tables is None
-                         else "encode.inter"):
+        with stages.time("encode.intra"):
             intra_choice = _BatchIntraChoice(
                 current_stack, recon_stack, mb_row, mb_col, min_mb_row)
-            mb = mb_row * (source_stack.shape[2] // MACROBLOCK_SIZE) + mb_col
+        decisions: List[MacroblockDecision] = []
+        intra_clips: List[int] = []
+        with stages.time("encode.intra" if inter is None
+                         else "encode.inter"):
             for clip in range(num_clips):
                 # Intra competes in inter frames too.
-                if (inter_tables is None
+                if (inter is None
                         or intra_choice.sads[clip] + config.intra_penalty
-                        < inter_tables.best_cost[clip][mb]):
+                        < inter.best_cost[clip][mb]):
                     decisions.append(MacroblockDecision(
                         mode=MacroblockMode.INTRA, qp=qps[clip],
                         intra_mode=intra_choice.modes[clip]))
+                    intra_clips.append(clip)
                 else:
-                    decisions.append(
-                        inter_tables.decision(clip, mb, qps[clip]))
+                    decision = inter.decision(clip, mb, qps[clip])
+                    decision.coefficients = inter.levels[clip, mb]
+                    decision.cbp = tuple(inter.cbps[clip][mb])
+                    decisions.append(decision)
 
-        # Residual coding against the chosen predictions, batched.
+        # Intra clips replace the inter reconstruction with their own,
+        # coded or not.
         with stages.time("encode.transform"):
-            predictions = np.empty_like(current_stack)
-            for clip, decision in enumerate(decisions):
-                if decision.mode == MacroblockMode.INTRA:
-                    predictions[clip] = intra_choice.prediction(
-                        clip, decision.intra_mode)
-                else:
-                    predictions[clip] = build_prediction(
-                        decision, recon_stack[clip], clip_references[clip],
-                        self._pad, mb_row, mb_col, min_mb_row)
-            residuals = (current_stack.astype(np.int32)
-                         - predictions.astype(np.int32))
-            levels = transform_and_quantize_many(
-                residuals, [d.qp for d in decisions])
-            cbps = _coded_block_patterns_many(levels)
-        cbp_rows = cbps.tolist()
-        for clip, decision in enumerate(decisions):
-            decision.coefficients = levels[clip]
-            decision.cbp = tuple(cbp_rows[clip])
+            if inter is not None:
+                recon_stack[:, rows, cols] = inter.recon[:, mb]
+            if intra_clips:
+                predictions = np.stack([
+                    intra_choice.prediction(clip, decisions[clip].intra_mode)
+                    for clip in intra_clips])
+                levels, cbps, recon = _code_residuals(
+                    current_stack[intra_clips], predictions,
+                    [qps[clip] for clip in intra_clips])
+                recon_stack[intra_clips, rows, cols] = recon
+                for slot, flags in enumerate(cbps.tolist()):
+                    decision = decisions[intra_clips[slot]]
+                    decision.coefficients = levels[slot]
+                    decision.cbp = tuple(flags)
 
         # Skip conversion: inter 16x16, forward, predicted MV, no
-        # residual — per clip, like the scalar encoder.
-        if plan.frame_type != FrameType.I:
+        # residual — per clip, like the scalar encoder. The skip MB's
+        # prediction is the forward winner's, already reconstructed.
+        if inter is not None:
             for clip, decision in enumerate(decisions):
-                if (decision.mode == MacroblockMode.INTER
-                        and decision.partition_type == PartitionType.P16x16
+                if decision.mode != MacroblockMode.INTER:
+                    continue
+                pred_mv = states[clip].predict_mv(mb_row, mb_col, min_mb_row)
+                if (decision.partition_type == PartitionType.P16x16
                         and decision.partitions[0].direction
                         == PredictionDirection.FORWARD
-                        and decision.partitions[0].mv == pred_mvs[clip]
+                        and decision.partitions[0].mv == pred_mv
                         and not any(decision.cbp)):
-                    decision = MacroblockDecision(
+                    decisions[clip] = MacroblockDecision(
                         mode=MacroblockMode.SKIP,
                         qp=states[clip].prev_qp,
                         partition_type=PartitionType.P16x16,
                         partitions=[InterPartition(rect=(0, 0, 16, 16),
-                                                   mv=pred_mvs[clip])],
+                                                   mv=pred_mv)],
                     )
-                    decisions[clip] = decision
-                    predictions[clip] = build_prediction(
-                        decision, recon_stack[clip], clip_references[clip],
-                        self._pad, mb_row, mb_col, min_mb_row)
 
         with stages.time("encode.entropy"):
             for clip, decision in enumerate(decisions):
                 encode_macroblock(encoders[clip], self._model,
                                   states[clip], decision, plan.frame_type,
                                   mb_row, mb_col, min_mb_row)
-
-        # Reconstruction (closed loop), batched over the coded clips.
-        with stages.time("encode.transform"):
-            recon_mbs = predictions.copy()
-            coded = [clip for clip, decision in enumerate(decisions)
-                     if decision.coefficients is not None
-                     and any(decision.cbp)]
-            if coded:
-                residual_pixels = reconstruct_residuals_many(
-                    np.stack([decisions[clip].coefficients
-                              for clip in coded]),
-                    [decisions[clip].qp for clip in coded])
-                combined = (predictions[coded].astype(np.int32)
-                            + residual_pixels)
-                recon_mbs[coded] = np.clip(combined, 0, 255).astype(
-                    np.uint8)
-        recon_stack[:, top:top + MACROBLOCK_SIZE,
-                    left:left + MACROBLOCK_SIZE] = recon_mbs
 
         deps_lists = []
         frame_shape = source_stack.shape[1:]
@@ -871,7 +1033,7 @@ class BatchEncoder:
             deps_lists.append(self._scalar._dependencies(
                 plan, decision, ref_coded, mb_row, mb_col, min_mb_row,
                 frame_shape))
-        return decisions, deps_lists
+        return deps_lists
 
 
 def encode_batch(videos: Sequence[VideoSequence],

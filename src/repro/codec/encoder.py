@@ -52,7 +52,6 @@ from .types import (
     MacroblockDecision,
     MacroblockMode,
     MacroblockTrace,
-    MotionVector,
     PartitionType,
     PredictionDirection,
     SubPartitionType,
@@ -184,7 +183,7 @@ class Encoder:
         if plan.frame_type != FrameType.I:
             # One batched full-search pass per reference serves every
             # macroblock and partition rectangle of this frame.
-            with stages.time("encode.inter"):
+            with stages.time("encode.search"):
                 searches = {
                     direction: FrameMotionSearch(
                         source, reference, self._pad, config.search_range,
@@ -223,7 +222,8 @@ class Encoder:
         if config.deblocking:
             # In-loop filter: the deblocked frame is what references and
             # viewers see; intra prediction above used unfiltered pixels.
-            recon = deblock_frame(recon, base_qp)
+            with stages.time("encode.deblock"):
+                recon = deblock_frame(recon, base_qp)
 
         full_payload = b"".join(slice_payloads)
         header = FrameHeader(
@@ -271,11 +271,9 @@ class Encoder:
         qp = min(max(base_qp + offset, MIN_QP), MAX_QP)
         pred_mv = state.predict_mv(mb_row, mb_col, min_mb_row)
 
-        if plan.frame_type == FrameType.I:
-            with stages.time("encode.intra"):
-                decision = self._decide_intra(current, recon, mb_row, mb_col,
-                                              min_mb_row, qp)
-        else:
+        decision: Optional[MacroblockDecision] = None
+        inter_cost = 0.0
+        if plan.frame_type != FrameType.I:
             with stages.time("encode.inter"):
                 if searches is None:
                     searches = {
@@ -284,9 +282,15 @@ class Encoder:
                             config.search_range, config.mv_cost_lambda)
                         for direction, reference in references.items()
                     }
-                decision = self._decide_inter(
-                    plan, current, recon, references, searches, state,
-                    mb_row, mb_col, min_mb_row, qp, pred_mv)
+                decision, inter_cost = self._decide_inter(
+                    current, references, searches, mb_row, mb_col, qp)
+        # Intra competes in inter frames too.
+        with stages.time("encode.intra"):
+            intra_mode, _pred, intra_sad = choose_intra_mode(
+                current, recon, mb_row, mb_col, min_mb_row)
+        if decision is None or intra_sad + config.intra_penalty < inter_cost:
+            decision = MacroblockDecision(mode=MacroblockMode.INTRA, qp=qp,
+                                          intra_mode=intra_mode)
 
         # Residual coding against the chosen prediction.
         with stages.time("encode.transform"):
@@ -352,20 +356,12 @@ class Encoder:
 
     # -- mode decisions -----------------------------------------------------
 
-    def _decide_intra(self, current: np.ndarray, recon: np.ndarray,
-                      mb_row: int, mb_col: int, min_mb_row: int,
-                      qp: int) -> MacroblockDecision:
-        mode, _prediction, _sad = choose_intra_mode(
-            current, recon, mb_row, mb_col, min_mb_row)
-        return MacroblockDecision(mode=MacroblockMode.INTRA, qp=qp,
-                                  intra_mode=mode)
-
-    def _decide_inter(self, plan: FramePlan, current: np.ndarray,
-                      recon: np.ndarray, references: ReferenceSet,
+    def _decide_inter(self, current: np.ndarray, references: ReferenceSet,
                       searches: Dict[PredictionDirection, FrameMotionSearch],
-                      state: FrameMbState, mb_row: int, mb_col: int,
-                      min_mb_row: int, qp: int,
-                      pred_mv: MotionVector) -> MacroblockDecision:
+                      mb_row: int, mb_col: int, qp: int
+                      ) -> Tuple[MacroblockDecision, float]:
+        """The best inter candidate of one MB and its cost; the caller
+        lets intra compete against that cost."""
         config = self.config
         top = mb_row * MACROBLOCK_SIZE
         left = mb_col * MACROBLOCK_SIZE
@@ -447,17 +443,10 @@ class Encoder:
 
         best_cost, ptype, subs, partitions = min(candidates,
                                                  key=lambda c: c[0])
-
-        # Intra competes in inter frames too.
-        intra_mode, _pred, intra_sad = choose_intra_mode(
-            current, recon, mb_row, mb_col, min_mb_row)
-        if intra_sad + config.intra_penalty < best_cost:
-            return MacroblockDecision(mode=MacroblockMode.INTRA, qp=qp,
-                                      intra_mode=intra_mode)
         return MacroblockDecision(
             mode=MacroblockMode.INTER, qp=qp, partition_type=ptype,
             sub_types=subs, partitions=partitions,
-        )
+        ), best_cost
 
     # -- trace dependencies -----------------------------------------------
 

@@ -1,19 +1,26 @@
 """Integer-pel motion estimation and compensation.
 
-Two estimators share the same candidate geometry and produce bitwise
+Three estimators share the same candidate geometry and produce bitwise
 identical answers:
 
 * :class:`MacroblockSearch` — the scalar reference. Per macroblock it
   builds a full absolute-difference tensor over the search window and
   answers SAD queries for any partition rectangle from a 2-D integral
   image. Retained for tests and as the equivalence oracle.
-* :class:`FrameMotionSearch` — the vectorized hot path the encoder
-  uses. It streams over the displacement window once per (frame,
-  reference) pair, reducing whole-frame absolute differences to 4x4
-  tile SADs and folding them into every macroblock's per-partition
-  best-cost running minimum with one masked matmul per displacement.
-  All of H.264's partition shapes are 4x4-tile aligned, so the 41
-  encoder rectangles come out of the same tile tensor for free.
+* :class:`FrameMotionSearch` — the per-frame search of the scalar
+  :class:`~repro.codec.encoder.Encoder`. It streams over the
+  displacement window once per (frame, reference) pair, reducing
+  whole-frame absolute differences to 4x4 tile SADs and folding them
+  into every macroblock's per-partition best-cost running minimum with
+  one masked matmul per chunk of displacement rows. All of H.264's
+  partition shapes are 4x4-tile aligned, so the 41 encoder rectangles
+  come out of the same tile tensor for free.
+* :class:`~repro.codec.batch.BatchFrameMotionSearch` — the hot path of
+  ``encode_batch_with_recon`` (service ingest, corpus preloads, the
+  encode farm), over a stack of clips. It walks the frame one
+  macroblock row at a time instead, with the displacements ahead of x
+  in its int16 difference tensor, and picks each rect's vector with
+  one argmin over the whole window, so it needs no running minimum.
 
 Compensation clamps the referenced region into the (edge-padded)
 reference frame, which serves two purposes: unrestricted motion vectors

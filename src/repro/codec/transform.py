@@ -109,27 +109,43 @@ def reconstruct_residual(levels: np.ndarray, qp: int) -> np.ndarray:
     return deblockify(inverse_transform(dequantize(levels, qp)))
 
 
+#: Block-diagonal ``kron(I4, CF)``: ``B @ X @ B.T`` applies the forward
+#: transform to every 4x4 block of a 16x16 macroblock at once.
+_MB_CF = np.kron(np.eye(4), CF.astype(np.float64))
+
+
+def _check_qps(qps, count: int) -> np.ndarray:
+    """Per-MB QPs as an index array, every one inside MIN_QP..MAX_QP."""
+    qp_index = np.asarray(qps, dtype=np.intp).reshape(count)
+    if count and (qp_index.min() < MIN_QP or qp_index.max() > MAX_QP):
+        raise EncoderError(
+            f"qp must be in {MIN_QP}..{MAX_QP}, got {qp_index.tolist()}")
+    return qp_index
+
+
 def transform_and_quantize_many(residual_stack: np.ndarray,
                                 qps) -> np.ndarray:
     """(M, 16, 16) residuals with per-MB QPs -> (M, 16, 4, 4) levels.
 
-    Bitwise identical to :func:`transform_and_quantize` per macroblock:
-    the batched blockify applies the same axis permutation per item, the
-    integer einsum is exact at any batch size, and each QP's divisor is
-    the same ``step * SCALE`` float64 product the scalar path divides
-    by.
+    Bitwise identical to :func:`transform_and_quantize` per macroblock.
+    The transform is one float64 ``B @ X @ B.T`` per macroblock with
+    ``B = kron(I4, CF)``, then blockified: residuals are at most 255 in
+    magnitude and CF's rows at most 6 in absolute sum, so every partial
+    sum is an integer of magnitude at most 255 * 6 * 6 = 9,180, exact in
+    float64 in any summation order, and the coefficients equal the
+    integer einsum's. Each QP's divisor is the same ``step * SCALE``
+    float64 product the scalar path divides by.
     """
     stack = np.asarray(residual_stack)
     count = stack.shape[0]
-    blocks = (
-        stack.reshape(count, 4, 4, 4, 4)
+    qp_index = _check_qps(qps, count)
+    transformed = _MB_CF @ stack.astype(np.float64) @ _MB_CF.T
+    coefficients = (
+        transformed.reshape(count, 4, 4, 4, 4)
         .transpose(0, 1, 3, 2, 4)
-        .reshape(count * 16, 4, 4)
+        .reshape(count, 16, 4, 4)
     )
-    coefficients = forward_transform(blocks).reshape(count, 16, 4, 4)
-    steps = np.array([quant_step(int(qp)) for qp in qps],
-                     dtype=np.float64)
-    divisors = steps[:, None, None, None] * SCALE
+    divisors = _QUANT_STEPS[qp_index][:, None, None, None] * SCALE
     return np.rint(coefficients / divisors).astype(np.int32)
 
 
@@ -149,10 +165,7 @@ def reconstruct_residuals_many(levels_stack: np.ndarray,
     """
     stack = np.asarray(levels_stack)
     count = stack.shape[0]
-    qp_index = np.asarray(qps, dtype=np.intp).reshape(count)
-    if count and (qp_index.min() < MIN_QP or qp_index.max() > MAX_QP):
-        raise EncoderError(
-            f"qp must be in {MIN_QP}..{MAX_QP}, got {qp_index.tolist()}")
+    qp_index = _check_qps(qps, count)
     levels = stack.reshape(count * 16, 4, 4)
     coded = np.flatnonzero(levels.reshape(count * 16, 16).any(axis=1))
     blocks = np.zeros((count * 16, 4, 4), dtype=np.int32)

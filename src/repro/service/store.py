@@ -38,7 +38,7 @@ aged shards may force concealment, but never a silently wrong frame.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,6 +46,7 @@ import numpy as np
 from ..codec.batch import encode_batch_with_recon
 from ..codec.config import EncoderConfig
 from ..codec.decoder import Decoder, dependency_closure
+from ..codec.encoded import EncodedVideo
 from ..core.assignment import PAPER_TABLE1, ClassAssignment
 from ..core.importance import compute_importance
 from ..core.partition import (
@@ -255,6 +256,12 @@ class VideoObjectStore:
             return object_id
         importance = compute_importance(encoded.trace)
         protected = partition_video(encoded, importance, self.assignment)
+        # The record keeps the stream without its encoder trace: no
+        # read, seek, repair or loadgen path reads it, and it is most
+        # of an encode's memory.
+        protected = replace(protected, encoded=EncodedVideo(
+            header=encoded.header, frames=encoded.frames,
+            seek_index=encoded.seek_index))
         ordered = sorted(protected.streams)
         ciphertext = encryptor.encrypt_streams(
             {i: protected.streams[name]

@@ -47,10 +47,13 @@ from repro.codec.neighbors import FrameMbState
 from repro.codec.ratecontrol import activity_qp_offset, frame_activity_offsets
 from repro.codec.syntax import _contexts
 from repro.codec.transform import (
+    blockify,
     forward_transform,
     quantize,
     reconstruct_residual,
     reconstruct_residuals_many,
+    transform_and_quantize,
+    transform_and_quantize_many,
 )
 from repro.codec.types import (
     FrameType,
@@ -110,11 +113,11 @@ class TestMotionSearchEquivalence:
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data(), count=st.integers(1, 4),
-           search_range=st.integers(1, 4),
+           search_range=st.integers(1, 8),
            lam=st.sampled_from([0.0, 0.5, 2.0, 3.7]))
     def test_batched_search_matches_per_clip_search(self, data, count,
                                                     search_range, lam):
-        current = data.draw(frames(max_mbs=2))
+        current = data.draw(frames(max_mbs=3))
         currents = np.stack([current] + [
             data.draw(npst.arrays(np.uint8, current.shape,
                                   elements=pixels))
@@ -123,10 +126,17 @@ class TestMotionSearchEquivalence:
             pad_reference(data.draw(npst.arrays(
                 np.uint8, current.shape, elements=pixels)), search_range)
             for _ in range(count)])
-        # One displacement row per chunk, and the whole window at once:
-        # the cross-chunk merge must not change a single winner.
-        for budget in (1, 1 << 30):
-            with mock.patch.object(batch_module, "_CHUNK_BUDGET_BYTES",
+        # Bytes one clip needs per chunk: the int16 diffs of a tile
+        # row, or the float64 rect costs of an MB row.
+        candidates = (2 * search_range + 1) ** 2
+        per_clip = max(2 * 4 * candidates * current.shape[1],
+                       8 * (current.shape[1] // 16) * len(ENCODER_RECTS)
+                       * candidates)
+        # One clip and one tile row per chunk; two clips per chunk (a
+        # ragged last chunk at odd counts); every clip and a whole MB
+        # row at once. The chunking must not change a single winner.
+        for budget in (1, 2 * per_clip, 1 << 30):
+            with mock.patch.object(batch_module, "_SEARCH_BUDGET_BYTES",
                                    budget):
                 batched = BatchFrameMotionSearch(
                     currents, padded, search_range, search_range, lam)
@@ -198,6 +208,34 @@ class TestTransformEquivalence:
         scalar = ref.quantize_scalar(ref.forward_transform_scalar(block),
                                      qp)
         np.testing.assert_array_equal(batched, scalar)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 8))
+    def test_many_levels_match_per_macroblock_path(self, data, count):
+        residuals = data.draw(npst.arrays(
+            np.int32, (count, 16, 16), elements=st.integers(-255, 255)))
+        # Saturated blocks: every coefficient at its extreme magnitude.
+        for index in data.draw(st.sets(st.integers(0, count - 1))):
+            signs = data.draw(npst.arrays(
+                np.int32, (16, 16), elements=st.sampled_from([-1, 1])))
+            residuals[index] = 255 * (
+                signs if data.draw(st.booleans())
+                else signs[0, 0] * np.ones((16, 16), dtype=np.int32))
+        qps = data.draw(st.lists(st.integers(0, 51), min_size=count,
+                                 max_size=count))
+        batched = transform_and_quantize_many(residuals, qps)
+        assert batched.dtype == np.int32
+        for index in range(count):
+            np.testing.assert_array_equal(
+                batched[index],
+                transform_and_quantize(residuals[index], qps[index]))
+            blocks = blockify(residuals[index])
+            for block in range(16):
+                np.testing.assert_array_equal(
+                    batched[index, block],
+                    ref.quantize_scalar(
+                        ref.forward_transform_scalar(blocks[block]),
+                        qps[index]))
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), count=st.integers(1, 4))
@@ -591,10 +629,19 @@ def _coded_bframe_decisions(videos, config):
     return decisions, recons
 
 
+def _intra_positions(frame_trace) -> set:
+    """MB indices of a frame whose pixels come from that frame alone
+    (intra prediction), read off the trace's dependencies."""
+    return {mb.mb_index for mb in frame_trace.macroblocks
+            if all(dep.source[0] == frame_trace.coded_index
+                   for dep in mb.dependencies)}
+
+
 class TestBatchEncoderEquivalence:
     """The batch encoder's contract is bit-for-bit equality: same
-    streams (traces included — ``serialize`` covers them) and the same
-    reconstruction the decoder would produce from those streams."""
+    streams, same traces (``serialize`` does not cover them, so they
+    are compared on their own) and the same reconstruction the decoder
+    would produce from those streams."""
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data(), crf=st.integers(18, 42), gop=st.integers(2, 4),
@@ -612,6 +659,7 @@ class TestBatchEncoderEquivalence:
         for video, encoded, recon in zip(videos, encodeds, recons):
             want = Encoder(config).encode(video)
             assert encoded.serialize() == want.serialize()
+            assert encoded.trace == want.trace
             decoded = Decoder().decode(want).to_array()
             np.testing.assert_array_equal(recon, decoded)
 
@@ -624,8 +672,50 @@ class TestBatchEncoderEquivalence:
         for video, encoded, recon in zip(videos, encodeds, recons):
             want = Encoder(config).encode(video)
             assert encoded.serialize() == want.serialize()
+            assert encoded.trace == want.trace
             np.testing.assert_array_equal(
                 recon, Decoder().decode(want).to_array())
+
+    def test_scene_cut_goes_intra_beside_a_panning_partner(self):
+        # I0 P2 B1. The cut clip jumps to a flat scene at the B-frame
+        # and to another at the P-frame, so no anchor predicts either
+        # frame: its MBs go intra, most of them uncoded (a flat
+        # neighbor predicts a flat block exactly). The partner pans one
+        # texture, so the same positions stay inter — one batch mixes
+        # frame-level inter coding with per-MB intra replacements.
+        config = EncoderConfig(crf=28, gop_size=4, bframes=1)
+        texture = _texture(7, 56, 72)
+        pan = np.stack([texture[4:52, 4 + 2 * t:68 + 2 * t]
+                        for t in range(3)])
+        cut = np.stack([_texture(8, 48, 64),
+                        np.full((48, 64), 200, dtype=np.uint8),
+                        np.full((48, 64), 60, dtype=np.uint8)])
+        videos = [VideoSequence.from_array(cut),
+                  VideoSequence.from_array(pan)]
+        with mock.patch.object(batch_module, "encode_macroblock",
+                               wraps=batch_module.encode_macroblock) as spy:
+            encodeds, recons = encode_batch_with_recon(videos, config)
+        for video, encoded, recon in zip(videos, encodeds, recons):
+            want = Encoder(config).encode(video)
+            assert encoded.serialize() == want.serialize()
+            assert encoded.trace == want.trace
+            np.testing.assert_array_equal(
+                recon, Decoder().decode(want).to_array())
+        cut_trace, pan_trace = (encoded.trace for encoded in encodeds)
+        for frame_type in (FrameType.P, FrameType.B):
+            cut_frame, pan_frame = (
+                next(frame for frame in trace.frames
+                     if frame.frame_type == frame_type)
+                for trace in (cut_trace, pan_trace))
+            all_mbs = set(range(len(cut_frame.macroblocks)))
+            assert (_intra_positions(cut_frame)
+                    & (all_mbs - _intra_positions(pan_frame))), frame_type
+        uncoded_intra = [
+            call.args[3] for call in spy.call_args_list
+            if call.args[4] != FrameType.I
+            and call.args[3].mode == MacroblockMode.INTRA
+            and not any(call.args[3].cbp)]
+        assert uncoded_intra
 
     @pytest.mark.parametrize("bi_penalty", [48.0, 0.0])
     def test_identical_anchors_keep_forward(self, bi_penalty):

@@ -89,6 +89,34 @@ class TestSpanCoverage:
                   if r.name == "encode.frame"}
         assert all(a.parent_id in frames for a in aggregates)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_encode_stages_split_search_and_intra(self, small_video,
+                                                  batched):
+        # Both encoders time the motion search apart from the inter
+        # decision, and the per-MB intra choice in every frame type.
+        from repro.codec import Encoder, EncoderConfig
+        from repro.codec.batch import encode_batch_with_recon
+
+        config = EncoderConfig(crf=24, gop_size=4, bframes=1)
+        trace.enable()
+        if batched:
+            encode_batch_with_recon([small_video], config)
+        else:
+            Encoder(config).encode(small_video)
+        records = trace.active().drain()
+        frames = [r for r in records if r.name == "encode.frame"]
+        assert {r.attrs["frame_type"] for r in frames} == {"I", "P", "B"}
+        for frame in frames:
+            stages = {r.name for r in records
+                      if r.parent_id == frame.span_id}
+            assert {"encode.intra", "encode.transform", "encode.entropy",
+                    "encode.deblock"} <= stages
+            inter = {"encode.search", "encode.inter"}
+            if frame.attrs["frame_type"] == "I":
+                assert not inter & stages
+            else:
+                assert inter <= stages
+
     def test_decode_stages_time_deblock_and_padding(self, encoded_small,
                                                     monkeypatch):
         # The in-loop filter and reference padding run inside the

@@ -8,8 +8,10 @@ from repro.service import (
     Keyring,
     ShardPool,
     VideoObjectStore,
+    run_repair_pass,
     stream_key,
 )
+from repro.service.shards import QUARANTINED
 from repro.video import SceneConfig, synthesize_scene
 
 
@@ -59,6 +61,31 @@ class TestWritePath:
             key = stream_key("alice", ids[0], name)
             assert the_store.pool.place(key).shard_id == shard_id
             assert the_store.pool.shard(shard_id).has(key)
+
+    def test_record_drops_the_encoder_trace_and_still_serves(self):
+        store = VideoObjectStore(pool=ShardPool(count=4),
+                                 keyring=Keyring(seed=5), replicas=2)
+        object_id = store.put_many("alice", [_clip(1)])[0]
+        record = store.record("alice", object_id)
+        assert record.protected.encoded.trace is None
+        assert record.protected.encoded.frames
+        result = store.get("alice", object_id,
+                           rng=np.random.default_rng(0))
+        assert result.outcome in ("clean", "corrected")
+        assert len(result.video) == 4
+        frame = store.get_frame("alice", object_id, 2,
+                                rng=np.random.default_rng(0))
+        assert frame.outcome in ("clean", "corrected")
+        np.testing.assert_array_equal(frame.frame,
+                                      result.video.frames[2])
+        victim = record.placement[sorted(record.stream_sha)[0]]
+        store.pool.shard(victim).health = QUARANTINED
+        report = run_repair_pass(store)
+        assert report.objects_repaired == 1
+        assert report.unrepairable_streams == 0
+        again = store.get("alice", object_id,
+                          rng=np.random.default_rng(0))
+        assert again.outcome in ("clean", "corrected")
 
     def test_shards_hold_ciphertext_not_plaintext(self, store):
         the_store, ids, _ = store
