@@ -19,9 +19,10 @@ gate:
   yardstick; it is the PR's acceptance criterion ("partial decode is
   provably cheaper than whole-clip decode at GOP >= 8") as a number.
 
-Each repeat's deterministic outputs (outcomes, per-seek PSNR, byte
-accounting) are hashed and must agree across repeats — a
-nondeterministic seek path can never publish a latency exhibit.
+Each repeat's deterministic outputs (outcomes, per-seek PSNR of the
+served frame against the source clip, byte accounting) are hashed and
+must agree across repeats — a nondeterministic seek path can never
+publish a latency exhibit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.codec import EncoderConfig
+from repro.metrics import psnr
 from repro.service import VideoObjectStore
 from repro.video import SceneConfig, synthesize_scene
 
@@ -77,8 +79,9 @@ def _run_once(video, gop_size, seeks, seed):
         determinism.append({
             "display": int(displays[which]),
             "outcome": result.outcome,
-            "psnr_db": (None if result.psnr_db is None
-                        else round(float(result.psnr_db), 3)),
+            "psnr_db": (None if result.frame is None
+                        else round(psnr(video.frames[result.display],
+                                        result.frame), 3)),
             "frames_decoded": result.frames_decoded,
             "bytes_read": result.bytes_read,
         })

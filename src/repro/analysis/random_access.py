@@ -11,8 +11,8 @@ and serving a seeded schedule of random ``get_frame`` seeks, reporting
 * **seek latency** — wall-clock p50/p99 over cache-miss seeks, plus
   the measured speedup of a partial-GOP seek over one whole-clip read
   (the number the ``seek-perf-gate`` CI exhibit floors);
-* **PSNR under damage** — mean decoded-GOP PSNR against the write-time
-  reconstruction, with the four-outcome tally (clean / corrected /
+* **PSNR under damage** — mean PSNR of each served frame against the
+  source clip, with the four-outcome tally (clean / corrected /
   concealed / refused) showing *how* the quality was served;
 * **read economics** — mean fraction of the object's ciphertext the
   seek actually pulled off the shards, and GOP-cache hit counts.
@@ -28,13 +28,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..codec.config import EncoderConfig
 from ..errors import AnalysisError
+from ..metrics.psnr import psnr
 from ..obs import trace as obs_trace
 from ..service.shards import ShardPool
 from ..service.store import VideoObjectStore
@@ -65,7 +66,7 @@ class SeekCell:
     crf: int
     t_days: Optional[float]
     compression_ratio: float
-    psnr_db: float                 #: mean over non-refused seeks
+    psnr_db: float                 #: mean over served frames
     outcomes: Dict[str, int]
     seeks: int
     cache_hits: int
@@ -182,7 +183,7 @@ def _run_cell(video: VideoSequence, gop_size: int, crf: int,
                              seek_cache=seek_cache)
     object_id = store.put(TENANT, video)
     record = store.record(TENANT, object_id)
-    ratio = raw_bits / max(record.protected.encoded.total_bits, 1)
+    ratio = raw_bits / max(record.total_bits, 1)
     schedule_rng = np.random.default_rng(cell_seed)
     displays = schedule_rng.integers(0, record.frames, size=seeks)
     draw_seeds = schedule_rng.integers(0, 2**63 - 1, size=seeks + 1)
@@ -199,8 +200,8 @@ def _run_cell(video: VideoSequence, gop_size: int, crf: int,
             rng=np.random.default_rng(int(draw_seeds[which])))
         elapsed_ms = (time.perf_counter() - begin) * 1000.0
         outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
-        if result.psnr_db is not None:
-            psnrs.append(float(result.psnr_db))
+        if result.frame is not None:
+            psnrs.append(psnr(video.frames[result.display], result.frame))
         if result.cache_hit:
             cache_hits += 1
         else:

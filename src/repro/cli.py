@@ -558,6 +558,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     frontend = ServiceFrontend(store)
     #: ``@N`` in a script names the id returned by the N-th put (1-based).
     placed_ids: List[str] = []
+    #: Object id -> the clip put under it: the store keeps no
+    #: reference, so ``get`` grades its frames against this.
+    sources = {}
 
     def resolve_id(token: str) -> str:
         if token.startswith("@"):
@@ -582,8 +585,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             verb, rest = words[0], words[1:]
             try:
                 if verb == "put":
-                    object_id = await frontend.ingest(
-                        rest[0], clip_for(rest[1]))
+                    clip = clip_for(rest[1])
+                    object_id = await frontend.ingest(rest[0], clip)
+                    sources[object_id] = clip
                     placed_ids.append(object_id)
                     print(f"put {rest[0]} -> {object_id[:16]} "
                           f"(@{len(placed_ids)})")
@@ -594,8 +598,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         rest[0], resolve_id(rest[1]), reader=reader,
                         rng=np.random.default_rng(
                             (args.seed, op_seq)))
-                    psnr = ("-" if result.psnr_db is None
-                            else f"{result.psnr_db:.2f} dB")
+                    source = sources.get(result.object_id)
+                    psnr = "-"
+                    if result.video is not None and source is not None:
+                        psnr = f"{video_psnr(source, result.video):.2f} dB"
                     print(f"get {result.object_id[:16]} as "
                           f"{result.reader}: {result.outcome} "
                           f"(psnr {psnr})")

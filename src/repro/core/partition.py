@@ -6,6 +6,12 @@ stream is later stored with exactly its scheme's protection.
 ``merge_streams`` is the exact inverse, reassembling frame payloads from
 (possibly corrupted) streams — split followed by merge is the identity.
 
+``merge_streams``, ``stream_ranges_for_frames`` and ``map_stream_damage``
+read only a :class:`StreamLayout`: stream names, byte lengths and bit
+counts, the pivot tables and the frame headers. A full
+:class:`ProtectedVideo` is one; the service store's per-object manifest,
+which keeps no payload bytes, is another.
+
 Streams are bit-granular: segments need not align to bytes, so payloads
 are unpacked to bit arrays for slicing and packed back afterwards.
 """
@@ -13,12 +19,12 @@ are unpacked to bit arrays for slicing and packed back afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import AnalysisError
-from ..codec.encoded import EncodedVideo
+from ..codec.encoded import EncodedVideo, FrameHeader
 from ..storage.density import DEFAULT_BITS_PER_CELL, DensityReport, density_report
 from ..storage.ecc import ECCScheme, scheme_by_name
 from .assignment import ClassAssignment
@@ -32,6 +38,27 @@ def _unpack(payload: bytes) -> np.ndarray:
 
 def _pack(bits: np.ndarray) -> bytes:
     return np.packbits(bits).tobytes()
+
+
+class StreamLayout(Protocol):
+    """The bit layout of a partitioned video, without its bytes."""
+
+    @property
+    def pivots(self) -> List[FramePivots]:
+        """One pivot table per frame, coded order."""
+
+    @property
+    def stream_bits(self) -> Dict[str, int]:
+        """Stream name -> exact (pre-padding) bit count."""
+
+    @property
+    def stream_lengths(self) -> Dict[str, int]:
+        """Stream name -> byte length (``stream_bits`` padded)."""
+
+    @property
+    def frame_headers(self) -> List[FrameHeader]:
+        """Precise frame headers, coded order; their slice lengths
+        give every frame's payload size."""
 
 
 @dataclass
@@ -48,6 +75,14 @@ class ProtectedVideo:
     assignment: ClassAssignment
     streams: Dict[str, bytes]
     stream_bits: Dict[str, int]
+
+    @property
+    def stream_lengths(self) -> Dict[str, int]:
+        return {name: len(data) for name, data in self.streams.items()}
+
+    @property
+    def frame_headers(self) -> List[FrameHeader]:
+        return [frame.header for frame in self.encoded.frames]
 
     @property
     def precise_bits(self) -> int:
@@ -96,31 +131,29 @@ def partition_video(encoded: EncodedVideo,
     )
 
 
-def merge_streams(protected: ProtectedVideo,
-                  streams: Optional[Dict[str, bytes]] = None
-                  ) -> List[bytes]:
+def merge_streams(layout: StreamLayout,
+                  streams: Dict[str, bytes]) -> List[bytes]:
     """Reassemble frame payloads from (possibly corrupted) streams.
 
-    ``streams`` defaults to the protected video's own (clean) streams;
-    pass the read-back streams from an approximate device to rebuild the
-    corrupted payload set. Stream lengths must be unchanged — the
-    device flips bits, it never resizes.
+    Pass a :class:`ProtectedVideo`'s own ``streams`` for the clean
+    payloads, or the read-back streams from an approximate device to
+    rebuild the corrupted payload set. Stream lengths must be unchanged
+    — the device flips bits, it never resizes.
     """
-    if streams is None:
-        streams = protected.streams
     unpacked: Dict[str, np.ndarray] = {}
     cursors: Dict[str, int] = {}
-    for name, clean in protected.streams.items():
+    for name, length in layout.stream_lengths.items():
         corrupted = streams.get(name)
-        if corrupted is None or len(corrupted) != len(clean):
+        if corrupted is None or len(corrupted) != length:
             raise AnalysisError(
                 f"stream {name!r} missing or resized on read-back"
             )
         unpacked[name] = _unpack(corrupted)
         cursors[name] = 0
     payloads: List[bytes] = []
-    for frame, table in zip(protected.encoded.frames, protected.pivots):
-        bits = np.zeros(frame.payload_bits, dtype=np.uint8)
+    for header, table in zip(layout.frame_headers, layout.pivots):
+        size = header.payload_bytes
+        bits = np.zeros(8 * size, dtype=np.uint8)
         for segment in table.segments:
             cursor = cursors[segment.scheme_name]
             piece = unpacked[segment.scheme_name][
@@ -131,11 +164,11 @@ def merge_streams(protected: ProtectedVideo,
                 )
             bits[segment.start_bit:segment.end_bit] = piece
             cursors[segment.scheme_name] = cursor + segment.bits
-        payloads.append(_pack(bits)[:len(frame.payload)])
+        payloads.append(_pack(bits)[:size])
     return payloads
 
 
-def stream_ranges_for_frames(protected: ProtectedVideo,
+def stream_ranges_for_frames(layout: StreamLayout,
                              frame_positions: Sequence[int]
                              ) -> Dict[str, Tuple[int, int]]:
     """Per-stream bit extents a set of frames' payloads live in.
@@ -159,12 +192,12 @@ def stream_ranges_for_frames(protected: ProtectedVideo,
     if not wanted:
         return {}
     for position in wanted:
-        if not 0 <= position < len(protected.pivots):
+        if not 0 <= position < len(layout.pivots):
             raise AnalysisError(
                 f"frame position {position} outside the container")
     ranges: Dict[str, Tuple[int, int]] = {}
-    cursors: Dict[str, int] = {name: 0 for name in protected.streams}
-    for frame_index, table in enumerate(protected.pivots):
+    cursors: Dict[str, int] = {name: 0 for name in layout.stream_bits}
+    for frame_index, table in enumerate(layout.pivots):
         for segment in table.segments:
             cursor = cursors[segment.scheme_name]
             cursors[segment.scheme_name] = cursor + segment.bits
@@ -177,7 +210,7 @@ def stream_ranges_for_frames(protected: ProtectedVideo,
     return ranges
 
 
-def map_stream_damage(protected: ProtectedVideo,
+def map_stream_damage(layout: StreamLayout,
                       damage: Dict[str, Sequence[Tuple[int, int]]]
                       ) -> Dict[int, List[Tuple[int, int]]]:
     """Project per-stream damage intervals onto frame payloads.
@@ -194,15 +227,15 @@ def map_stream_damage(protected: ProtectedVideo,
     """
     per_stream: Dict[str, List[Tuple[int, int]]] = {}
     for name, intervals in damage.items():
-        if name not in protected.streams:
+        if name not in layout.stream_bits:
             raise AnalysisError(
                 f"damage names unknown stream {name!r}")
         cleaned = sorted((int(a), int(b)) for a, b in intervals if b > a)
         if cleaned:
             per_stream[name] = cleaned
     hit: Dict[int, List[Tuple[int, int]]] = {}
-    cursors: Dict[str, int] = {name: 0 for name in protected.streams}
-    for frame_index, table in enumerate(protected.pivots):
+    cursors: Dict[str, int] = {name: 0 for name in layout.stream_bits}
+    for frame_index, table in enumerate(layout.pivots):
         for segment in table.segments:
             cursor = cursors[segment.scheme_name]
             cursors[segment.scheme_name] = cursor + segment.bits

@@ -43,7 +43,6 @@ class CachedGop:
     #: Display index -> reconstructed frame ``(H, W) uint8``.
     frames: Dict[int, np.ndarray]
     outcome: str
-    psnr_db: Optional[float] = None
     refusal_reason: str = ""
     concealed_streams: Tuple[str, ...] = ()
     #: Hits this entry may still serve; ``None`` = no TTL (clean

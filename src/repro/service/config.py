@@ -44,9 +44,6 @@ VNODES_ENV = "REPRO_SERVICE_VNODES"
 #: Decoded-GOP LRU capacity for the random-access read path
 #: (0 disables caching without disabling partial reads).
 SEEK_CACHE_ENV = "REPRO_SEEK_CACHE"
-#: Any non-empty value forces ``get_frame`` onto the whole-clip decode
-#: path — the escape hatch if the seek fast path misbehaves.
-SEEK_DISABLE_ENV = "REPRO_SEEK_DISABLE"
 
 _DEFAULTS = {
     SHARDS_ENV: 4,
@@ -150,12 +147,6 @@ def resolve_seek_cache(explicit: Optional[int] = None) -> int:
     """Decoded-GOP cache capacity (``REPRO_SEEK_CACHE``, default 16;
     0 disables caching)."""
     return _resolve_int(explicit, SEEK_CACHE_ENV, 0)
-
-
-def seek_disabled() -> bool:
-    """True when ``REPRO_SEEK_DISABLE`` forces whole-clip decode."""
-    raw = os.environ.get(SEEK_DISABLE_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "off", "no")
 
 
 def resolve_scrub_days(explicit: Optional[float] = None

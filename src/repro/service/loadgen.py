@@ -8,7 +8,8 @@ must report the **same run digest**: the digest covers only the
 deterministic facts of each planned operation (kind, object id,
 outcome, rounded PSNR, error-block counts) — never latencies, audit
 ordering, or shard health counters, which legitimately vary with
-thread scheduling.
+thread scheduling. PSNR is measured here, against the planned source
+clip: the store serves frames and keeps no reference to grade them by.
 
 How determinism survives concurrency:
 
@@ -42,9 +43,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..codec.config import EncoderConfig
+from ..metrics.psnr import video_psnr
 from ..obs import trace as obs_trace
 from ..storage.device import ApproximateDevice
 from ..storage.ecc import NONE_SCHEME
+from ..video.frame import VideoSequence
 from ..video.synthesis import SceneConfig, synthesize_scene
 from .frontend import ServiceFrontend
 from .keyring import Keyring
@@ -186,6 +189,14 @@ def _clip(clip_seed: int):
         seed=clip_seed))
 
 
+def _psnr(source: VideoSequence, result) -> Optional[float]:
+    """Rounded PSNR of a read's frames against the source clip;
+    ``None`` for a refused read, which serves no frames."""
+    if result.video is None:
+        return None
+    return round(video_psnr(source, result.video), 2)
+
+
 def run_loadgen(clients: int = 4, ops: int = 12, seed: int = 0,
                 read_fraction: float = 0.5,
                 shards: Optional[int] = None,
@@ -222,6 +233,8 @@ def run_loadgen(clients: int = 4, ops: int = 12, seed: int = 0,
     records: List[dict] = []
     read_ms: List[float] = []
     object_ids: Dict[int, str] = {}
+    #: Ingest ordinal -> the clip it uploaded, the PSNR reference.
+    sources: Dict[int, VideoSequence] = {}
 
     async def _run() -> None:
         with obs_trace.span("service.loadgen", clients=clients,
@@ -237,8 +250,9 @@ def run_loadgen(clients: int = 4, ops: int = 12, seed: int = 0,
                     if op.client != client_id:
                         continue
                     if op.kind == "ingest":
+                        sources[op.index] = _clip(op.clip_seed)
                         object_id = await frontend.ingest(
-                            op.tenant, _clip(op.clip_seed))
+                            op.tenant, sources[op.index])
                         object_ids[op.index] = object_id
                         placed[op.index].set_result(object_id)
                         records.append({
@@ -258,8 +272,7 @@ def run_loadgen(clients: int = 4, ops: int = 12, seed: int = 0,
                             "op": op.index, "kind": "read",
                             "object_id": object_id,
                             "outcome": result.outcome,
-                            "psnr": (None if result.psnr_db is None
-                                     else round(result.psnr_db, 2)),
+                            "psnr": _psnr(sources[op.target], result),
                             "failed_blocks": result.failed_blocks,
                             "retry_successes": result.retry_successes,
                         })
@@ -286,7 +299,7 @@ def run_loadgen(clients: int = 4, ops: int = 12, seed: int = 0,
                                                            0) + 1
 
     records.extend(_degradation_sweep(
-        store, pool, plan, object_ids, seed, t_grid,
+        store, pool, plan, object_ids, sources, seed, t_grid,
         degradation_samples, report, repair=repair))
 
     records.sort(key=lambda r: (r.get("phase", ""), r["op"]))
@@ -304,7 +317,8 @@ def run_loadgen(clients: int = 4, ops: int = 12, seed: int = 0,
 
 def _degradation_sweep(store: VideoObjectStore, pool: ShardPool,
                        plan: List[PlannedOp],
-                       object_ids: Dict[int, str], seed: int,
+                       object_ids: Dict[int, str],
+                       sources: Dict[int, VideoSequence], seed: int,
                        t_grid: Sequence[Optional[float]],
                        samples: int, report: LoadgenReport,
                        repair: bool = False) -> List[dict]:
@@ -330,13 +344,12 @@ def _degradation_sweep(store: VideoObjectStore, pool: ShardPool,
             draw += 1
             point["outcomes"][result.outcome] = (
                 point["outcomes"].get(result.outcome, 0) + 1)
-            if result.psnr_db is not None:
-                point["psnr_db"].append(round(result.psnr_db, 2))
+            psnr = _psnr(sources[ordinal], result)
+            if psnr is not None:
+                point["psnr_db"].append(psnr)
             sweep_records.append({
                 "phase": "degradation", "op": ordinal,
-                "t_days": t, "outcome": result.outcome,
-                "psnr": (None if result.psnr_db is None
-                         else round(result.psnr_db, 2)),
+                "t_days": t, "outcome": result.outcome, "psnr": psnr,
                 "failed_blocks": result.failed_blocks,
             })
         # Raw baseline: the first sample's biggest ciphertext stream
@@ -344,7 +357,7 @@ def _degradation_sweep(store: VideoObjectStore, pool: ShardPool,
         op = plan[ingest_ordinals[0]]
         record = store.record(op.tenant, object_ids[ingest_ordinals[0]])
         name = max(record.stream_sha,
-                   key=lambda n: len(record.protected.streams[n]))
+                   key=lambda n: record.stream_lengths[n])
         blob = pool.shard(record.placement[name]).blobs[
             stream_key(record.tenant, record.object_id, name)]
         device = ApproximateDevice(
@@ -373,14 +386,13 @@ def _degradation_sweep(store: VideoObjectStore, pool: ShardPool,
                 draw += 1
                 healed["outcomes"][result.outcome] = (
                     healed["outcomes"].get(result.outcome, 0) + 1)
-                if result.psnr_db is not None:
-                    healed["psnr_db"].append(round(result.psnr_db, 2))
+                psnr = _psnr(sources[ordinal], result)
+                if psnr is not None:
+                    healed["psnr_db"].append(psnr)
                 sweep_records.append({
                     "phase": "degradation_repair", "op": ordinal,
                     "t_days": t, "outcome": result.outcome,
-                    "psnr": (None if result.psnr_db is None
-                             else round(result.psnr_db, 2)),
-                    "failed_blocks": result.failed_blocks,
+                    "psnr": psnr, "failed_blocks": result.failed_blocks,
                 })
             healed["psnr_db"] = (
                 round(float(np.mean(healed["psnr_db"])), 2)

@@ -174,7 +174,7 @@ def scan_placement(store) -> Tuple[int, int]:
     for record in store.objects():
         scanned += 1
         from .store import stream_key
-        for name in sorted(record.protected.streams):
+        for name in sorted(record.stream_lengths):
             key = stream_key(record.tenant, record.object_id, name)
             if _chain_violated(store, record, name, key):
                 if store.repair.enqueue(record.tenant, record.object_id,
@@ -267,7 +267,7 @@ def run_repair_pass(store, limit: Optional[int] = None,
             except ServiceError:
                 continue  # retired between enqueue and drain
             changed = False
-            for name in sorted(record.protected.streams):
+            for name in sorted(record.stream_lengths):
                 if _repair_stream(store, record, name, report):
                     changed = True
             if changed:
@@ -277,7 +277,7 @@ def run_repair_pass(store, limit: Optional[int] = None,
                 store.audit.record(
                     "repair", ticket.tenant, ticket.object_id,
                     detail=f"reason={ticket.reason} "
-                           f"streams={len(record.protected.streams)}")
+                           f"streams={len(record.stream_lengths)}")
                 obs_metrics.counter(
                     "service_repair_objects_total").inc()
     report.backlog = store.repair.backlog()
@@ -292,7 +292,7 @@ def replication_health(store) -> Dict[str, int]:
     full = under = 0
     for record in store.objects():
         ok = True
-        for name in sorted(record.protected.streams):
+        for name in sorted(record.stream_lengths):
             key = stream_key(record.tenant, record.object_id, name)
             chain = record.replicas.get(name) \
                 or (record.placement[name],)

@@ -17,7 +17,7 @@ Read path (:meth:`VideoObjectStore.get`) — the four-outcome ladder:
 
 * ``clean`` — no retries burned, no uncorrectable damage. Bit flips
   inside weakly protected streams are *expected* here — they are the
-  approximation contract the paper sells, and they show up as PSNR
+  approximation contract the paper sells, and they show up as quality
   movement, not as a failure outcome;
 * ``corrected`` — the device retry ladder re-read detected-
   uncorrectable blocks back to health (``retry_successes > 0``);
@@ -33,31 +33,42 @@ Read path (:meth:`VideoObjectStore.get`) — the four-outcome ladder:
 
 Refusal is the invariant the loadgen's degradation exhibit leans on:
 aged shards may force concealment, but never a silently wrong frame.
+
+The store keeps a manifest per object (:class:`ObjectRecord`) and no
+copy of the clip, its payloads or its reconstruction, so every served
+frame was decoded from bytes the shards returned. It does not measure
+quality either: a caller that wants PSNR compares the served frames
+with its own source clip.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..codec.batch import encode_batch_with_recon
 from ..codec.config import EncoderConfig
 from ..codec.decoder import Decoder, dependency_closure
-from ..codec.encoded import EncodedVideo
+from ..codec.encoded import EncodedFrame, EncodedVideo, FrameHeader, \
+    VideoHeader
+from ..codec.seek import SeekIndex
 from ..core.assignment import PAPER_TABLE1, ClassAssignment
 from ..core.importance import compute_importance
 from ..core.partition import (
-    ProtectedVideo,
     map_stream_damage,
     merge_streams,
     partition_video,
     stream_ranges_for_frames,
 )
-from ..errors import ReadRefusedError, ServiceError, TransientShardError
-from ..metrics.psnr import video_psnr
+from ..core.pivots import FramePivots
+from ..errors import ServiceError, TransientShardError
+# Not called here: the store measures no quality. The name stays so a
+# profiler that wraps ``repro.service.store.video_psnr`` (as it wraps
+# the codec and core names above) still resolves and counts 0 calls.
+from ..metrics.psnr import video_psnr  # noqa: F401
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..storage.device import StorageReport
@@ -89,37 +100,63 @@ def stream_key(tenant: str, object_id: str, stream: str) -> str:
 
 @dataclass
 class ObjectRecord:
-    """Everything the store remembers about one placed object.
+    """The manifest of one placed object: its precise storage only.
 
-    The ``protected`` container (headers + pivot tables + clean
-    plaintext streams) is the object's *precise* storage — the paper
-    keeps it off the approximate device entirely — so holding it in the
-    record is the simulation's equivalent of the precise partition.
+    The paper keeps headers and pivot tables precise and puts every
+    payload bit on the approximate device (Sections 4.4, 5.3). The
+    record holds exactly that precise part — video and frame headers,
+    seek index, pivot tables, per-stream lengths and bit counts — plus
+    the write-time ciphertext hashes and replica chains. It holds no
+    payload, stream or pixel bytes, so a read can only serve what the
+    shards return. It is a :class:`~repro.core.partition.StreamLayout`:
+    the core stream helpers read it as they read a full
+    :class:`~repro.core.partition.ProtectedVideo`.
     """
 
     object_id: str
     tenant: str
-    protected: ProtectedVideo
-    #: Error-free reconstruction ``(frames, H, W) uint8`` — the PSNR
-    #: reference for every later read of this object.
-    recon: np.ndarray
+    video_header: VideoHeader
+    #: Coded order; their slice lengths give every payload's size.
+    frame_headers: List[FrameHeader]
+    seek_index: SeekIndex
+    pivots: List[FramePivots]
+    #: Stream name -> exact (pre-padding) bit count.
+    stream_bits: Dict[str, int]
+    #: Stream name -> byte length as placed on the shards.
+    stream_lengths: Dict[str, int]
     #: Write-time SHA-256 hex of each ciphertext stream.
     stream_sha: Dict[str, str]
     #: Stream name -> *primary* shard id (the first replica); kept as
     #: a plain map so single-copy callers and exhibits keep working.
     placement: Dict[str, str]
-    frames: int = 0
     #: Stream name -> full replica chain in ring order (element 0 is
     #: the primary). Updated by the repair daemon as shards drain.
     replicas: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+
+    @property
+    def frames(self) -> int:
+        """Frames in the object."""
+        return len(self.frame_headers)
+
+    @property
+    def total_bits(self) -> int:
+        """Size of the serialized container: headers plus payloads."""
+        return self.video_header.serialized_bits() + sum(
+            header.serialized_bits() + 8 * header.payload_bytes
+            for header in self.frame_headers)
 
     def replica_chain(self, name: str) -> Tuple[str, ...]:
         """The replica shards of stream ``name``, primary first."""
         return self.replicas.get(name) or (self.placement[name],)
 
-    def recon_sequence(self) -> VideoSequence:
-        """The reconstruction as a :class:`VideoSequence`."""
-        return VideoSequence(frames=list(self.recon))
+    def container(self, payloads: Sequence[bytes]) -> EncodedVideo:
+        """The coded video the record's headers and ``payloads`` make."""
+        return EncodedVideo(
+            header=self.video_header,
+            frames=[EncodedFrame(header=header, payload=payload)
+                    for header, payload in zip(self.frame_headers,
+                                               payloads)],
+            seek_index=self.seek_index)
 
 
 @dataclass
@@ -135,7 +172,6 @@ class ReadResult:
     reader: str
     outcome: str
     video: Optional[VideoSequence] = None
-    psnr_db: Optional[float] = None
     refusal_reason: str = ""
     #: Streams whose uncorrectable damage went to the concealer.
     concealed_streams: Tuple[str, ...] = ()
@@ -152,9 +188,7 @@ class FrameReadResult:
     """One served random-access frame read, classified.
 
     Same four-outcome ladder as :class:`ReadResult`; ``frame`` is
-    ``None`` exactly when ``outcome == "refused"``. ``psnr_db`` is the
-    PSNR of the decoded *GOP* against the write-time reconstruction —
-    the quality of the cache unit the frame was served from.
+    ``None`` exactly when ``outcome == "refused"``.
     ``bytes_read``/``bytes_total`` expose the partial-read economics:
     how much ciphertext the seek actually pulled off the shards versus
     the object's full footprint.
@@ -166,7 +200,6 @@ class FrameReadResult:
     display: int
     outcome: str
     frame: Optional[np.ndarray] = None
-    psnr_db: Optional[float] = None
     refusal_reason: str = ""
     concealed_streams: Tuple[str, ...] = ()
     cache_hit: bool = False
@@ -239,16 +272,19 @@ class VideoObjectStore:
                             clips=len(videos)):
             if not videos:
                 return []
-            encodes, recons = encode_batch_with_recon(videos, self.config)
-            return [self._place_one(tenant, encryptor, encoded, recon)
-                    for encoded, recon in zip(encodes, recons)]
+            # The record keeps no reconstruction: a read's quality is
+            # the caller's to measure against its own source.
+            encodes, _ = encode_batch_with_recon(videos, self.config)
+            return [self._place_one(tenant, encryptor, encoded)
+                    for encoded in encodes]
 
     def put(self, tenant: str, video: VideoSequence) -> str:
         """Ingest one clip (see :meth:`put_many`)."""
         return self.put_many(tenant, [video])[0]
 
-    def _place_one(self, tenant, encryptor, encoded, recon) -> str:
-        """Partition, encrypt, and place one encoded clip."""
+    def _place_one(self, tenant, encryptor, encoded) -> str:
+        """Partition, encrypt, and place one encoded clip; record its
+        manifest."""
         object_id = object_id_for(encoded.serialize())
         if (tenant, object_id) in self._records:
             obs_metrics.counter("service_ingest_dedupe_total").inc()
@@ -256,12 +292,6 @@ class VideoObjectStore:
             return object_id
         importance = compute_importance(encoded.trace)
         protected = partition_video(encoded, importance, self.assignment)
-        # The record keeps the stream without its encoder trace: no
-        # read, seek, repair or loadgen path reads it, and it is most
-        # of an encode's memory.
-        protected = replace(protected, encoded=EncodedVideo(
-            header=encoded.header, frames=encoded.frames,
-            seek_index=encoded.seek_index))
         ordered = sorted(protected.streams)
         ciphertext = encryptor.encrypt_streams(
             {i: protected.streams[name]
@@ -278,9 +308,14 @@ class VideoObjectStore:
             placement[name] = chain[0].shard_id
             replicas[name] = tuple(s.shard_id for s in chain)
         self._records[(tenant, object_id)] = ObjectRecord(
-            object_id=object_id, tenant=tenant, protected=protected,
-            recon=recon, stream_sha=stream_sha, placement=placement,
-            frames=len(encoded.frames), replicas=replicas)
+            object_id=object_id, tenant=tenant,
+            video_header=encoded.header,
+            frame_headers=protected.frame_headers,
+            seek_index=encoded.seek_index_or_build(),
+            pivots=protected.pivots, stream_bits=protected.stream_bits,
+            stream_lengths=protected.stream_lengths,
+            stream_sha=stream_sha, placement=placement,
+            replicas=replicas)
         obs_metrics.counter("service_ingest_objects_total").inc()
         self.audit.record(
             "ingest", tenant, object_id,
@@ -391,8 +426,7 @@ class VideoObjectStore:
     def _read_streams(self, record: ObjectRecord, encryptor, reader: str,
                       rng: np.random.Generator) -> ReadResult:
         """Pull every stream off its replicas and classify the outcome."""
-        protected = record.protected
-        ordered = sorted(protected.streams)
+        ordered = sorted(record.stream_lengths)
         read_back: Dict[str, bytes] = {}
         reports: Dict[str, StorageReport] = {}
         refusal = ""
@@ -428,24 +462,23 @@ class VideoObjectStore:
             return result
         decrypted = encryptor.decrypt_streams(
             {i: read_back[name] for i, name in enumerate(ordered)})
-        plaintext = {name: decrypted[i][:len(protected.streams[name])]
+        plaintext = {name: decrypted[i][:record.stream_lengths[name]]
                      for i, name in enumerate(ordered)}
-        payloads = merge_streams(protected, plaintext)
-        corrupted = protected.encoded.with_payloads(payloads)
+        payloads = merge_streams(record, plaintext)
+        corrupted = record.container(payloads)
         # Uncorrectable block coordinates survive the positional cipher,
         # so stream-bit damage projects straight into frame damage —
         # same construction as the core pipeline's conceal path.
         damage = {
-            name: [(min(b.bit_start, protected.stream_bits[name]),
-                    min(b.bit_end, protected.stream_bits[name]))
+            name: [(min(b.bit_start, record.stream_bits[name]),
+                    min(b.bit_end, record.stream_bits[name]))
                    for b in report.uncorrectable]
             for name, report in reports.items()
-            if report.uncorrectable and name in protected.stream_bits
+            if report.uncorrectable and name in record.stream_bits
         }
-        frame_damage = (map_stream_damage(protected, damage)
+        frame_damage = (map_stream_damage(record, damage)
                         if damage else {})
         result.video = self._decoder.decode(corrupted, frame_damage)
-        result.psnr_db = video_psnr(record.recon_sequence(), result.video)
         if damage:
             result.outcome = CONCEALED
             result.concealed_streams = tuple(sorted(damage))
@@ -471,13 +504,12 @@ class VideoObjectStore:
         GOPs land in the store's LRU (:class:`~repro.service.cache.
         GopCache`), so scrubbing within a GOP hits memory.
 
-        ``REPRO_SEEK_DISABLE`` forces the whole-clip :meth:`get` path
-        (the fast path's escape hatch); the same four-outcome ladder
-        applies either way, minus the whole-stream integrity hash on
-        partial reads — a partial read cannot hash bytes it never
-        fetched, so silent-miscorrection refusal rides the per-block
-        ECC verdicts instead (the hash check still runs whenever the
-        aligned window happens to cover a whole stream).
+        The four-outcome ladder of :meth:`get` applies, minus the
+        whole-stream integrity hash on partial reads — a partial read
+        cannot hash bytes it never fetched, so silent-miscorrection
+        refusal rides the per-block ECC verdicts instead (the hash
+        check still runs whenever the aligned window happens to cover
+        a whole stream).
         """
         reader = reader if reader is not None else tenant
         record = self.record(tenant, object_id)
@@ -498,12 +530,8 @@ class VideoObjectStore:
                 obs_metrics.counter("service_reads_denied_total").inc()
                 raise
             rng = rng if rng is not None else np.random.default_rng()
-            if service_config.seek_disabled():
-                result = self._frame_via_full_read(record, encryptor,
-                                                   reader, display, rng)
-            else:
-                result = self._frame_via_seek(record, encryptor, reader,
-                                              display, rng)
+            result = self._frame_via_seek(record, encryptor, reader,
+                                          display, rng)
         self.audit.record(
             "read_frame", reader, object_id,
             detail=(f"display={display} outcome={result.outcome}"
@@ -514,70 +542,50 @@ class VideoObjectStore:
             f"service_frame_reads_{result.outcome}_total").inc()
         return result
 
-    def _frame_via_full_read(self, record: ObjectRecord, encryptor,
-                             reader: str, display: int,
-                             rng: np.random.Generator) -> FrameReadResult:
-        """The escape hatch: whole-clip read, then slice the frame."""
-        full = self._read_streams(record, encryptor, reader, rng)
-        total = sum(len(record.protected.streams[name])
-                    for name in record.protected.streams)
-        result = FrameReadResult(
-            object_id=record.object_id, tenant=record.tenant,
-            reader=reader, display=display, outcome=full.outcome,
-            psnr_db=full.psnr_db, refusal_reason=full.refusal_reason,
-            concealed_streams=full.concealed_streams,
-            frames_decoded=record.frames, bytes_read=total,
-            bytes_total=total, reports=full.reports)
-        if full.video is not None:
-            result.frame = full.video.frames[display]
-        return result
-
     def _frame_via_seek(self, record: ObjectRecord, encryptor,
                         reader: str, display: int,
                         rng: np.random.Generator) -> FrameReadResult:
         """Partial read + partial decode of the frame's display GOP."""
-        protected = record.protected
-        encoded = protected.encoded
-        index = encoded.seek_index_or_build()
+        index = record.seek_index
         entry = index.gop_for_display(display)
         anchors = [e.anchor_display for e in index.gops]
         which = anchors.index(entry.anchor_display)
         gop_start = entry.anchor_display
         gop_stop = (anchors[which + 1] if which + 1 < len(anchors)
                     else index.num_frames)
-        bytes_total = sum(len(protected.streams[name])
-                          for name in protected.streams)
+        bytes_total = sum(record.stream_lengths.values())
         key = (record.tenant, record.object_id, gop_start)
         cached = self.gop_cache.get(key)
         if cached is not None:
             return FrameReadResult(
                 object_id=record.object_id, tenant=record.tenant,
                 reader=reader, display=display, outcome=cached.outcome,
-                frame=cached.frames[display], psnr_db=cached.psnr_db,
+                frame=cached.frames[display],
                 refusal_reason=cached.refusal_reason,
                 concealed_streams=cached.concealed_streams,
                 cache_hit=True, gop_anchor=gop_start,
                 bytes_total=bytes_total)
-        positions = dependency_closure(encoded,
-                                       range(gop_start, gop_stop))
-        bit_ranges = stream_ranges_for_frames(protected, positions)
-        ordered = sorted(protected.streams)
+        # The closure reads frame headers only: nothing is fetched yet,
+        # so the container it walks carries empty payloads.
+        positions = dependency_closure(
+            record.container([b""] * record.frames),
+            range(gop_start, gop_stop))
+        bit_ranges = stream_ranges_for_frames(record, positions)
+        ordered = sorted(record.stream_lengths)
         buffers: Dict[str, bytes] = {}
         reports: Dict[str, StorageReport] = {}
         damage: Dict[str, List[Tuple[int, int]]] = {}
         refusal = ""
         bytes_read = 0
-        header_scheme = protected.assignment.header_scheme.name
         needs_repair = False
         with obs_trace.span("seek.fetch", gop=gop_start,
                             frames=len(positions)):
             for stream_id, name in enumerate(ordered):
-                buffer = bytearray(len(protected.streams[name]))
+                buffer = bytearray(record.stream_lengths[name])
                 if name in bit_ranges:
                     lo_bit, hi_bit = bit_ranges[name]
                     got = self._range_read_replicated(
-                        record, name, rng, lo_bit // 8, -(-hi_bit // 8),
-                        header_scheme)
+                        record, name, rng, lo_bit // 8, -(-hi_bit // 8))
                     (data, report, stream_refusal, a_start, a_end,
                      index, rung) = got
                     if data is None:
@@ -592,7 +600,7 @@ class VideoObjectStore:
                     bytes_read += len(data)
                     refusal = refusal or stream_refusal
                     if report.uncorrectable:
-                        limit = protected.stream_bits[name]
+                        limit = record.stream_bits[name]
                         shifted = [
                             (min(8 * a_start + b.bit_start, limit),
                              min(8 * a_start + b.bit_end, limit))
@@ -614,15 +622,12 @@ class VideoObjectStore:
             result.outcome = REFUSED
             result.refusal_reason = refusal
             return result
-        payloads = merge_streams(protected, buffers)
-        corrupted = encoded.with_payloads(payloads)
-        frame_damage = (map_stream_damage(protected, damage)
+        payloads = merge_streams(record, buffers)
+        corrupted = record.container(payloads)
+        frame_damage = (map_stream_damage(record, damage)
                         if damage else {})
         gop = self._decoder.decode_range(corrupted, gop_start, gop_stop,
                                          frame_damage)
-        reference = VideoSequence(
-            frames=list(record.recon[gop_start:gop_stop]))
-        result.psnr_db = video_psnr(reference, gop)
         if damage:
             result.outcome = CONCEALED
             result.concealed_streams = tuple(sorted(damage))
@@ -633,14 +638,14 @@ class VideoObjectStore:
         result.frame = frames[display]
         self.gop_cache.put(key, CachedGop(
             anchor_display=gop_start, frames=frames,
-            outcome=result.outcome, psnr_db=result.psnr_db,
+            outcome=result.outcome,
             refusal_reason=result.refusal_reason,
             concealed_streams=result.concealed_streams))
         return result
 
     def _range_read_replicated(self, record: ObjectRecord, name: str,
                                rng: np.random.Generator, lo_byte: int,
-                               hi_byte: int, header_scheme: str):
+                               hi_byte: int):
         """Replica-walking :meth:`Shard.read_range` for the seek path.
 
         Same escalation contract as :meth:`_read_one_replicated`, but
@@ -667,8 +672,7 @@ class VideoObjectStore:
                     "service_replica_read_faults_total").inc()
                 continue
             refusal = self._partial_refusal_for(
-                record, name, data, report, a_start, a_end,
-                header_scheme)
+                record, name, data, report, a_start, a_end)
             rung = self._rung(refusal, report)
             if best is None or rung < best[6]:
                 best = (data, report, refusal, a_start, a_end, index,
@@ -689,14 +693,13 @@ class VideoObjectStore:
 
     def _partial_refusal_for(self, record: ObjectRecord, name: str,
                              data: bytes, report: StorageReport,
-                             a_start: int, a_end: int,
-                             header_scheme: str) -> str:
+                             a_start: int, a_end: int) -> str:
         """Refusal reason for one partial stream read, or ``""``."""
         if report.miscorrected_blocks > 0:
             return (f"stream {name}: {report.miscorrected_blocks} "
                     f"silently miscorrected block(s)")
         whole = (a_start == 0
-                 and a_end >= len(record.protected.streams[name]))
+                 and a_end >= record.stream_lengths[name])
         clean_claim = (report.flipped_bits == 0
                        and report.failed_blocks == 0)
         if whole and clean_claim:
@@ -704,7 +707,8 @@ class VideoObjectStore:
             if digest != record.stream_sha[name]:
                 return (f"stream {name}: integrity hash mismatch on a "
                         f"read the device reported clean")
-        if report.failed_blocks and name == header_scheme:
+        if (report.failed_blocks
+                and name == self.assignment.header_scheme.name):
             return (f"stream {name}: uncorrectable damage in a "
                     f"precise-scheme stream")
         return ""
@@ -722,8 +726,8 @@ class VideoObjectStore:
             if digest != record.stream_sha[name]:
                 return (f"stream {name}: integrity hash mismatch on a "
                         f"read the device reported clean")
-        header = record.protected.assignment.header_scheme.name
-        if report.failed_blocks and name == header:
+        if (report.failed_blocks
+                and name == self.assignment.header_scheme.name):
             return (f"stream {name}: uncorrectable damage in a "
                     f"precise-scheme stream")
         return ""

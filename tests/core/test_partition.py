@@ -22,7 +22,7 @@ def protected(encoded_medium, importance_medium):
 
 class TestPartition:
     def test_split_merge_identity(self, protected, encoded_medium):
-        payloads = merge_streams(protected)
+        payloads = merge_streams(protected, protected.streams)
         assert payloads == encoded_medium.frame_payloads()
 
     def test_stream_bits_total_payload(self, protected, encoded_medium):
@@ -89,7 +89,7 @@ class TestMergeWithCorruption:
 
     def test_decodes_after_roundtrip(self, protected, encoded_medium,
                                      decoded_medium):
-        payloads = merge_streams(protected)
+        payloads = merge_streams(protected, protected.streams)
         clone = encoded_medium.with_payloads(payloads)
         assert frames_equal(Decoder().decode(clone), decoded_medium)
 

@@ -49,7 +49,8 @@ class TestPartitionProperties:
         not just the paper's."""
         _video, encoded, importance = analyzed
         protected = partition_video(encoded, importance, assignment)
-        assert merge_streams(protected) == encoded.frame_payloads()
+        assert merge_streams(protected, protected.streams) == \
+            encoded.frame_payloads()
 
     @given(assignment=assignments())
     @settings(max_examples=20, deadline=None)

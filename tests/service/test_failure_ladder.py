@@ -19,6 +19,7 @@ against its shard pool — no mocks:
 import numpy as np
 import pytest
 
+from repro.metrics import video_psnr
 from repro.runtime import chaos
 from repro.service import Keyring, ShardPool, VideoObjectStore, stream_key
 from repro.video import SceneConfig, synthesize_scene
@@ -66,7 +67,7 @@ def test_uncorrectable_damage_is_concealed():
             # Concealment still returns every frame, degraded not
             # absent.
             assert result.video is not None and len(result.video) == 4
-            assert result.psnr_db is not None
+            assert np.isfinite(video_psnr(_clip(1), result.video))
             return
     pytest.fail("no seed in 0..49 produced a concealed read at "
                 f"t={AGED_DAYS:g}d with retries off")
@@ -91,7 +92,7 @@ def test_substrate_corruption_is_refused_not_served():
                        rng=np.random.default_rng(0))
     assert result.outcome == "refused"
     assert "integrity hash mismatch" in result.refusal_reason
-    assert result.video is None and result.psnr_db is None
+    assert result.video is None
     assert any("refused" in event.detail
                for event in store.audit.events("read"))
 

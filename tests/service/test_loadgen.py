@@ -72,6 +72,10 @@ class TestRun:
         successes = sum(count for outcome, count in served.items()
                         if outcome != "refused")
         assert successes > 0
+        # The loadgen grades served frames against its source clips.
+        for point in quick_report.degradation:
+            if any(outcome != "refused" for outcome in point["outcomes"]):
+                assert isinstance(point["psnr_db"], float), point
 
     def test_to_dict_is_json_shaped(self, quick_report):
         import json
