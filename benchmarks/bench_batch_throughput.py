@@ -96,6 +96,8 @@ def _per_clip_pass(videos, config=_CONFIG):
     streams = []
     for video in videos:
         encoded = Encoder(config).encode(video)
+        # A fresh decoder per clip, as a one-clip pipeline has: the
+        # reference pass must not reuse a memo across repeats.
         list(Decoder().decode(encoded))
         streams.append(encoded)
     return streams

@@ -138,6 +138,8 @@ def test_codec_throughput(scale):
         video = synthesize_scene(scene)
         encoder = Encoder(_CONFIG)
         encode_s, encoded = _best_of(repeats, lambda: encoder.encode(video))
+        # A fresh decoder per timed decode: one kept across repeats
+        # would serve every frame from its memo after the first.
         decode_s, _ = _best_of(repeats, lambda: list(Decoder().decode(encoded)))
         encode_fps = frames / encode_s
         decode_fps = frames / decode_s

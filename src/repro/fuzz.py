@@ -24,6 +24,11 @@ That gives :meth:`~repro.codec.decoder.Decoder.decode` a hard contract:
   ranges land relative to slice boundaries.
 * **either way, under a deadline**: a decode that hangs is as much a
   contract violation as one that crashes.
+* **memo transparency**: one decoder (and one concealing decoder)
+  serves every trial, so its frame memo sees each hostile stream after
+  the ones before it; every decode that returns is repeated on a fresh
+  :class:`~repro.codec.decoder.Decoder`, and any pixel that differs is
+  a contract violation like a crash.
 
 :func:`fuzz_decoder` hammers randomized corruptions through that
 contract and persists every counterexample bitstream (plus a JSON
@@ -197,6 +202,30 @@ def _check_full_geometry(decoded, encoded: EncodedVideo) -> None:
                 f"{frame.shape}, expected {expected}")
 
 
+def _decode_under_contract(strategy: str, victim: EncodedVideo,
+                           damage: Optional[DamageMap], decoder: Decoder,
+                           concealer: Decoder, display: int) -> None:
+    """One trial's decode, then the same decode on a fresh
+    :class:`~repro.codec.decoder.Decoder`: the long-lived decoders'
+    frame memos must never change a pixel."""
+    if strategy == STRATEGY_CONCEAL:
+        decoded = concealer.decode(victim, damage)
+        _check_full_geometry(decoded, victim)
+        fresh = Decoder(conceal_uncorrectable=True).decode(victim, damage)
+    elif strategy == STRATEGY_SEEK_INDEX and victim.header.num_frames:
+        # A container that parses must still serve random access; a
+        # dropped index means the seek falls back to a full decode.
+        decoded = [decoder.decode_frame_at(victim, display)]
+        fresh = [Decoder().decode_frame_at(victim, display)]
+    else:
+        decoded = decoder.decode(victim)
+        fresh = Decoder().decode(victim)
+    if len(decoded) != len(fresh) or not all(
+            np.array_equal(got, want) for got, want in zip(decoded, fresh)):
+        raise AnalysisError(
+            "long-lived decoder's pixels differ from a fresh decoder's")
+
+
 def _corrupt_blob(blob: bytes, strategy: str,
                   rng: np.random.Generator) -> bytes:
     """Damage the serialized container itself (headers included)."""
@@ -340,18 +369,13 @@ def fuzz_decoder(encoded: EncodedVideo,
                                     _declared_pixels(encoded):
                                 report.oversized += 1
                                 continue
-                        if strategy == STRATEGY_CONCEAL:
-                            _check_full_geometry(
-                                concealer.decode(victim, damage), victim)
-                        elif strategy == STRATEGY_SEEK_INDEX and \
+                        display = 0
+                        if strategy == STRATEGY_SEEK_INDEX and \
                                 victim.header.num_frames:
-                            # A container that parses must still serve
-                            # random access; a dropped index means the
-                            # seek falls back to a full decode.
-                            decoder.decode_frame_at(victim, int(
-                                rng.integers(0, victim.header.num_frames)))
-                        else:
-                            decoder.decode(victim)
+                            display = int(
+                                rng.integers(0, victim.header.num_frames))
+                        _decode_under_contract(strategy, victim, damage,
+                                               decoder, concealer, display)
             except allowed:
                 pass  # the codec's own, documented rejection path
             except TrialTimeout as exc:
@@ -421,14 +445,8 @@ def replay_corpus(corpus_dir: Union[str, Path],
                     with trial_deadline(timeout,
                                         f"replay {blob_path.name}"):
                         victim = EncodedVideo.deserialize(blob)
-                        if strategy == STRATEGY_CONCEAL:
-                            _check_full_geometry(
-                                concealer.decode(victim, damage), victim)
-                        elif strategy == STRATEGY_SEEK_INDEX and \
-                                victim.header.num_frames:
-                            decoder.decode_frame_at(victim, 0)
-                        else:
-                            decoder.decode(victim)
+                        _decode_under_contract(strategy, victim, damage,
+                                               decoder, concealer, 0)
             except allowed:
                 pass
             except TrialTimeout as exc:

@@ -478,7 +478,8 @@ class VideoObjectStore:
         }
         frame_damage = (map_stream_damage(record, damage)
                         if damage else {})
-        result.video = self._decoder.decode(corrupted, frame_damage)
+        result.video = self._decoder.decode(corrupted, frame_damage,
+                                            scope=record.tenant)
         if damage:
             result.outcome = CONCEALED
             result.concealed_streams = tuple(sorted(damage))
@@ -627,7 +628,7 @@ class VideoObjectStore:
         frame_damage = (map_stream_damage(record, damage)
                         if damage else {})
         gop = self._decoder.decode_range(corrupted, gop_start, gop_stop,
-                                         frame_damage)
+                                         frame_damage, scope=record.tenant)
         if damage:
             result.outcome = CONCEALED
             result.concealed_streams = tuple(sorted(damage))
