@@ -26,12 +26,18 @@ from .modes import MODES, BlockMode
 APPROVED_MODES = ("OFB", "CTR")
 
 
+#: Derived stream modes one :class:`StreamEncryptor` keeps; a store
+#: uses one per reliability stream, far fewer than this.
+_MODE_MEMO_LIMIT = 64
+
+
 def derive_stream_iv(master_iv: bytes, stream_id: int, key: bytes) -> bytes:
     """Per-stream IV: encrypt (master_iv XOR stream_id) under the key."""
-    return _stream_iv(AES128(key), master_iv, stream_id)
+    return AES128(key).encrypt_block(_iv_source(master_iv, stream_id))
 
 
-def _stream_iv(cipher: AES128, master_iv: bytes, stream_id: int) -> bytes:
+def _iv_source(master_iv: bytes, stream_id: int) -> bytes:
+    """The block a stream's IV encrypts: ``master_iv XOR stream_id``."""
     if len(master_iv) != BLOCK_SIZE:
         raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
     if stream_id < 0:
@@ -40,7 +46,7 @@ def _stream_iv(cipher: AES128, master_iv: bytes, stream_id: int) -> bytes:
     identifier = stream_id.to_bytes(BLOCK_SIZE, "big")
     for index in range(BLOCK_SIZE):
         mixed[index] ^= identifier[index]
-    return cipher.encrypt_block(bytes(mixed))
+    return bytes(mixed)
 
 
 @dataclass
@@ -65,10 +71,35 @@ class StreamEncryptor:
             raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
         # Expanded once: every stream's IV and mode share this cipher.
         self._cipher = AES128(self.key)
+        self._modes: Dict[bytes, BlockMode] = {}
+
+    def __getstate__(self) -> dict:
+        # The mode memo is derived state: a pickle or deep copy carries
+        # the same fields whichever streams were used before it.
+        state = self.__dict__.copy()
+        del state["_modes"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._modes = {}
 
     def _mode_for(self, stream_id: int) -> BlockMode:
-        iv = _stream_iv(self._cipher, self.master_iv, stream_id)
-        return MODES[self.mode](self._cipher, iv)
+        """The stream's keystream mode, its IV derived once.
+
+        Memoized by the IV-derivation input, so whatever goes into
+        that block decides which mode is reused. The approved modes
+        keep no state between calls, so one instance serves every
+        request and thread.
+        """
+        source = _iv_source(self.master_iv, stream_id)
+        mode = self._modes.get(source)
+        if mode is None:
+            mode = MODES[self.mode](self._cipher,
+                                    self._cipher.encrypt_block(source))
+            if len(self._modes) < _MODE_MEMO_LIMIT:
+                mode = self._modes.setdefault(source, mode)
+        return mode
 
     def encrypt_streams(self, streams: Dict[int, bytes]) -> Dict[int, bytes]:
         """Encrypt each stream under its derived IV (sizes preserved)."""

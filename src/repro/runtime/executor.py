@@ -705,11 +705,15 @@ class TrialExecutor:
                         inflight.clear()
                         budgets.clear()
                         discard_pool(kill=False)
-                        if len(broken_chunks) == 1 and not collateral:
+                        if len(batch) == 1:
                             settle(broken_chunks[0], FAILURE_CRASH,
                                    "worker process died executing this "
                                    "trial")
                         else:
+                            # Blame only in isolation: whether the other
+                            # chunks finished before the crash was seen
+                            # is timing, so a shared batch's crash always
+                            # re-runs its suspects one at a time first.
                             suspects.extend(broken_chunks)
                             suspects.extend(collateral)
                         break

@@ -6,8 +6,9 @@ simulation harness — determinism *is* the security property under
 test here, not secrecy). The keyring answers three questions:
 
 * **what key encrypts tenant T's streams** — :meth:`Keyring.encryptor`
-  builds the per-tenant :class:`~repro.crypto.streams.StreamEncryptor`
-  (CTR mode: positional, so damage coordinates survive decryption);
+  hands out the per-tenant :class:`~repro.crypto.streams.StreamEncryptor`
+  (CTR mode: positional, so damage coordinates survive decryption),
+  built once per tenant;
 * **may tenant A read tenant B's object** — owner always; otherwise
   only if B's policy lists A in ``shared_with`` (checked by
   :meth:`Keyring.check_read`, which raises
@@ -66,6 +67,18 @@ class Keyring:
         self.seed = int(seed)
         self._keys: Dict[str, TenantKey] = {}
         self._policies: Dict[str, TenantPolicy] = {}
+        #: One expanded encryptor per key; rebuilt on demand, so it
+        #: stays out of pickles and deep copies.
+        self._encryptors: Dict[TenantKey, StreamEncryptor] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_encryptors"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._encryptors = {}
 
     def add_tenant(self, tenant: str) -> TenantKey:
         """Register ``tenant`` (idempotent) and return its key."""
@@ -124,7 +137,22 @@ class Keyring:
         return self._keys[tenant]
 
     def encryptor(self, tenant: str) -> StreamEncryptor:
-        """A CTR-mode stream encryptor under the tenant's live key."""
+        """The CTR-mode stream encryptor under the tenant's live key.
+
+        Every call runs the retire check of :meth:`key` first, so a
+        retired tenant's reads and writes fail closed from the next
+        call on, however warm its encryptor is. The encryptor itself
+        is built (key schedule expanded) on the tenant's first call and
+        handed out again afterwards: it holds no per-request state, so
+        concurrent requests share it.
+        """
         material = self.key(tenant)
-        return StreamEncryptor(key=material.key,
-                               master_iv=material.master_iv, mode="CTR")
+        encryptor = self._encryptors.get(material)
+        if encryptor is None:
+            # Racing first calls may each build one; setdefault makes
+            # them all hand out the same.
+            encryptor = self._encryptors.setdefault(
+                material, StreamEncryptor(key=material.key,
+                                          master_iv=material.master_iv,
+                                          mode="CTR"))
+        return encryptor

@@ -58,6 +58,7 @@ from ..codec.seek import SeekIndex
 from ..core.assignment import PAPER_TABLE1, ClassAssignment
 from ..core.importance import compute_importance
 from ..core.partition import (
+    StreamLayout,
     map_stream_damage,
     merge_streams,
     partition_video,
@@ -98,6 +99,43 @@ def stream_key(tenant: str, object_id: str, stream: str) -> str:
     return f"{tenant}/{object_id}/{stream}"
 
 
+@dataclass(frozen=True)
+class GopPlan:
+    """What a seek into one display GOP fetches and decodes.
+
+    It depends on the manifest alone, so the store derives it once, at
+    ingest, with the same helpers a seek miss would otherwise run.
+    """
+
+    #: First display frame (the GOP's anchor I frame).
+    start: int
+    #: One past the GOP's last display frame.
+    stop: int
+    #: Container positions (coded order) of the GOP's dependency
+    #: closure: the frames the partial decode needs.
+    positions: Tuple[int, ...]
+    #: Stream name -> half-open stream-bit range those frames' payload
+    #: segments span; streams they never touch are absent.
+    ranges: Dict[str, Tuple[int, int]]
+
+
+def plan_gops(encoded: EncodedVideo,
+              layout: StreamLayout) -> Dict[int, GopPlan]:
+    """Every display GOP's :class:`GopPlan`, keyed by anchor display."""
+    index = encoded.seek_index_or_build()
+    anchors = [entry.anchor_display for entry in index.gops]
+    plans: Dict[int, GopPlan] = {}
+    for start, stop in zip(anchors, anchors[1:] + [index.num_frames]):
+        positions = dependency_closure(encoded, range(start, stop))
+        ranges = stream_ranges_for_frames(layout, positions)
+        plans[start] = GopPlan(
+            start=int(start), stop=int(stop),
+            positions=tuple(int(p) for p in positions),
+            ranges={name: (int(lo), int(hi))
+                    for name, (lo, hi) in ranges.items()})
+    return plans
+
+
 @dataclass
 class ObjectRecord:
     """The manifest of one placed object: its precise storage only.
@@ -105,8 +143,9 @@ class ObjectRecord:
     The paper keeps headers and pivot tables precise and puts every
     payload bit on the approximate device (Sections 4.4, 5.3). The
     record holds exactly that precise part — video and frame headers,
-    seek index, pivot tables, per-stream lengths and bit counts — plus
-    the write-time ciphertext hashes and replica chains. It holds no
+    seek index, pivot tables, per-stream lengths and bit counts, and
+    the per-GOP fetch plans derived from them — plus the write-time
+    ciphertext hashes and replica chains. It holds no
     payload, stream or pixel bytes, so a read can only serve what the
     shards return. It is a :class:`~repro.core.partition.StreamLayout`:
     the core stream helpers read it as they read a full
@@ -119,6 +158,8 @@ class ObjectRecord:
     #: Coded order; their slice lengths give every payload's size.
     frame_headers: List[FrameHeader]
     seek_index: SeekIndex
+    #: Anchor display -> fetch plan of that display GOP.
+    gop_plans: Dict[int, GopPlan]
     pivots: List[FramePivots]
     #: Stream name -> exact (pre-padding) bit count.
     stream_bits: Dict[str, int]
@@ -312,6 +353,7 @@ class VideoObjectStore:
             video_header=encoded.header,
             frame_headers=protected.frame_headers,
             seek_index=encoded.seek_index_or_build(),
+            gop_plans=plan_gops(encoded, protected),
             pivots=protected.pivots, stream_bits=protected.stream_bits,
             stream_lengths=protected.stream_lengths,
             stream_sha=stream_sha, placement=placement,
@@ -547,13 +589,9 @@ class VideoObjectStore:
                         reader: str, display: int,
                         rng: np.random.Generator) -> FrameReadResult:
         """Partial read + partial decode of the frame's display GOP."""
-        index = record.seek_index
-        entry = index.gop_for_display(display)
-        anchors = [e.anchor_display for e in index.gops]
-        which = anchors.index(entry.anchor_display)
-        gop_start = entry.anchor_display
-        gop_stop = (anchors[which + 1] if which + 1 < len(anchors)
-                    else index.num_frames)
+        plan = record.gop_plans[
+            record.seek_index.gop_for_display(display).anchor_display]
+        gop_start, gop_stop = plan.start, plan.stop
         bytes_total = sum(record.stream_lengths.values())
         key = (record.tenant, record.object_id, gop_start)
         cached = self.gop_cache.get(key)
@@ -566,12 +604,8 @@ class VideoObjectStore:
                 concealed_streams=cached.concealed_streams,
                 cache_hit=True, gop_anchor=gop_start,
                 bytes_total=bytes_total)
-        # The closure reads frame headers only: nothing is fetched yet,
-        # so the container it walks carries empty payloads.
-        positions = dependency_closure(
-            record.container([b""] * record.frames),
-            range(gop_start, gop_stop))
-        bit_ranges = stream_ranges_for_frames(record, positions)
+        positions = plan.positions
+        bit_ranges = plan.ranges
         ordered = sorted(record.stream_lengths)
         buffers: Dict[str, bytes] = {}
         reports: Dict[str, StorageReport] = {}

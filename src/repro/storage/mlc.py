@@ -64,11 +64,6 @@ def gray_decode(code: int) -> int:
     return value
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
-
-
 @dataclass
 class MLCCellModel:
     """An L-level PCM cell population.
@@ -215,21 +210,24 @@ class MLCCellModel:
         if t_days is None:
             t_days = self.scrub_interval_days
         log_t = self._log_time(t_days)
-        means = self.level_positions * (1.0 + self.drift_coefficient * log_t)
-        sigmas = self._sigma_at(self.level_positions, t_days)
-        thresholds = self.thresholds_at(t_days)
+        # Python floats round exactly as float64 scalars do, so the
+        # scalar tails below are bit-identical to an elementwise numpy
+        # evaluation of the same expressions, at a fraction of its cost.
+        means = (self.level_positions
+                 * (1.0 + self.drift_coefficient * log_t)).tolist()
+        sigmas = self._sigma_at(self.level_positions, t_days).tolist()
+        thresholds = self.thresholds_at(t_days).tolist()
+        root2 = math.sqrt(2.0)
         rates = np.empty(self.levels)
         for index in range(self.levels):
-            low = (thresholds[index - 1]
-                   if index > 0 else -math.inf)
-            high = (thresholds[index]
-                    if index < self.levels - 1 else math.inf)
-            sigma = sigmas[index]
-            below = (0.0 if low == -math.inf else
-                     float(_phi(np.array([(low - means[index]) / sigma]))[0]))
-            above = (0.0 if high == math.inf else
-                     1.0 - float(_phi(np.array([(high - means[index])
-                                                / sigma]))[0]))
+            mean, sigma = means[index], sigmas[index]
+            # Standard normal CDF of each tail: 0.5 * (1 + erf(z / sqrt 2)).
+            below = (0.5 * (1.0 + math.erf(
+                (thresholds[index - 1] - mean) / sigma / root2))
+                if index > 0 else 0.0)
+            above = (1.0 - 0.5 * (1.0 + math.erf(
+                (thresholds[index] - mean) / sigma / root2))
+                if index < self.levels - 1 else 0.0)
             rates[index] = below + above
         return rates
 

@@ -1,8 +1,12 @@
 """Tests for multi-stream encryption."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.crypto import CTR, OFB, StreamEncryptor, derive_stream_iv
+from repro.crypto.streams import _MODE_MEMO_LIMIT
 from repro.errors import CryptoError
 
 KEY = bytes(range(16))
@@ -135,3 +139,58 @@ class TestSharedCipher:
             window = encrypted[stream_id][100:600]
             assert encryptor.decrypt_at(stream_id, window, 100) == \
                 reference.decrypt_range(window, 100)
+
+
+class TestModeMemo:
+    """Each stream's IV and mode are derived once per encryptor; the
+    memo changes no output and never travels in a pickle or copy."""
+
+    STREAMS = TestSharedCipher.STREAMS
+
+    def test_memo_holds_one_mode_per_stream_and_changes_nothing(self):
+        encryptor = StreamEncryptor(key=KEY, master_iv=MASTER_IV)
+        encrypted = encryptor.encrypt_streams(self.STREAMS)
+        assert len(encryptor._modes) == len(self.STREAMS)
+        modes = dict(encryptor._modes)
+        for _ in range(2):
+            assert encryptor.decrypt_streams(encrypted) == self.STREAMS
+            assert encryptor.decrypt_at(0, encrypted[0][40:90], 40) == \
+                self.STREAMS[0][40:90]
+        assert encryptor._modes == modes
+        for mode in modes.values():
+            assert isinstance(mode, CTR)
+        assert sorted(mode.iv for mode in modes.values()) == sorted(
+            derive_stream_iv(MASTER_IV, stream_id, KEY)
+            for stream_id in self.STREAMS)
+
+    def test_memo_is_keyed_by_the_derivation_input(self):
+        # Same key, other master IV: same stream ids, other IVs.
+        one = StreamEncryptor(key=KEY, master_iv=MASTER_IV)
+        other = StreamEncryptor(key=KEY, master_iv=bytes(16))
+        one.encrypt_streams({1: b"x"})
+        other.encrypt_streams({1: b"x"})
+        assert set(one._modes).isdisjoint(other._modes)
+        assert [m.iv for m in other._modes.values()] == [
+            derive_stream_iv(bytes(16), 1, KEY)]
+
+    def test_pickle_and_copy_carry_no_memo(self):
+        encryptor = StreamEncryptor(key=KEY, master_iv=MASTER_IV)
+        blob = pickle.dumps(encryptor)
+        encrypted = encryptor.encrypt_streams(self.STREAMS)
+        assert encryptor._modes
+        assert pickle.dumps(encryptor) == blob
+        assert sorted(encryptor.__getstate__()) == [
+            "_cipher", "key", "master_iv", "mode"]
+        for clone in (pickle.loads(blob), copy.deepcopy(encryptor)):
+            assert clone._modes == {}
+            assert clone == encryptor
+            assert clone.decrypt_streams(encrypted) == self.STREAMS
+
+    def test_memo_stays_bounded(self):
+        encryptor = StreamEncryptor(key=KEY, master_iv=MASTER_IV)
+        data = bytes(range(40))
+        for stream_id in range(_MODE_MEMO_LIMIT + 8):
+            reference = CTR(KEY, derive_stream_iv(MASTER_IV, stream_id, KEY))
+            assert encryptor.decrypt_at(stream_id, data, 7) == \
+                reference.decrypt_range(data, 7)
+        assert len(encryptor._modes) == _MODE_MEMO_LIMIT

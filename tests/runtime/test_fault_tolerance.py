@@ -56,6 +56,11 @@ def _crash(state, spec):
     os._exit(13)  # simulates a segfault/OOM kill: no cleanup, no pickle
 
 
+def _late_crash(state, spec):
+    time.sleep(spec.rate)
+    os._exit(13)
+
+
 def _sleeper(state, spec):
     time.sleep(spec.rate)
     return TrialResult(spec.index, 0.0, 0, False)
@@ -84,9 +89,10 @@ def _trial_kinds():
     register_trial_kind("ft_sleeper", _sleeper)
     register_trial_kind("ft_raiser", _raiser)
     register_trial_kind("ft_stubborn", _stubborn)
+    register_trial_kind("ft_late_crash", _late_crash)
     yield
     for kind in ("ft_noisy", "ft_crash", "ft_sleeper", "ft_raiser",
-                 "ft_stubborn"):
+                 "ft_stubborn", "ft_late_crash"):
         unregister_trial_kind(kind)
 
 
@@ -219,6 +225,31 @@ class TestCrashRecovery:
             if pos == 5:
                 continue
             assert results[pos] == serial[pos]
+
+    def test_crash_accounting_ignores_completion_order(self):
+        # The same poison trial, two schedules: it dies at once while
+        # its neighbours are still running, or only after they have
+        # finished. Either way it must be re-run alone before blame
+        # lands, so retries, quarantines and pool restarts agree.
+        schedules = {
+            "victim_first": {0: ("ft_sleeper", 0.5), 1: ("ft_crash", 0.0),
+                             2: ("ft_sleeper", 0.5)},
+            "victim_last": {1: ("ft_late_crash", 1.0)},
+        }
+        seen = {}
+        for name, overrides in schedules.items():
+            executor = TrialExecutor(workers=2, max_retries=2,
+                                     backoff_base=0.01)
+            results, stats = executor.run_with_stats(
+                TrialContext(), _specs(3, overrides), chunksize=1)
+            assert isinstance(results[1], TrialFailure), name
+            assert results[1].kind == FAILURE_CRASH
+            assert results[1].attempts == 3
+            assert all(isinstance(results[pos], TrialResult)
+                       for pos in (0, 2)), name
+            seen[name] = (stats.retried, stats.quarantined,
+                          stats.pool_restarts)
+        assert seen["victim_first"] == seen["victim_last"] == (2, 1, 4)
 
     def test_whole_campaign_of_crashes_terminates(self):
         specs = _specs(3)

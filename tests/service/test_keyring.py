@@ -1,5 +1,8 @@
 """Tests for the tenant keyring and access policy."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import AccessDeniedError, ServiceError, StaleKeyError
@@ -69,3 +72,36 @@ class TestKeyring:
         sealed = enc.encrypt_streams({0: blob})
         assert sealed[0] != blob
         assert ring.encryptor("alice").decrypt_streams(sealed)[0] == blob
+
+
+class TestEncryptorPerTenant:
+    def test_one_encryptor_per_tenant(self):
+        ring = Keyring(seed=3)
+        ring.add_tenant("alice")
+        ring.add_tenant("bob")
+        assert ring.encryptor("alice") is ring.encryptor("alice")
+        assert ring.encryptor("alice") != ring.encryptor("bob")
+
+    def test_warm_encryptor_still_fails_closed(self):
+        ring = Keyring(seed=3)
+        ring.add_tenant("alice")
+        ring.encryptor("alice").encrypt_streams({0: bytes(40)})
+        ring.retire("alice")
+        with pytest.raises(StaleKeyError):
+            ring.encryptor("alice")
+
+    def test_pickle_and_copy_carry_no_encryptors(self):
+        ring = Keyring(seed=3)
+        ring.add_tenant("alice")
+        ring.add_tenant("bob")
+        ring.share("alice", "bob")
+        blob = pickle.dumps(ring)
+        warm = ring.encryptor("alice")
+        warm.encrypt_streams({0: bytes(40), 1: bytes(8)})
+        assert pickle.dumps(ring) == blob
+        assert sorted(ring.__getstate__()) == ["_keys", "_policies", "seed"]
+        for clone in (pickle.loads(blob), copy.deepcopy(ring)):
+            assert clone._encryptors == {}
+            assert clone.encryptor("alice") is not warm
+            assert clone.encryptor("alice") == warm
+            assert clone.policy("alice").shared_with == {"bob"}

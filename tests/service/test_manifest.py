@@ -210,6 +210,32 @@ class TestManifestHelpersEqualFullContainer:
             assert stream_ranges_for_frames(record, positions) == \
                 stream_ranges_for_frames(protected, positions)
 
+    def test_gop_plans_equal_the_on_the_fly_plan(self, layouts):
+        protected, record = layouts
+        index = record.seek_index
+        anchors = [entry.anchor_display for entry in index.gops]
+        assert sorted(record.gop_plans) == anchors
+        # What a seek miss computed before the plans were stored: the
+        # closure over a header-only container, then its stream ranges.
+        header_only = record.container([b""] * record.frames)
+        for start, stop in zip(anchors, anchors[1:] + [index.num_frames]):
+            plan = record.gop_plans[start]
+            positions = dependency_closure(header_only, range(start, stop))
+            assert (plan.start, plan.stop) == (start, stop)
+            assert list(plan.positions) == positions
+            assert plan.ranges == stream_ranges_for_frames(record,
+                                                           positions)
+            assert plan.ranges == stream_ranges_for_frames(
+                protected,
+                dependency_closure(protected.encoded, range(start, stop)))
+            assert all(type(p) is int for p in plan.positions)
+            assert all(type(bit) is int for extent in plan.ranges.values()
+                       for bit in extent)
+        for display in range(record.frames):
+            plan = record.gop_plans[
+                index.gop_for_display(display).anchor_display]
+            assert plan.start <= display < plan.stop
+
     def test_map_stream_damage(self, layouts):
         protected, record = layouts
         assert map_stream_damage(record, {}) == \

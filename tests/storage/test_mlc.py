@@ -1,5 +1,7 @@
 """Tests for the MLC PCM cell model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,3 +184,50 @@ class TestRetentionDrift:
         assert empirical == pytest.approx(
             model.raw_bit_error_rate(3650.0), rel=0.5)
         assert empirical > 1.5 * model.raw_bit_error_rate()
+
+
+def _vectorized_level_error_rates(model, t_days):
+    """The level tails as the model evaluated them before its scalar
+    form: one ``np.vectorize(math.erf)`` call per tail."""
+
+    def phi(x):
+        return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+
+    if t_days is None:
+        t_days = model.scrub_interval_days
+    log_t = model._log_time(t_days)
+    means = model.level_positions * (1.0 + model.drift_coefficient * log_t)
+    sigmas = model._sigma_at(model.level_positions, t_days)
+    thresholds = model.thresholds_at(t_days)
+    rates = np.empty(model.levels)
+    for index in range(model.levels):
+        low = thresholds[index - 1] if index > 0 else -math.inf
+        high = thresholds[index] if index < model.levels - 1 else math.inf
+        sigma = sigmas[index]
+        below = (0.0 if low == -math.inf else
+                 float(phi(np.array([(low - means[index]) / sigma]))[0]))
+        above = (0.0 if high == math.inf else
+                 1.0 - float(phi(np.array([(high - means[index])
+                                           / sigma]))[0]))
+        rates[index] = below + above
+    return rates
+
+
+class TestScalarTails:
+    """Scalar ``math.erf`` tails are bit-identical to the vectorized
+    reference: every device error draw compares against this rate."""
+
+    AGES = (None, 0.0, 1.0, 30.0, 90.0, 300.0, 3e3, 3e4, 1e5, 3e5, 1e6,
+            1e7)
+
+    @pytest.mark.parametrize("model", [
+        MLCCellModel(), MLCCellModel(levels=4), calibrated_model(1e-4)],
+        ids=["default", "four_level", "calibrated_1e-4"])
+    @pytest.mark.parametrize("t_days", AGES)
+    def test_rates_match_the_vectorized_reference(self, model, t_days):
+        reference = _vectorized_level_error_rates(model, t_days)
+        rates = model.level_error_rates(t_days)
+        assert rates.dtype == reference.dtype
+        assert rates.tobytes() == reference.tobytes()
+        raw = float(np.mean(reference)) / model.bits_per_cell
+        assert model.raw_bit_error_rate(t_days) == raw
