@@ -137,7 +137,7 @@ class ServiceFrontend:
             None, partial(self.store.get_frame, tenant, object_id,
                           display, reader=reader, rng=rng))
 
-    # -- retry / backoff / hedging ----------------------------------------
+    # -- retry / backoff --------------------------------------------------
 
     def backoff_delays(self, attempts: Optional[int] = None,
                        backoff_ms: Optional[int] = None) -> List[float]:
@@ -154,41 +154,6 @@ class ServiceFrontend:
                 else service_config.resolve_backoff_ms(backoff_ms))
         return [base * (2 ** i) / 1000.0 for i in range(attempts - 1)]
 
-    async def _with_retry(self, label: str,
-                          attempt: Callable[[], Awaitable],
-                          sleep: Optional[Callable[[float],
-                                                   Awaitable]] = None):
-        """Run ``attempt`` under the bounded backoff ladder.
-
-        Retries :class:`ServiceOverloadError` and
-        :class:`TransientShardError` only — data-integrity refusals
-        are never retried (a refusal is an answer, not a fault).
-        ``sleep`` is injectable so tests drive a seeded fake clock.
-        """
-        sleep = sleep if sleep is not None else asyncio.sleep
-        delays = self.backoff_delays()
-        last: Optional[Exception] = None
-        for index in range(len(delays) + 1):
-            try:
-                return await attempt()
-            except (ServiceOverloadError, TransientShardError) as exc:
-                last = exc
-                obs_metrics.counter(
-                    f"service_{label}_retries_total").inc()
-                if index < len(delays):
-                    await sleep(delays[index])
-        obs_metrics.counter(
-            f"service_{label}_retries_exhausted_total").inc()
-        assert last is not None
-        raise last
-
-    async def ingest_with_retry(
-            self, tenant: str, video: VideoSequence,
-            sleep: Optional[Callable[[float], Awaitable]] = None) -> str:
-        """:meth:`ingest` under the bounded backoff ladder."""
-        return await self._with_retry(
-            "ingest", lambda: self.ingest(tenant, video), sleep)
-
     async def read_with_retry(
             self, tenant: str, object_id: str,
             reader: Optional[str] = None,
@@ -197,46 +162,26 @@ class ServiceFrontend:
     ) -> ReadResult:
         """:meth:`read` under the bounded backoff ladder.
 
-        Retries only operational faults (all replicas flaked); each
-        retry re-reads with the same ``rng``, whose stream has
-        advanced, so the chaos flake schedule decides whether the
-        retry lands.
+        Retries only :class:`TransientShardError` (every readable
+        replica of a stream flaked) — a refusal is an answer, not a
+        fault, and is never retried. Each retry re-reads with the same
+        ``rng``, whose stream has advanced, so the chaos flake schedule
+        decides whether the retry lands. ``sleep`` is injectable so
+        tests drive a fake clock.
         """
-        return await self._with_retry(
-            "read",
-            lambda: self.read(tenant, object_id, reader=reader, rng=rng),
-            sleep)
-
-    async def read_hedged(self, tenant: str, object_id: str,
-                          reader: Optional[str] = None,
-                          rng: Optional[np.random.Generator] = None,
-                          hedge_after_s: float = 0.05,
-                          hedge_rng: Optional[np.random.Generator] = None
-                          ) -> ReadResult:
-        """Read with a hedged secondary attempt after a deadline.
-
-        If the primary read has not completed within ``hedge_after_s``
-        a second, independent read is launched (seeded by
-        ``hedge_rng`` so the hedge's error draws replay) and the first
-        to finish wins. The loser keeps running on the executor — a
-        shard read cannot be revoked — but its result is discarded.
-        """
-        primary = asyncio.ensure_future(
-            self.read(tenant, object_id, reader=reader, rng=rng))
-        try:
-            return await asyncio.wait_for(asyncio.shield(primary),
-                                          timeout=hedge_after_s)
-        except asyncio.TimeoutError:
-            pass
-        obs_metrics.counter("service_hedged_reads_total").inc()
-        hedge = asyncio.ensure_future(
-            self.read(tenant, object_id, reader=reader, rng=hedge_rng))
-        done, pending = await asyncio.wait(
-            {primary, hedge}, return_when=asyncio.FIRST_COMPLETED)
-        winner = primary if primary in done else hedge
-        for task in pending:
-            task.cancel()
-        return await winner
+        sleep = sleep if sleep is not None else asyncio.sleep
+        delays = self.backoff_delays()
+        for delay in delays + [None]:
+            try:
+                return await self.read(tenant, object_id, reader=reader,
+                                       rng=rng)
+            except TransientShardError:
+                obs_metrics.counter("service_read_retries_total").inc()
+                if delay is None:
+                    obs_metrics.counter(
+                        "service_read_retries_exhausted_total").inc()
+                    raise
+                await sleep(delay)
 
     # -- repair -----------------------------------------------------------
 

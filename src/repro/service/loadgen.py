@@ -326,32 +326,40 @@ def _degradation_sweep(store: VideoObjectStore, pool: ShardPool,
     ingest_ordinals = sorted(object_ids)[:max(0, samples)]
     if not ingest_ordinals or not t_grid:
         return []
-    per_age = (len(ingest_ordinals) + 1
-               + (len(ingest_ordinals) if repair else 0))
+    count = len(ingest_ordinals)
+    per_age = count + 1 + (count if repair else 0)
     sweep_entropy = np.random.SeedSequence(
         [seed, 0xDECA7]).spawn(len(t_grid) * per_age)
     sweep_records: List[dict] = []
-    draw = 0
-    for t in t_grid:
-        pool.set_age(t)
-        point = {"t_days": t, "outcomes": {}, "psnr_db": [],
-                 "raw_ok": True, "raw_flipped_bits": 0}
-        for ordinal in ingest_ordinals:
+
+    def sample_reads(phase: str, t, entropy) -> Tuple[dict, List[dict]]:
+        """Read every sample once, one rng per entropy seed; returns
+        the phase's grid point and its records."""
+        point = {"t_days": t, "outcomes": {}, "psnr_db": []}
+        records = []
+        for ordinal, seq in zip(ingest_ordinals, entropy):
             op = plan[ordinal]
-            result = store.get(
-                op.tenant, object_ids[ordinal],
-                rng=np.random.default_rng(sweep_entropy[draw]))
-            draw += 1
+            result = store.get(op.tenant, object_ids[ordinal],
+                               rng=np.random.default_rng(seq))
             point["outcomes"][result.outcome] = (
                 point["outcomes"].get(result.outcome, 0) + 1)
             psnr = _psnr(sources[ordinal], result)
             if psnr is not None:
                 point["psnr_db"].append(psnr)
-            sweep_records.append({
-                "phase": "degradation", "op": ordinal,
-                "t_days": t, "outcome": result.outcome, "psnr": psnr,
+            records.append({
+                "phase": phase, "op": ordinal, "t_days": t,
+                "outcome": result.outcome, "psnr": psnr,
                 "failed_blocks": result.failed_blocks,
             })
+        point["psnr_db"] = (round(float(np.mean(point["psnr_db"])), 2)
+                            if point["psnr_db"] else None)
+        return point, records
+
+    for index, t in enumerate(t_grid):
+        pool.set_age(t)
+        entropy = sweep_entropy[index * per_age:(index + 1) * per_age]
+        point, records = sample_reads("degradation", t, entropy[:count])
+        sweep_records += records
         # Raw baseline: the first sample's biggest ciphertext stream
         # read back with no ECC at this age.
         op = plan[ingest_ordinals[0]]
@@ -361,14 +369,11 @@ def _degradation_sweep(store: VideoObjectStore, pool: ShardPool,
         blob = pool.shard(record.placement[name]).blobs[
             stream_key(record.tenant, record.object_id, name)]
         device = ApproximateDevice(
-            rng=np.random.default_rng(sweep_entropy[draw]))
-        draw += 1
+            rng=np.random.default_rng(entropy[count]))
         _, raw_report = device.store_and_read(blob, NONE_SCHEME,
                                               t_days=t)
-        point["raw_flipped_bits"] = raw_report.flipped_bits
         point["raw_ok"] = raw_report.flipped_bits == 0
-        point["psnr_db"] = (round(float(np.mean(point["psnr_db"])), 2)
-                            if point["psnr_db"] else None)
+        point["raw_flipped_bits"] = raw_report.flipped_bits
         report.degradation.append(point)
         if repair:
             # The sample reads above enqueued read-repair tickets for
@@ -377,27 +382,10 @@ def _degradation_sweep(store: VideoObjectStore, pool: ShardPool,
             pass_report = run_repair_pass(store)
             report.repair_passes.append(
                 {"t_days": t, **pass_report.to_dict()})
-            healed = {"t_days": t, "outcomes": {}, "psnr_db": []}
-            for ordinal in ingest_ordinals:
-                op = plan[ordinal]
-                result = store.get(
-                    op.tenant, object_ids[ordinal],
-                    rng=np.random.default_rng(sweep_entropy[draw]))
-                draw += 1
-                healed["outcomes"][result.outcome] = (
-                    healed["outcomes"].get(result.outcome, 0) + 1)
-                psnr = _psnr(sources[ordinal], result)
-                if psnr is not None:
-                    healed["psnr_db"].append(psnr)
-                sweep_records.append({
-                    "phase": "degradation_repair", "op": ordinal,
-                    "t_days": t, "outcome": result.outcome,
-                    "psnr": psnr, "failed_blocks": result.failed_blocks,
-                })
-            healed["psnr_db"] = (
-                round(float(np.mean(healed["psnr_db"])), 2)
-                if healed["psnr_db"] else None)
+            healed, records = sample_reads("degradation_repair", t,
+                                           entropy[count + 1:])
             report.degradation_repair.append(healed)
+            sweep_records += records
     pool.set_age(None)
     return sweep_records
 

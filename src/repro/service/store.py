@@ -28,8 +28,9 @@ Read path (:meth:`VideoObjectStore.get`) — the four-outcome ladder:
 * ``refused`` — the service will not serve the bytes: the read-back
   hash mismatches the write-time record while the device *claims* a
   clean read (the signature of silent miscorrection or substrate rot),
-  the exact-ECC decoder reported miscorrected blocks, or a
-  precise-scheme stream carries uncorrectable damage.
+  the exact-ECC decoder reported miscorrected blocks, a
+  precise-scheme stream carries uncorrectable damage, or a shard's
+  blob has a size the manifest disagrees with.
 
 Refusal is the invariant the loadgen's degradation exhibit leans on:
 aged shards may force concealment, but never a silently wrong frame.
@@ -251,6 +252,25 @@ class FrameReadResult:
     reports: Dict[str, StorageReport] = field(default_factory=dict)
 
 
+@dataclass
+class _Fetched:
+    """One fetch's windows off the shards, judged.
+
+    ``container`` is ``None`` exactly when ``outcome`` is refused;
+    otherwise it holds the merged payloads, ready for the decoder
+    together with ``frame_damage``.
+    """
+
+    outcome: str
+    reports: Dict[str, StorageReport]
+    refusal_reason: str = ""
+    concealed_streams: Tuple[str, ...] = ()
+    escalated_streams: Tuple[str, ...] = ()
+    bytes_read: int = 0
+    container: Optional[EncodedVideo] = None
+    frame_damage: dict = field(default_factory=dict)
+
+
 class VideoObjectStore:
     """Sharded, content-addressed, per-tenant-encrypted video store."""
 
@@ -372,6 +392,10 @@ class VideoObjectStore:
             rng: Optional[np.random.Generator] = None) -> ReadResult:
         """Serve one object through the full failure ladder.
 
+        A whole read is the seek's fetch with every stream's window set
+        to its full extent, so it walks, judges and decrypts exactly as
+        :meth:`get_frame` does, then decodes every frame.
+
         ``reader`` defaults to the owning tenant; a foreign reader must
         be on the owner's share list (:class:`~repro.errors.
         AccessDeniedError` otherwise) and always decrypts under the
@@ -383,17 +407,27 @@ class VideoObjectStore:
         record = self.record(tenant, object_id)
         with obs_trace.span("service.read", tenant=tenant,
                             reader=reader, object_id=object_id[:12]):
-            self.keyring.add_tenant(reader)
-            try:
-                self.keyring.check_read(tenant, reader)
-                encryptor = self.keyring.encryptor(tenant)
-            except ServiceError as exc:
-                self.audit.record("denied", reader, object_id,
-                                  detail=str(exc))
-                obs_metrics.counter("service_reads_denied_total").inc()
-                raise
-            result = self._read_streams(record, encryptor, reader,
-                                        rng or np.random.default_rng())
+            encryptor = self._encryptor_for(tenant, reader, object_id)
+            fetched = self._fetch(
+                record, encryptor, rng or np.random.default_rng(),
+                {name: (0, length)
+                 for name, length in record.stream_lengths.items()})
+            reports = fetched.reports
+            result = ReadResult(
+                object_id=object_id, tenant=tenant, reader=reader,
+                outcome=fetched.outcome,
+                refusal_reason=fetched.refusal_reason,
+                concealed_streams=fetched.concealed_streams,
+                flipped_bits=sum(r.flipped_bits for r in reports.values()),
+                failed_blocks=sum(r.failed_blocks
+                                  for r in reports.values()),
+                retry_successes=sum(r.retry_successes
+                                    for r in reports.values()),
+                reports=reports,
+                escalated_streams=fetched.escalated_streams)
+            if fetched.container is not None:
+                result.video = self._decoder.decode(
+                    fetched.container, fetched.frame_damage, scope=tenant)
         self.audit.record(
             "read", reader, object_id,
             detail=(f"outcome={result.outcome}"
@@ -402,134 +436,6 @@ class VideoObjectStore:
         obs_metrics.counter(
             f"service_reads_{result.outcome}_total").inc()
         return result
-
-    @staticmethod
-    def _rung(refusal: str, report: StorageReport) -> int:
-        """Ladder rank of one replica read: 0 clean, 1 corrected,
-        2 concealed-tier damage, 3 refused. Lower is better."""
-        if refusal:
-            return 3
-        if report.uncorrectable:
-            return 2
-        if report.retry_successes > 0:
-            return 1
-        return 0
-
-    def _read_one_replicated(self, record: ObjectRecord, name: str,
-                             rng: np.random.Generator):
-        """Walk ``name``'s replica chain; serve the best rung.
-
-        Replicas are read in ring order (primary first) and the walk
-        stops at the first *clean* copy — a damaged or refused primary
-        escalates to the next replica rather than straight to
-        concealment or refusal. Returns ``(data, report, refusal,
-        replica_index, rung)``; ``data``/``report`` are ``None`` only
-        when every replica was unreadable (flaked or drained).
-        """
-        key = stream_key(record.tenant, record.object_id, name)
-        scheme = scheme_by_name(name)
-        chain = record.replica_chain(name)
-        best = None
-        flaked = 0
-        for index, shard_id in enumerate(chain):
-            shard = self.pool.shard(shard_id)
-            if not shard.has(key):
-                continue
-            obs_metrics.counter("service_replica_reads_total").inc()
-            try:
-                data, report = shard.read(key, scheme, rng)
-            except TransientShardError:
-                flaked += 1
-                obs_metrics.counter(
-                    "service_replica_read_faults_total").inc()
-                continue
-            refusal = self._refusal_for(record, name, data, report)
-            rung = self._rung(refusal, report)
-            if best is None or rung < best[4]:
-                best = (data, report, refusal, index, rung)
-            if rung == 0:
-                break
-        if best is None:
-            if flaked:
-                # An operational fault, not data damage: every replica
-                # flaked mid-read. Retryable — let the front-end's
-                # backoff ladder have it rather than refusing.
-                raise TransientShardError(
-                    f"stream {name}: all {flaked} readable replica(s) "
-                    f"flaked")
-            return (None, None,
-                    f"stream {name}: no replica holds the stream",
-                    0, 3)
-        if best[3] > 0:
-            obs_metrics.counter(
-                "service_read_escalations_total").inc()
-        return best
-
-    def _read_streams(self, record: ObjectRecord, encryptor, reader: str,
-                      rng: np.random.Generator) -> ReadResult:
-        """Pull every stream off its replicas and classify the outcome."""
-        ordered = sorted(record.stream_lengths)
-        read_back: Dict[str, bytes] = {}
-        reports: Dict[str, StorageReport] = {}
-        refusal = ""
-        escalated: List[str] = []
-        needs_repair = False
-        # Sorted-name order mirrors the core pipeline: a seeded rng
-        # yields one flip pattern per plan seed regardless of placement.
-        for name in ordered:
-            data, report, stream_refusal, index, rung = \
-                self._read_one_replicated(record, name, rng)
-            if data is not None:
-                read_back[name] = data
-            if report is not None:
-                reports[name] = report
-            if index > 0:
-                escalated.append(name)
-            if rung > 0 or index > 0:
-                needs_repair = True
-            refusal = refusal or stream_refusal
-        if needs_repair:
-            self.repair.enqueue(record.tenant, record.object_id)
-        result = ReadResult(
-            object_id=record.object_id, tenant=record.tenant,
-            reader=reader, outcome=CLEAN, reports=reports,
-            flipped_bits=sum(r.flipped_bits for r in reports.values()),
-            failed_blocks=sum(r.failed_blocks for r in reports.values()),
-            retry_successes=sum(r.retry_successes
-                                for r in reports.values()),
-            escalated_streams=tuple(escalated))
-        if refusal:
-            result.outcome = REFUSED
-            result.refusal_reason = refusal
-            return result
-        decrypted = encryptor.decrypt_streams(
-            {i: read_back[name] for i, name in enumerate(ordered)})
-        plaintext = {name: decrypted[i][:record.stream_lengths[name]]
-                     for i, name in enumerate(ordered)}
-        payloads = merge_streams(record, plaintext)
-        corrupted = record.container(payloads)
-        # Uncorrectable block coordinates survive the positional cipher,
-        # so stream-bit damage projects straight into frame damage —
-        # same construction as the core pipeline's conceal path.
-        damage = {
-            name: [(min(b.bit_start, record.stream_bits[name]),
-                    min(b.bit_end, record.stream_bits[name]))
-                   for b in report.uncorrectable]
-            for name, report in reports.items()
-            if report.uncorrectable and name in record.stream_bits
-        }
-        frame_damage = (map_stream_damage(record, damage)
-                        if damage else {})
-        result.video = self._decoder.decode(corrupted, frame_damage,
-                                            scope=record.tenant)
-        if damage:
-            result.outcome = CONCEALED
-            result.concealed_streams = tuple(sorted(damage))
-        elif result.retry_successes > 0:
-            result.outcome = CORRECTED
-        return result
-
-    # -- random-access read path ------------------------------------------
 
     def get_frame(self, tenant: str, object_id: str, display: int,
                   reader: Optional[str] = None,
@@ -547,12 +453,11 @@ class VideoObjectStore:
         GOPs land in the store's LRU (:class:`~repro.service.cache.
         GopCache`), so scrubbing within a GOP hits memory.
 
-        The four-outcome ladder of :meth:`get` applies, minus the
-        whole-stream integrity hash on partial reads — a partial read
-        cannot hash bytes it never fetched, so silent-miscorrection
-        refusal rides the per-block ECC verdicts instead (the hash
-        check still runs whenever the aligned window happens to cover
-        a whole stream).
+        The fetch and its four-outcome ladder are :meth:`get`'s. A
+        partial window cannot hash bytes it never fetched, so there
+        silent-miscorrection refusal rides the per-block ECC verdicts;
+        the integrity hash runs whenever an aligned window covers its
+        whole stream, as every window of a whole read does.
         """
         reader = reader if reader is not None else tenant
         record = self.record(tenant, object_id)
@@ -563,15 +468,7 @@ class VideoObjectStore:
         with obs_trace.span("seek.get_frame", tenant=tenant,
                             reader=reader, object_id=object_id[:12],
                             display=display):
-            self.keyring.add_tenant(reader)
-            try:
-                self.keyring.check_read(tenant, reader)
-                encryptor = self.keyring.encryptor(tenant)
-            except ServiceError as exc:
-                self.audit.record("denied", reader, object_id,
-                                  detail=str(exc))
-                obs_metrics.counter("service_reads_denied_total").inc()
-                raise
+            encryptor = self._encryptor_for(tenant, reader, object_id)
             rng = rng if rng is not None else np.random.default_rng()
             result = self._frame_via_seek(record, encryptor, reader,
                                           display, rng)
@@ -584,6 +481,19 @@ class VideoObjectStore:
         obs_metrics.counter(
             f"service_frame_reads_{result.outcome}_total").inc()
         return result
+
+    def _encryptor_for(self, tenant: str, reader: str, object_id: str):
+        """``tenant``'s encryptor once ``reader`` may read its objects;
+        a denial is audited and counted before it propagates."""
+        self.keyring.add_tenant(reader)
+        try:
+            self.keyring.check_read(tenant, reader)
+            return self.keyring.encryptor(tenant)
+        except ServiceError as exc:
+            self.audit.record("denied", reader, object_id,
+                              detail=str(exc))
+            obs_metrics.counter("service_reads_denied_total").inc()
+            raise
 
     def _frame_via_seek(self, record: ObjectRecord, encryptor,
                         reader: str, display: int,
@@ -604,70 +514,25 @@ class VideoObjectStore:
                 concealed_streams=cached.concealed_streams,
                 cache_hit=True, gop_anchor=gop_start,
                 bytes_total=bytes_total)
-        positions = plan.positions
-        bit_ranges = plan.ranges
-        ordered = sorted(record.stream_lengths)
-        buffers: Dict[str, bytes] = {}
-        reports: Dict[str, StorageReport] = {}
-        damage: Dict[str, List[Tuple[int, int]]] = {}
-        refusal = ""
-        bytes_read = 0
-        needs_repair = False
         with obs_trace.span("seek.fetch", gop=gop_start,
-                            frames=len(positions)):
-            for stream_id, name in enumerate(ordered):
-                buffer = bytearray(record.stream_lengths[name])
-                if name in bit_ranges:
-                    lo_bit, hi_bit = bit_ranges[name]
-                    got = self._range_read_replicated(
-                        record, name, rng, lo_bit // 8, -(-hi_bit // 8))
-                    (data, report, stream_refusal, a_start, a_end,
-                     index, rung) = got
-                    if data is None:
-                        refusal = refusal or stream_refusal
-                        needs_repair = True
-                        continue
-                    if rung > 0 or index > 0:
-                        needs_repair = True
-                    buffer[a_start:a_start + len(data)] = \
-                        encryptor.decrypt_at(stream_id, data, a_start)
-                    reports[name] = report
-                    bytes_read += len(data)
-                    refusal = refusal or stream_refusal
-                    if report.uncorrectable:
-                        limit = record.stream_bits[name]
-                        shifted = [
-                            (min(8 * a_start + b.bit_start, limit),
-                             min(8 * a_start + b.bit_end, limit))
-                            for b in report.uncorrectable]
-                        shifted = [(lo, hi) for lo, hi in shifted
-                                   if hi > lo]
-                        if shifted:
-                            damage[name] = shifted
-                buffers[name] = bytes(buffer)
-        if needs_repair:
-            self.repair.enqueue(record.tenant, record.object_id)
+                            frames=len(plan.positions)):
+            fetched = self._fetch(
+                record, encryptor, rng,
+                {name: (lo_bit // 8, -(-hi_bit // 8))
+                 for name, (lo_bit, hi_bit) in plan.ranges.items()})
         result = FrameReadResult(
             object_id=record.object_id, tenant=record.tenant,
-            reader=reader, display=display, outcome=CLEAN,
-            gop_anchor=gop_start, frames_decoded=len(positions),
-            bytes_read=bytes_read, bytes_total=bytes_total,
-            reports=reports)
-        if refusal:
-            result.outcome = REFUSED
-            result.refusal_reason = refusal
+            reader=reader, display=display, outcome=fetched.outcome,
+            refusal_reason=fetched.refusal_reason,
+            concealed_streams=fetched.concealed_streams,
+            gop_anchor=gop_start, frames_decoded=len(plan.positions),
+            bytes_read=fetched.bytes_read, bytes_total=bytes_total,
+            reports=fetched.reports)
+        if fetched.container is None:
             return result
-        payloads = merge_streams(record, buffers)
-        corrupted = record.container(payloads)
-        frame_damage = (map_stream_damage(record, damage)
-                        if damage else {})
-        gop = self._decoder.decode_range(corrupted, gop_start, gop_stop,
-                                         frame_damage, scope=record.tenant)
-        if damage:
-            result.outcome = CONCEALED
-            result.concealed_streams = tuple(sorted(damage))
-        elif sum(r.retry_successes for r in reports.values()) > 0:
-            result.outcome = CORRECTED
+        gop = self._decoder.decode_range(
+            fetched.container, gop_start, gop_stop, fetched.frame_damage,
+            scope=record.tenant)
         frames = {gop_start + k: frame
                   for k, frame in enumerate(gop.frames)}
         result.frame = frames[display]
@@ -678,22 +543,97 @@ class VideoObjectStore:
             concealed_streams=result.concealed_streams))
         return result
 
-    def _range_read_replicated(self, record: ObjectRecord, name: str,
-                               rng: np.random.Generator, lo_byte: int,
-                               hi_byte: int):
-        """Replica-walking :meth:`Shard.read_range` for the seek path.
+    def _fetch(self, record: ObjectRecord, encryptor,
+               rng: np.random.Generator,
+               windows: Dict[str, Tuple[int, int]]) -> _Fetched:
+        """Read, judge, decrypt and merge byte windows of the streams.
 
-        Same escalation contract as :meth:`_read_one_replicated`, but
-        over a byte window. Returns ``(data, report, refusal,
-        aligned_start, aligned_end, replica_index, rung)``; ``data``
-        is ``None`` only when no replica could be read at all.
+        ``windows`` maps a stream name to the half-open byte window to
+        read; streams it leaves out are not read and merge as zeros.
+        Streams run in sorted-name order, stream id = sorted index, as
+        at ingest, so a seeded rng yields one flip pattern per plan
+        seed regardless of placement. Any stream that needed a retry,
+        was damaged or refused, or came from a non-primary replica
+        enqueues read-repair.
+        """
+        ordered = sorted(record.stream_lengths)
+        reads: Dict[str, Tuple[bytes, int]] = {}
+        reports: Dict[str, StorageReport] = {}
+        escalated: List[str] = []
+        refusal = ""
+        needs_repair = False
+        for name in ordered:
+            if name not in windows:
+                continue
+            data, report, a_start, stream_refusal, index, rung = \
+                self._walk_replicas(record, name, rng, *windows[name])
+            if data is not None:
+                reads[name] = (data, a_start)
+                reports[name] = report
+            if index > 0:
+                escalated.append(name)
+            needs_repair = needs_repair or rung > 0 or index > 0
+            refusal = refusal or stream_refusal
+        if needs_repair:
+            self.repair.enqueue(record.tenant, record.object_id)
+        fetched = _Fetched(
+            outcome=REFUSED if refusal else CLEAN,
+            refusal_reason=refusal, reports=reports,
+            escalated_streams=tuple(escalated),
+            bytes_read=sum(len(data) for data, _ in reads.values()))
+        if refusal:
+            return fetched
+        streams: Dict[str, bytes] = {}
+        damage: Dict[str, List[Tuple[int, int]]] = {}
+        for stream_id, name in enumerate(ordered):
+            length = record.stream_lengths[name]
+            if name not in reads:
+                streams[name] = bytes(length)
+                continue
+            data, a_start = reads[name]
+            plain = encryptor.decrypt_at(stream_id, data, a_start)
+            if a_start == 0 and len(plain) == length:
+                streams[name] = plain
+            else:
+                buffer = bytearray(length)
+                buffer[a_start:a_start + len(plain)] = plain
+                streams[name] = bytes(buffer)
+            # Block coordinates survive the positional cipher: shift
+            # them to stream bits, clamp off the byte padding.
+            limit = record.stream_bits[name]
+            shifted = [(min(8 * a_start + b.bit_start, limit),
+                        min(8 * a_start + b.bit_end, limit))
+                       for b in reports[name].uncorrectable]
+            shifted = [(lo, hi) for lo, hi in shifted if hi > lo]
+            if shifted:
+                damage[name] = shifted
+        fetched.container = record.container(merge_streams(record, streams))
+        if damage:
+            fetched.frame_damage = map_stream_damage(record, damage)
+            fetched.outcome = CONCEALED
+            fetched.concealed_streams = tuple(sorted(damage))
+        elif sum(r.retry_successes for r in reports.values()) > 0:
+            fetched.outcome = CORRECTED
+        return fetched
+
+    def _walk_replicas(self, record: ObjectRecord, name: str,
+                       rng: np.random.Generator, lo_byte: int,
+                       hi_byte: int):
+        """Read ``[lo_byte, hi_byte)`` of stream ``name`` off its
+        replica chain and keep the best rung.
+
+        Replicas are read in ring order (primary first) and the walk
+        stops at the first *clean* copy — a damaged or refused primary
+        escalates to the next replica rather than straight to
+        concealment or refusal. Returns ``(data, report,
+        aligned_start, refusal, replica_index, rung)``; ``data`` and
+        ``report`` are ``None`` only when no replica holds the stream.
         """
         key = stream_key(record.tenant, record.object_id, name)
         scheme = scheme_by_name(name)
-        chain = record.replica_chain(name)
         best = None
         flaked = 0
-        for index, shard_id in enumerate(chain):
+        for index, shard_id in enumerate(record.replica_chain(name)):
             shard = self.pool.shard(shard_id)
             if not shard.has(key):
                 continue
@@ -706,57 +646,63 @@ class VideoObjectStore:
                 obs_metrics.counter(
                     "service_replica_read_faults_total").inc()
                 continue
-            refusal = self._partial_refusal_for(
-                record, name, data, report, a_start, a_end)
+            refusal = self._refusal_for(record, name, data, report,
+                                        a_start, a_end, hi_byte)
             rung = self._rung(refusal, report)
-            if best is None or rung < best[6]:
-                best = (data, report, refusal, a_start, a_end, index,
-                        rung)
+            if best is None or rung < best[5]:
+                best = (data, report, a_start, refusal, index, rung)
             if rung == 0:
                 break
         if best is None:
             if flaked:
+                # An operational fault, not data damage: every replica
+                # flaked mid-read. Retryable — let the front-end's
+                # backoff ladder have it rather than refusing.
                 raise TransientShardError(
                     f"stream {name}: all {flaked} readable replica(s) "
                     f"flaked")
-            return (None, None,
-                    f"stream {name}: no replica holds the stream",
-                    0, 0, 0, 3)
-        if best[5] > 0:
+            return (None, None, 0,
+                    f"stream {name}: no replica holds the stream", 0, 3)
+        if best[4] > 0:
             obs_metrics.counter("service_read_escalations_total").inc()
         return best
 
-    def _partial_refusal_for(self, record: ObjectRecord, name: str,
-                             data: bytes, report: StorageReport,
-                             a_start: int, a_end: int) -> str:
-        """Refusal reason for one partial stream read, or ``""``."""
+    @staticmethod
+    def _rung(refusal: str, report: StorageReport) -> int:
+        """Ladder rank of one replica read: 0 clean, 1 corrected,
+        2 concealed-tier damage, 3 refused. Lower is better."""
+        if refusal:
+            return 3
+        if report.uncorrectable:
+            return 2
+        if report.retry_successes > 0:
+            return 1
+        return 0
+
+    def _refusal_for(self, record: ObjectRecord, name: str, data: bytes,
+                     report: StorageReport, a_start: int, a_end: int,
+                     hi_byte: int) -> str:
+        """Refusal reason for one stream window's read, or ``""``.
+
+        A window whose aligned end ``a_end`` falls short of the
+        ``hi_byte`` asked for, or runs past the stream's manifest
+        length, comes from a blob resized at rest and refuses.
+        Miscorrected blocks refuse. A read the device reports clean is
+        checked against the write-time SHA-256 when its aligned window
+        ``[a_start, a_end)`` covers the whole stream. Uncorrectable
+        blocks in the precise (header-scheme) stream refuse.
+        """
+        length = record.stream_lengths[name]
+        if not hi_byte <= a_end <= length:
+            return (f"stream {name}: blob size disagrees with the "
+                    f"manifest")
         if report.miscorrected_blocks > 0:
             return (f"stream {name}: {report.miscorrected_blocks} "
                     f"silently miscorrected block(s)")
-        whole = (a_start == 0
-                 and a_end >= record.stream_lengths[name])
+        whole = a_start == 0 and a_end >= length
         clean_claim = (report.flipped_bits == 0
                        and report.failed_blocks == 0)
         if whole and clean_claim:
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != record.stream_sha[name]:
-                return (f"stream {name}: integrity hash mismatch on a "
-                        f"read the device reported clean")
-        if (report.failed_blocks
-                and name == self.assignment.header_scheme.name):
-            return (f"stream {name}: uncorrectable damage in a "
-                    f"precise-scheme stream")
-        return ""
-
-    def _refusal_for(self, record: ObjectRecord, name: str, data: bytes,
-                     report: StorageReport) -> str:
-        """The refusal reason for one stream's read, or ``""``."""
-        if report.miscorrected_blocks > 0:
-            return (f"stream {name}: {report.miscorrected_blocks} "
-                    f"silently miscorrected block(s)")
-        clean_claim = (report.flipped_bits == 0
-                       and report.failed_blocks == 0)
-        if clean_claim:
             digest = hashlib.sha256(data).hexdigest()
             if digest != record.stream_sha[name]:
                 return (f"stream {name}: integrity hash mismatch on a "

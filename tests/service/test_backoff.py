@@ -1,11 +1,11 @@
-"""Front-end retry/backoff ladder and hedged reads, on a fake clock."""
+"""Front-end retry/backoff ladder and repair daemon, on a fake clock."""
 
 import asyncio
 
 import numpy as np
 import pytest
 
-from repro.errors import ServiceOverloadError, TransientShardError
+from repro.errors import TransientShardError
 from repro.obs import metrics as obs_metrics
 from repro.runtime import chaos
 from repro.service import (
@@ -132,60 +132,6 @@ class TestRetryLadder:
         result = asyncio.run(scenario())
         assert result.outcome == "refused"
         assert slept == []  # a refusal is never retried
-
-    def test_overload_walks_the_whole_ladder_then_reraises(self):
-        # A never-started front-end sheds every ingest: the ladder must
-        # sleep the full deterministic schedule, then re-raise.
-        frontend = _frontend(retry_attempts=3, backoff_ms=10)
-        slept = []
-
-        async def fake_sleep(seconds):
-            slept.append(seconds)
-
-        async def scenario():
-            with pytest.raises(ServiceOverloadError):
-                await frontend.ingest_with_retry(
-                    "alice", _clip(1), sleep=fake_sleep)
-
-        asyncio.run(scenario())
-        assert slept == [0.01, 0.02]
-
-
-class TestHedgedReads:
-    def test_hedge_fires_after_deadline(self):
-        frontend = _frontend(replicas=2)
-
-        async def scenario():
-            await frontend.start()
-            object_id = await frontend.ingest("alice", _clip(1))
-            before = _counter("service_hedged_reads_total")
-            result = await frontend.read_hedged(
-                "alice", object_id, rng=np.random.default_rng(0),
-                hedge_after_s=0.0,
-                hedge_rng=np.random.default_rng(1))
-            await frontend.stop()
-            return before, result
-
-        before, result = asyncio.run(scenario())
-        assert result.outcome != "refused"
-        assert _counter("service_hedged_reads_total") == before + 1
-
-    def test_fast_primary_never_hedges(self):
-        frontend = _frontend(replicas=2)
-
-        async def scenario():
-            await frontend.start()
-            object_id = await frontend.ingest("alice", _clip(1))
-            before = _counter("service_hedged_reads_total")
-            result = await frontend.read_hedged(
-                "alice", object_id, rng=np.random.default_rng(0),
-                hedge_after_s=30.0)
-            await frontend.stop()
-            return before, result
-
-        before, result = asyncio.run(scenario())
-        assert result.outcome != "refused"
-        assert _counter("service_hedged_reads_total") == before
 
 
 class TestRepairDaemon:
