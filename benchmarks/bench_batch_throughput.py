@@ -1,13 +1,13 @@
 """Batched encode-farm throughput: stacked clips vs one-at-a-time.
 
-Times the same 32-clip corpus two ways — per-clip
-(``Encoder.encode`` + ``Decoder.decode`` per clip, the pre-farm
-pipeline) and batched (``encode_batch_with_recon`` at widths 1, 8, 16,
-and 32, which stacks all clips through each vectorized stage and
-reuses the encoder's closed-loop reconstruction instead of
+Times the same 32-clip corpus two ways — per-clip (the per-macroblock
+reference encoder ``encode_scalar`` + ``Decoder.decode`` per clip, the
+pre-farm pipeline) and batched (``encode_batch_with_recon`` at widths
+1, 8, 16, and 32, which stacks all clips through each vectorized stage
+and reuses the encoder's closed-loop reconstruction instead of
 re-decoding) — and writes ``BENCH_batch_throughput.json``. Width 1 is
-what every one-clip ``put`` runs; its ``batch1`` row is informational
-(no floor, no baseline row).  The
+what every one-clip ``Encoder.encode`` and ``put`` runs; its
+``batch1`` row is informational (no floor, no baseline row).  The
 committed snapshot ``benchmarks/baselines/batch_throughput.json`` plus
 ``tools/check_perf.py`` gate two things in CI:
 
@@ -38,9 +38,9 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.codec import EncoderConfig
-from repro.codec.batch import encode_batch_with_recon
 from repro.codec.decoder import Decoder
-from repro.codec.encoder import Encoder
+from repro.codec.encoder import encode_batch_with_recon
+from repro.codec.reference import encode_scalar
 from repro.video.frame import VideoSequence
 
 from bench_codec_throughput import yardstick_rate
@@ -92,10 +92,11 @@ def _corpus(scale_name):
 
 
 def _per_clip_pass(videos, config=_CONFIG):
-    """The pre-farm pipeline: encode then decode every clip."""
+    """The pre-farm pipeline: encode then decode every clip, one
+    macroblock at a time."""
     streams = []
     for video in videos:
-        encoded = Encoder(config).encode(video)
+        encoded = encode_scalar(video, config)
         # A fresh decoder per clip, as a one-clip pipeline has: the
         # reference pass must not reuse a memo across repeats.
         list(Decoder().decode(encoded))

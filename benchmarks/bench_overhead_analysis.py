@@ -2,7 +2,9 @@
 
 The paper reports a 2-3% time overhead for the dependency analysis as an
 encoder post-processing step. This bench times both phases on the probe
-video; our trace-driven implementation lands well under that bound.
+video: ``Encoder.encode`` (the batched kernels) and the trace-driven
+importance analysis that follows it, which costs about 2% of the encode
+(EXPERIMENTS.md, Section 4.3.1).
 """
 
 from repro.analysis import format_table, run_overhead

@@ -1,13 +1,14 @@
-"""Batched multi-clip encoding: the encode farm's codec kernel.
+"""Batched encode kernels: N same-geometry clips in lockstep.
 
 The paper's evaluation is Monte-Carlo campaigns of many *small* encodes
 (Section 8 runs whole suites of short clips per operating point), and
 profiles show a single encode spends most of its time in per-macroblock
 Python — not in numpy. Process fan-out does not help on small hosts
-(``BENCH_parallel_scaling.json``), so this module batches *across
-clips* instead: N same-geometry clips are stacked on a leading batch
-axis and driven through the vectorized kernels in lockstep, one numpy
-call per stage per macroblock position instead of one per clip.
+(``BENCH_parallel_scaling.json``), so :class:`~repro.codec.encoder.Encoder`
+batches *across clips* instead: N same-geometry clips are stacked on a
+leading batch axis and driven through the kernels of this module, one
+numpy call per stage per macroblock position instead of one per clip.
+A single clip is a batch of one.
 
 What batches, for all N clips at once:
 
@@ -22,23 +23,17 @@ What batches, for all N clips at once:
   winning inter candidate in one pass. None of that reads the frame
   being reconstructed: an inter candidate needs only the source, the
   deblocked references and a QP derived from the source;
-* per macroblock position: intra mode selection and, for the clips
-  that choose intra, their residual coding (which replaces the inter
-  one); per frame, the deblocking filter.
+* per macroblock position: intra mode selection
+  (:class:`_BatchIntraChoice`) and, for the clips that choose intra,
+  their residual coding (:func:`_code_residuals`, which replaces the
+  inter one); per frame, the deblocking filter.
 
-What stays per clip: the intra-versus-inter compete, skip conversion,
-entropy coding, neighbor state and trace dependencies — inherently
-sequential Python that every clip needs anyway. Because those consume
-*decisions*, and every batched stage produces decisions bitwise
-identical to the scalar encoder's (integer arithmetic batches exactly;
-a float stage either holds only exactly representable integers or
-repeats the scalar path's float operations element for element), the
-emitted streams and traces are bitwise identical to per-clip
-:meth:`Encoder.encode` — enforced by
+Every kernel produces decisions bitwise identical to the per-macroblock
+reference encoder :func:`repro.codec.reference.encode_scalar` (integer
+arithmetic batches exactly; a float stage either holds only exactly
+representable integers or repeats the scalar path's float operations
+element for element) — enforced by
 ``tests/codec/test_vectorized_equivalence.py``.
-
-Mixed-geometry inputs are grouped by geometry, and every group —
-a single clip included — runs through the batched kernels.
 
 GOP work units: with ``bframes == 0`` every GOP is self-contained, so
 :func:`gop_unit_bounds` / :func:`assemble_gop_units` let a scheduler
@@ -54,13 +49,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import EncoderError, GopStructureError
-from ..obs import trace as obs_trace
-from ..video.frame import MACROBLOCK_SIZE, VideoSequence
+from ..video.frame import MACROBLOCK_SIZE
 from .config import EncoderConfig
-from .deblock import deblock_frames
 from .encoded import EncodedFrame, EncodedVideo, FrameHeader, VideoHeader
-from .encoder import Encoder, slice_bands
-from .gop import FramePlan, plan_gop
 from .motion import (
     _ENCODER_RECT_MASK,
     _RECT_COLUMN,
@@ -68,22 +59,13 @@ from .motion import (
     MB_SIZE,
     MotionVector,
 )
-from .neighbors import FrameMbState
-from .ratecontrol import frame_activity_offsets, frame_qp
-from .syntax import encode_macroblock, finalize_macroblock
-from .transform import (
-    MAX_QP,
-    MIN_QP,
-    reconstruct_residuals_many,
-    transform_and_quantize_many,
-)
+from .transform import reconstruct_residuals_many, transform_and_quantize_many
 from .types import (
     PARTITION_RECTS,
     QUADRANT_ORIGINS,
     SUBPARTITION_RECTS,
     EncodingTrace,
     FrameTrace,
-    FrameType,
     InterPartition,
     IntraMode,
     MacroblockDecision,
@@ -104,7 +86,7 @@ _SEARCH_BUDGET_BYTES = 512 << 10
 
 
 class BatchFrameMotionSearch:
-    """Stacked :class:`~repro.codec.motion.FrameMotionSearch` for N clips.
+    """Stacked :class:`~repro.codec.reference.FrameMotionSearch` for N clips.
 
     Walks the frame one macroblock row at a time, in chunks of tile
     rows. A chunk's int16 absolute differences are laid out as
@@ -118,7 +100,8 @@ class BatchFrameMotionSearch:
     displacements in row-major order picks each rect's first minimum.
     That argmin is the scalar tie-break outright, so the per-clip
     tables are bitwise identical to N separate
-    :class:`FrameMotionSearch` passes whatever the chunking.
+    :class:`~repro.codec.reference.FrameMotionSearch` passes whatever
+    the chunking.
     """
 
     def __init__(self, currents: np.ndarray, refs_padded: np.ndarray,
@@ -379,7 +362,7 @@ def _code_residuals(currents: np.ndarray, predictions: np.ndarray,
     ``currents`` and ``predictions`` are ``(K, 16, 16)`` uint8, ``qps``
     one QP per MB. Returns the ``(K, 16, 4, 4)`` levels, the ``(K, 4)``
     coded-quadrant flags and the ``(K, 16, 16)`` closed-loop
-    reconstruction — per MB, what the scalar encoder's transform and
+    reconstruction — per MB, what the reference encoder's transform and
     reconstruction steps produce.
     """
     residuals = currents.astype(np.int32) - predictions.astype(np.int32)
@@ -399,10 +382,10 @@ class _FrameInterTables:
     """All inter work of a batch's P- or B-frame, done once per frame.
 
     From the stacked SAD tables ``(N, M, 41)`` of each reference this
-    derives, in a few whole-frame numpy calls, exactly what the scalar
-    ``Encoder._decide_inter`` computes per macroblock: each rect's
-    direction (B-frames: forward by default, backward only if strictly
-    lower, bidirectional only if strictly lower than that with
+    derives, in a few whole-frame numpy calls, exactly what the
+    reference encoder's ``_decide_inter`` computes per macroblock: each
+    rect's direction (B-frames: forward by default, backward only if
+    strictly lower, bidirectional only if strictly lower than that with
     ``bi_penalty`` included — the scalar ``best_for_rect`` scan), the
     winning partition layout, its cost, and the chosen sub-layouts.
     Candidate evaluation order (P16x16, P16x8, P8x16, P8x8; sub-types in
@@ -701,358 +684,17 @@ class _BatchIntraChoice:
 
 
 #: 4x4 coefficient-block indices composing each 8x8 quadrant.
-_QUADRANT_BLOCKS = Encoder._QUADRANT_BLOCKS
+_QUADRANT_BLOCKS = np.array([
+    [(qy // 4 + by) * 4 + (qx // 4 + bx)
+     for by in range(2) for bx in range(2)]
+    for qy, qx in QUADRANT_ORIGINS
+])
 
 
 def _coded_block_patterns_many(levels: np.ndarray) -> np.ndarray:
     """(K, 16, 4, 4) levels -> (K, 4) per-quadrant coded flags."""
     block_coded = levels.reshape(levels.shape[0], 16, 16).any(axis=2)
     return block_coded[:, _QUADRANT_BLOCKS].any(axis=2)
-
-
-class BatchEncoder:
-    """Encodes clips in lockstep through the batched kernels, one stack
-    per geometry; streams and traces are bitwise identical to per-clip
-    :class:`~repro.codec.encoder.Encoder` output."""
-
-    def __init__(self, config: Optional[EncoderConfig] = None) -> None:
-        self.config = config or EncoderConfig()
-        self._scalar = Encoder(self.config)
-        self._model = self._scalar._model
-        self._pad = self.config.search_range
-
-    # -- public API -------------------------------------------------------
-
-    def encode_batch(self, videos: Sequence[VideoSequence]
-                     ) -> List[EncodedVideo]:
-        """Encode all clips; one :class:`EncodedVideo` per input."""
-        encoded, _recons = self.encode_batch_with_recon(videos)
-        return encoded
-
-    def encode_batch_with_recon(self, videos: Sequence[VideoSequence]
-                                ) -> Tuple[List[EncodedVideo],
-                                           List[np.ndarray]]:
-        """Encode all clips, also returning each clip's reconstruction.
-
-        The second element holds one ``(frames, H, W) uint8`` array per
-        clip — the encoder's closed-loop reconstruction in display
-        order, byte-identical to a clean decode of the stream. Callers
-        measuring quality get it without paying for a decoder pass.
-        Clips are grouped by geometry (frames, height, width); each
-        group, a single clip included, is one lockstep batch, and the
-        results come back in input order.
-        """
-        if not videos:
-            raise EncoderError("cannot encode an empty batch")
-        groups: Dict[Tuple[int, int, int], List[int]] = {}
-        for index, video in enumerate(videos):
-            groups.setdefault((len(video), video.height, video.width),
-                              []).append(index)
-        encoded: List[Optional[EncodedVideo]] = [None] * len(videos)
-        recons: List[Optional[np.ndarray]] = [None] * len(videos)
-        for (frames, _height, _width), indices in groups.items():
-            if frames == 0:
-                raise EncoderError("cannot encode an empty sequence")
-            with obs_trace.span("encode.batch", clips=len(indices),
-                                frames=frames,
-                                entropy=self.config.entropy_coder.name):
-                group_encoded, group_recons = self._encode_sequences(
-                    [videos[index] for index in indices])
-            for slot, index in enumerate(indices):
-                encoded[index] = group_encoded[slot]
-                recons[index] = group_recons[slot]
-        return encoded, recons
-
-    # -- batched sequence loop -------------------------------------------
-
-    def _encode_sequences(self, videos: Sequence[VideoSequence]
-                          ) -> Tuple[List[EncodedVideo], List[np.ndarray]]:
-        config = self.config
-        num_clips = len(videos)
-        sources = np.stack([video.to_array() for video in videos])
-        num_frames = sources.shape[1]
-        mb_rows = videos[0].mb_rows
-        mb_cols = videos[0].mb_cols
-        if config.slices > mb_rows:
-            raise EncoderError(
-                f"slices ({config.slices}) exceed MB rows ({mb_rows})"
-            )
-        plans = plan_gop(num_frames, config.gop_size, config.bframes)
-        coded_of = {plan.display_index: plan.coded_index for plan in plans}
-
-        traces = [EncodingTrace(mb_rows=mb_rows, mb_cols=mb_cols)
-                  for _ in range(num_clips)]
-        frames_out: List[List[EncodedFrame]] = [[] for _ in range(num_clips)]
-        recon_by_display: Dict[int, np.ndarray] = {}
-        padded: Dict[int, np.ndarray] = {}
-        for plan in plans:
-            with obs_trace.span("encode.frame", coded_index=plan.coded_index,
-                                frame_type=plan.frame_type.name,
-                                batch=num_clips):
-                stages = obs_trace.stage_clock()
-                frame_list, trace_list, recon_stack = self._encode_frame(
-                    plan, sources, padded, coded_of, mb_rows, mb_cols,
-                    stages)
-                stages.emit(batch=num_clips)
-            for clip in range(num_clips):
-                frames_out[clip].append(frame_list[clip])
-                traces[clip].frames.append(trace_list[clip])
-            recon_by_display[plan.display_index] = recon_stack
-            padded[plan.display_index] = np.pad(
-                recon_stack, ((0, 0), (self._pad, self._pad),
-                              (self._pad, self._pad)), mode="edge")
-
-        encoded: List[EncodedVideo] = []
-        recons: List[np.ndarray] = []
-        display_order = np.stack(
-            [recon_by_display[d] for d in range(num_frames)], axis=1)
-        for clip, video in enumerate(videos):
-            header = VideoHeader(
-                width=video.width, height=video.height,
-                num_frames=num_frames, gop_size=config.gop_size,
-                bframes=config.bframes, slices=config.slices,
-                entropy_coder=config.entropy_coder, crf=config.crf,
-                search_range=config.search_range, fps=video.fps,
-                deblocking=config.deblocking,
-            )
-            encoded.append(EncodedVideo(header=header,
-                                        frames=frames_out[clip],
-                                        trace=traces[clip]))
-            recons.append(display_order[clip])
-        return encoded, recons
-
-    # -- batched frame loop ----------------------------------------------
-
-    def _encode_frame(self, plan: FramePlan, sources: np.ndarray,
-                      padded: Dict[int, np.ndarray],
-                      coded_of: Dict[int, int], mb_rows: int, mb_cols: int,
-                      stages) -> Tuple[List[EncodedFrame],
-                                       List[FrameTrace], np.ndarray]:
-        config = self.config
-        num_clips = sources.shape[0]
-        source_stack = np.ascontiguousarray(
-            sources[:, plan.display_index])
-        base_qp = frame_qp(config.crf, plan.frame_type)
-        references: Dict[PredictionDirection, np.ndarray] = {}
-        if plan.ref_forward is not None:
-            references[PredictionDirection.FORWARD] = padded[plan.ref_forward]
-        if plan.ref_backward is not None:
-            references[PredictionDirection.BACKWARD] = \
-                padded[plan.ref_backward]
-        ref_coded = {
-            PredictionDirection.FORWARD:
-                coded_of.get(plan.ref_forward, -1),
-            PredictionDirection.BACKWARD:
-                coded_of.get(plan.ref_backward, -1),
-        }
-        states = [FrameMbState(mb_rows, mb_cols) for _ in range(num_clips)]
-        # (clip, MB) activity QPs: a function of the source alone.
-        qp_grid = np.full((num_clips, mb_rows * mb_cols), base_qp)
-        if config.adaptive_qp:
-            for clip in range(num_clips):
-                qp_grid[clip] = np.clip(
-                    base_qp + frame_activity_offsets(source_stack[clip]),
-                    MIN_QP, MAX_QP).reshape(-1)
-        qp_lists: List[List[int]] = qp_grid.tolist()
-        inter: Optional[_FrameInterTables] = None
-        if plan.frame_type != FrameType.I:
-            with stages.time("encode.search"):
-                searches = {
-                    direction: BatchFrameMotionSearch(
-                        source_stack, stack, self._pad,
-                        config.search_range, config.mv_cost_lambda)
-                    for direction, stack in references.items()
-                }
-            # The entire per-MB scalar mode decision collapses into
-            # whole-frame numpy, and so does the inter residual.
-            with stages.time("encode.inter"):
-                inter = _FrameInterTables(
-                    searches, source_stack, references, self._pad, config)
-            with stages.time("encode.transform"):
-                inter.code_residuals(qp_grid)
-
-        recon_stack = np.zeros_like(source_stack)
-        slice_payloads: List[List[bytes]] = [[] for _ in range(num_clips)]
-        slice_starts: List[int] = []
-        mb_traces: List[List[MacroblockTrace]] = [[] for _ in
-                                                  range(num_clips)]
-        offset_bits = [0] * num_clips
-        for start_row, end_row in slice_bands(mb_rows, config.slices):
-            encoders = [self._scalar._new_entropy_encoder()
-                        for _ in range(num_clips)]
-            for state in states:
-                state.start_slice(base_qp)
-            slice_starts.append(start_row * mb_cols)
-            for mb_row in range(start_row, end_row):
-                for mb_col in range(mb_cols):
-                    bit_starts = [offset_bits[clip]
-                                  + encoders[clip].bits_emitted
-                                  for clip in range(num_clips)]
-                    deps_lists = self._encode_macroblocks(
-                        plan, source_stack, recon_stack, ref_coded, states,
-                        encoders, mb_row, mb_col, start_row, stages, inter,
-                        qp_lists)
-                    mb_index = mb_row * mb_cols + mb_col
-                    for clip in range(num_clips):
-                        mb_traces[clip].append(MacroblockTrace(
-                            frame_coded_index=plan.coded_index,
-                            mb_index=mb_index,
-                            bit_start=bit_starts[clip],
-                            bit_end=(offset_bits[clip]
-                                     + encoders[clip].bits_emitted),
-                            dependencies=deps_lists[clip],
-                        ))
-            with stages.time("encode.entropy"):
-                for clip in range(num_clips):
-                    payload = encoders[clip].finish()
-                    slice_payloads[clip].append(payload)
-                    offset_bits[clip] += 8 * len(payload)
-
-        if config.deblocking:
-            with stages.time("encode.deblock"):
-                recon_stack = deblock_frames(recon_stack, base_qp)
-
-        frame_list: List[EncodedFrame] = []
-        trace_list: List[FrameTrace] = []
-        for clip in range(num_clips):
-            full_payload = b"".join(slice_payloads[clip])
-            header = FrameHeader(
-                coded_index=plan.coded_index,
-                display_index=plan.display_index,
-                frame_type=plan.frame_type,
-                base_qp=base_qp,
-                ref_forward=plan.ref_forward,
-                ref_backward=plan.ref_backward,
-                slice_byte_lengths=[len(p) for p in slice_payloads[clip]],
-            )
-            frame_list.append(EncodedFrame(header=header,
-                                           payload=full_payload))
-            trace_list.append(FrameTrace(
-                coded_index=plan.coded_index,
-                display_index=plan.display_index,
-                frame_type=plan.frame_type,
-                payload_bits=8 * len(full_payload),
-                slice_starts=list(slice_starts),
-                macroblocks=mb_traces[clip],
-            ))
-        return frame_list, trace_list, recon_stack
-
-    # -- lockstep macroblock step ----------------------------------------
-
-    def _encode_macroblocks(self, plan: FramePlan, source_stack: np.ndarray,
-                            recon_stack: np.ndarray,
-                            ref_coded: Dict[PredictionDirection, int],
-                            states: List[FrameMbState], encoders: List,
-                            mb_row: int, mb_col: int, min_mb_row: int,
-                            stages, inter: Optional[_FrameInterTables],
-                            qp_lists: List[List[int]]) -> List[List]:
-        """Code one MB position of every clip; returns each clip's trace
-        dependencies. Only what reads the frame being reconstructed, or
-        serial per-clip state, happens here: the inter candidates are
-        already residual-coded (:meth:`_FrameInterTables.code_residuals`).
-        """
-        config = self.config
-        num_clips = source_stack.shape[0]
-        rows = slice(mb_row * MACROBLOCK_SIZE, (mb_row + 1) * MACROBLOCK_SIZE)
-        cols = slice(mb_col * MACROBLOCK_SIZE, (mb_col + 1) * MACROBLOCK_SIZE)
-        mb = mb_row * (source_stack.shape[2] // MACROBLOCK_SIZE) + mb_col
-        current_stack = source_stack[:, rows, cols]
-        qps = [qp_lists[clip][mb] for clip in range(num_clips)]
-
-        with stages.time("encode.intra"):
-            intra_choice = _BatchIntraChoice(
-                current_stack, recon_stack, mb_row, mb_col, min_mb_row)
-        decisions: List[MacroblockDecision] = []
-        intra_clips: List[int] = []
-        with stages.time("encode.intra" if inter is None
-                         else "encode.inter"):
-            for clip in range(num_clips):
-                # Intra competes in inter frames too.
-                if (inter is None
-                        or intra_choice.sads[clip] + config.intra_penalty
-                        < inter.best_cost[clip][mb]):
-                    decisions.append(MacroblockDecision(
-                        mode=MacroblockMode.INTRA, qp=qps[clip],
-                        intra_mode=intra_choice.modes[clip]))
-                    intra_clips.append(clip)
-                else:
-                    decision = inter.decision(clip, mb, qps[clip])
-                    decision.coefficients = inter.levels[clip, mb]
-                    decision.cbp = tuple(inter.cbps[clip][mb])
-                    decisions.append(decision)
-
-        # Intra clips replace the inter reconstruction with their own,
-        # coded or not.
-        with stages.time("encode.transform"):
-            if inter is not None:
-                recon_stack[:, rows, cols] = inter.recon[:, mb]
-            if intra_clips:
-                predictions = np.stack([
-                    intra_choice.prediction(clip, decisions[clip].intra_mode)
-                    for clip in intra_clips])
-                levels, cbps, recon = _code_residuals(
-                    current_stack[intra_clips], predictions,
-                    [qps[clip] for clip in intra_clips])
-                recon_stack[intra_clips, rows, cols] = recon
-                for slot, flags in enumerate(cbps.tolist()):
-                    decision = decisions[intra_clips[slot]]
-                    decision.coefficients = levels[slot]
-                    decision.cbp = tuple(flags)
-
-        # Skip conversion: inter 16x16, forward, predicted MV, no
-        # residual — per clip, like the scalar encoder. The skip MB's
-        # prediction is the forward winner's, already reconstructed.
-        if inter is not None:
-            for clip, decision in enumerate(decisions):
-                if decision.mode != MacroblockMode.INTER:
-                    continue
-                pred_mv = states[clip].predict_mv(mb_row, mb_col, min_mb_row)
-                if (decision.partition_type == PartitionType.P16x16
-                        and decision.partitions[0].direction
-                        == PredictionDirection.FORWARD
-                        and decision.partitions[0].mv == pred_mv
-                        and not any(decision.cbp)):
-                    decisions[clip] = MacroblockDecision(
-                        mode=MacroblockMode.SKIP,
-                        qp=states[clip].prev_qp,
-                        partition_type=PartitionType.P16x16,
-                        partitions=[InterPartition(rect=(0, 0, 16, 16),
-                                                   mv=pred_mv)],
-                    )
-
-        with stages.time("encode.entropy"):
-            for clip, decision in enumerate(decisions):
-                encode_macroblock(encoders[clip], self._model,
-                                  states[clip], decision, plan.frame_type,
-                                  mb_row, mb_col, min_mb_row)
-
-        deps_lists = []
-        frame_shape = source_stack.shape[1:]
-        for clip, decision in enumerate(decisions):
-            finalize_macroblock(states[clip], decision, mb_row, mb_col)
-            deps_lists.append(self._scalar._dependencies(
-                plan, decision, ref_coded, mb_row, mb_col, min_mb_row,
-                frame_shape))
-        return deps_lists
-
-
-def encode_batch(videos: Sequence[VideoSequence],
-                 config: Optional[EncoderConfig] = None
-                 ) -> List[EncodedVideo]:
-    """Encode clips in one batched pass per geometry.
-
-    The module-level convenience entry point; see :class:`BatchEncoder`.
-    """
-    return BatchEncoder(config).encode_batch(videos)
-
-
-def encode_batch_with_recon(videos: Sequence[VideoSequence],
-                            config: Optional[EncoderConfig] = None
-                            ) -> Tuple[List[EncodedVideo],
-                                       List[np.ndarray]]:
-    """Like :func:`encode_batch`, also returning per-clip
-    reconstructions (``(frames, H, W) uint8`` each, display order)."""
-    return BatchEncoder(config).encode_batch_with_recon(videos)
 
 
 # -- GOP work units -----------------------------------------------------------

@@ -1,26 +1,14 @@
-"""Integer-pel motion estimation and compensation.
+"""Integer-pel motion geometry, compensation and trace dependencies.
 
-Three estimators share the same candidate geometry and produce bitwise
-identical answers:
-
-* :class:`MacroblockSearch` — the scalar reference. Per macroblock it
-  builds a full absolute-difference tensor over the search window and
-  answers SAD queries for any partition rectangle from a 2-D integral
-  image. Retained for tests and as the equivalence oracle.
-* :class:`FrameMotionSearch` — the per-frame search of the scalar
-  :class:`~repro.codec.encoder.Encoder`. It streams over the
-  displacement window once per (frame, reference) pair, reducing
-  whole-frame absolute differences to 4x4 tile SADs and folding them
-  into every macroblock's per-partition best-cost running minimum with
-  one masked matmul per chunk of displacement rows. All of H.264's
-  partition shapes are 4x4-tile aligned, so the 41 encoder rectangles
-  come out of the same tile tensor for free.
-* :class:`~repro.codec.batch.BatchFrameMotionSearch` — the hot path of
-  ``encode_batch_with_recon`` (service ingest, corpus preloads, the
-  encode farm), over a stack of clips. It walks the frame one
-  macroblock row at a time instead, with the displacements ahead of x
-  in its int16 difference tensor, and picks each rect's vector with
-  one argmin over the whole window, so it needs no running minimum.
+The encoder's mode decision evaluates 41 partition rectangles per
+macroblock (:data:`ENCODER_RECTS`): 16x16, 16x8 and 8x16 at macroblock
+level plus every sub-layout of each 8x8 quadrant, all aligned to the
+4x4 tile grid, so one tile-SAD tensor serves them all
+(:data:`_ENCODER_RECT_MASK`). The production search over them is
+:class:`~repro.codec.batch.BatchFrameMotionSearch`; the per-macroblock
+and per-frame searches it must match bit for bit are the oracles
+:class:`~repro.codec.reference.MacroblockSearch` and
+:class:`~repro.codec.reference.FrameMotionSearch`.
 
 Compensation clamps the referenced region into the (edge-padded)
 reference frame, which serves two purposes: unrestricted motion vectors
@@ -54,70 +42,6 @@ def pad_reference(frame: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(frame, pad, mode="edge")
 
 
-class MacroblockSearch:
-    """SAD oracle for one macroblock against one padded reference.
-
-    Args:
-        current_mb: the 16x16 source block being encoded.
-        ref_padded: reference frame padded by at least ``search_range``.
-        pad: the padding amount used to build ``ref_padded``.
-        top, left: pixel coordinates of the MB in the unpadded frame.
-        search_range: displacement radius R; candidates span [-R, R]^2.
-    """
-
-    def __init__(self, current_mb: np.ndarray, ref_padded: np.ndarray,
-                 pad: int, top: int, left: int, search_range: int) -> None:
-        if pad < search_range:
-            raise EncoderError(
-                f"padding {pad} smaller than search range {search_range}"
-            )
-        self.search_range = search_range
-        window_size = 2 * search_range + MB_SIZE
-        row0 = top + pad - search_range
-        col0 = left + pad - search_range
-        window = ref_padded[row0:row0 + window_size,
-                            col0:col0 + window_size].astype(np.int32)
-        candidates = np.lib.stride_tricks.sliding_window_view(
-            window, (MB_SIZE, MB_SIZE))
-        diff = np.abs(candidates - current_mb.astype(np.int32))
-        # Integral image over the in-block axes: any rectangle SAD for all
-        # displacements via 4 gathers.
-        integral = np.zeros(
-            (diff.shape[0], diff.shape[1], MB_SIZE + 1, MB_SIZE + 1),
-            dtype=np.int64,
-        )
-        integral[:, :, 1:, 1:] = diff.cumsum(axis=2).cumsum(axis=3)
-        self._integral = integral
-
-    def sad_grid(self, rect: Tuple[int, int, int, int]) -> np.ndarray:
-        """SAD of partition ``rect`` for every displacement, shape (D, D)."""
-        oy, ox, height, width = rect
-        integral = self._integral
-        return (
-            integral[:, :, oy + height, ox + width]
-            - integral[:, :, oy, ox + width]
-            - integral[:, :, oy + height, ox]
-            + integral[:, :, oy, ox]
-        )
-
-    def best_mv(self, rect: Tuple[int, int, int, int],
-                mv_cost_lambda: float) -> Tuple[MotionVector, float]:
-        """Lowest-cost displacement for a partition.
-
-        Cost = SAD + lambda * (|dy| + |dx|), the bit-cost bias real
-        encoders apply. Returns (motion vector, raw SAD at that vector).
-        """
-        grid = self.sad_grid(rect)
-        radius = self.search_range
-        offsets = np.abs(np.arange(-radius, radius + 1))
-        penalty = mv_cost_lambda * (offsets[:, None] + offsets[None, :])
-        cost = grid + penalty
-        flat_index = int(np.argmin(cost))
-        dy, dx = np.unravel_index(flat_index, cost.shape)
-        mv = MotionVector(int(dy) - radius, int(dx) - radius)
-        return mv, float(grid[dy, dx])
-
-
 def _encoder_rects() -> Tuple[Tuple[int, int, int, int], ...]:
     """Every partition rectangle the encoder's mode decision evaluates.
 
@@ -136,7 +60,7 @@ def _encoder_rects() -> Tuple[Tuple[int, int, int, int], ...]:
     return tuple(rects)
 
 
-#: Canonical rectangle set served by :class:`FrameMotionSearch`.
+#: Canonical rectangle set of the encoder's inter mode decision.
 ENCODER_RECTS = _encoder_rects()
 
 #: rect -> column index into the batched SAD tables.
@@ -160,155 +84,6 @@ def _rect_tile_mask(rects: Tuple[Tuple[int, int, int, int], ...]
 
 
 _ENCODER_RECT_MASK = _rect_tile_mask(ENCODER_RECTS)
-
-#: Summing vector for the 4-wide tile column reduction (BLAS matvec).
-_TILE_ONES = np.ones((4, 1), dtype=np.float32)
-
-#: Cache budget for one motion-search chunk's candidate-diff buffers.
-_CHUNK_BUDGET_BYTES = 4 << 20
-
-
-class FrameMotionSearch:
-    """Batched full-search SAD oracle for every macroblock of a frame.
-
-    Computes, in one streaming pass over the displacement window, the
-    lowest-cost motion vector (cost = SAD + lambda * |mv|_1) and its raw
-    SAD for all macroblocks and all :data:`ENCODER_RECTS` partition
-    rectangles at once. Answers are bitwise identical to running
-    :meth:`MacroblockSearch.best_mv` per macroblock and rectangle —
-    including argmin tie-breaking, which both resolve to the first
-    candidate in row-major displacement order.
-
-    Args:
-        current: the full frame being encoded (uint8, MB-aligned).
-        ref_padded: reference frame padded by at least ``search_range``.
-        pad: the padding amount used to build ``ref_padded``.
-        search_range: displacement radius R; candidates span [-R, R]^2.
-        mv_cost_lambda: SAD penalty per pixel of motion-vector deviation.
-    """
-
-    def __init__(self, current: np.ndarray, ref_padded: np.ndarray,
-                 pad: int, search_range: int,
-                 mv_cost_lambda: float) -> None:
-        if pad < search_range:
-            raise EncoderError(
-                f"padding {pad} smaller than search range {search_range}"
-            )
-        height, width = current.shape
-        if height % MB_SIZE or width % MB_SIZE:
-            raise EncoderError(
-                f"frame {height}x{width} is not macroblock-aligned"
-            )
-        self.search_range = search_range
-        self._mb_cols = width // MB_SIZE
-        diameter = 2 * search_range + 1
-        self._diameter = diameter
-        num_mbs = (height // MB_SIZE) * self._mb_cols
-        # float64 mask routes the per-displacement rect reduction through
-        # BLAS; tile SADs are <= 16*4080 so every sum is an exactly
-        # representable integer and results match the int64 matmul bit
-        # for bit.
-        mask = _ENCODER_RECT_MASK.astype(np.float64)
-        source = current.astype(np.int16)
-        tile_rows = height // 4
-        tile_cols = width // 4
-        mb_rows_count = tile_rows // 4
-
-        num_rects = _ENCODER_RECT_MASK.shape[1]
-        offsets = np.abs(np.arange(-search_range, search_range + 1))
-        penalty_flat = (mv_cost_lambda * (
-            offsets[:, None] + offsets[None, :]).reshape(-1)
-        ).astype(np.float64)
-        band_full = ref_padded[
-            pad - search_range:pad + search_range + height,
-            pad - search_range:pad + search_range + width]
-
-        # dy rows are processed in chunks sized to keep the per-chunk
-        # diff buffers (int16 + float32 passes, ~6 bytes per candidate
-        # pixel) inside a few MB of cache — full batching thrashes at
-        # larger frames, a per-row loop pays numpy call overhead 2R+1
-        # times.
-        row_bytes = 6 * diameter * height * width
-        chunk = max(1, min(diameter, _CHUNK_BUDGET_BYTES // row_bytes))
-
-        best_cost = np.full((num_mbs, num_rects), np.inf)
-        best_sad = np.zeros((num_mbs, num_rects), dtype=np.float64)
-        best_flat = np.zeros((num_mbs, num_rects), dtype=np.int64)
-        for start in range(0, diameter, chunk):
-            rows = min(chunk, diameter - start)
-            dd = rows * diameter
-            # All (dy, dx) displacements of these dy rows at once:
-            # windows is a strided (rows, D, height, width) view.
-            sub = band_full[start:start + rows - 1 + height, :]
-            windows = np.lib.stride_tricks.sliding_window_view(
-                sub, (height, width))
-            diff = np.abs(source[None, None] - windows)
-            # 4-wide column sums via a BLAS matvec, then the 4-row sum:
-            # per-pixel diffs are <= 255 and tile sums <= 4080, so
-            # float32 holds every intermediate exactly and this is ~3x
-            # faster than a strided integer reduction over both axes.
-            col_sums = (
-                diff.reshape(-1, 4).astype(np.float32) @ _TILE_ONES
-            ).reshape(dd, tile_rows, 4, tile_cols)
-            tiles = col_sums.sum(axis=2, dtype=np.float32)
-            mb_tiles = tiles.reshape(
-                dd, mb_rows_count, 4, self._mb_cols, 4
-            ).transpose(0, 1, 3, 2, 4).reshape(dd, num_mbs, MB_SIZE)
-            sads = mb_tiles.astype(np.float64) @ mask
-            cost = sads + penalty_flat[start * diameter:
-                                       start * diameter + dd, None, None]
-            # First-minimum within the chunk (argmin over the flat
-            # displacement axis), then strict < across chunks: together
-            # that reproduces the scalar path's row-major flat argmin
-            # tie-breaking exactly.
-            pick = np.argmin(cost, axis=0)
-            picked = np.expand_dims(pick, 0)
-            chunk_cost = np.take_along_axis(cost, picked, axis=0)[0]
-            chunk_sad = np.take_along_axis(sads, picked, axis=0)[0]
-            better = chunk_cost < best_cost
-            best_cost[better] = chunk_cost[better]
-            best_sad[better] = chunk_sad[better]
-            best_flat[better] = (start * diameter + pick)[better]
-        self._best_sad = best_sad.astype(np.int64)
-        self._best_flat = best_flat.astype(np.int32)
-
-    def best(self, mb_row: int, mb_col: int,
-             rect: Tuple[int, int, int, int]
-             ) -> Tuple[MotionVector, float]:
-        """Lowest-cost (motion vector, raw SAD) for one MB's rect."""
-        mb = mb_row * self._mb_cols + mb_col
-        column = _RECT_COLUMN[rect]
-        flat = int(self._best_flat[mb, column])
-        radius = self.search_range
-        mv = MotionVector(flat // self._diameter - radius,
-                          flat % self._diameter - radius)
-        return mv, float(self._best_sad[mb, column])
-
-    def mb_table(self, mb_row: int, mb_col: int
-                 ) -> List[Tuple[MotionVector, float]]:
-        """All of one MB's per-rect winners as plain Python values.
-
-        Returns a list indexed by :data:`ENCODER_RECTS` position of
-        (motion vector, raw SAD) pairs — one bulk fetch instead of 41
-        array-scalar reads.
-        """
-        mb = mb_row * self._mb_cols + mb_col
-        flats = self._best_flat[mb].tolist()
-        sads = self._best_sad[mb].tolist()
-        diameter = self._diameter
-        radius = self.search_range
-        return [
-            (MotionVector(flat // diameter - radius,
-                          flat % diameter - radius), float(sad))
-            for flat, sad in zip(flats, sads)
-        ]
-
-    @staticmethod
-    def rect_column(rect: Tuple[int, int, int, int]) -> int:
-        """Index of ``rect`` in :data:`ENCODER_RECTS` (and
-        :meth:`mb_table` output)."""
-        return _RECT_COLUMN[rect]
-
 
 def compensate(ref_padded: np.ndarray, pad: int, top: int, left: int,
                rect: Tuple[int, int, int, int],

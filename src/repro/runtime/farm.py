@@ -12,8 +12,9 @@ reframing corpus encoding as a *campaign*:
   whole-clip encode;
 * the units become ``KIND_ENCODE_UNIT`` :class:`TrialSpec` records
   scheduled through the standard campaign executor, which stacks
-  same-geometry units into :class:`~repro.codec.batch.BatchEncoder`
-  calls (one numpy call per stage for the whole stack);
+  same-geometry units into one
+  :func:`~repro.codec.encoder.encode_batch_with_recon` call
+  (one numpy call per stage for the whole stack);
 * clip frames travel to workers through one shared-memory segment
   (:class:`~repro.runtime.shm.SharedClipStore`) instead of per-worker
   pickles.

@@ -334,7 +334,7 @@ def execute_trial(state: WorkerState, spec: TrialSpec) -> TrialResult:
                            float(video_psnr(context.reference, damaged)), 0,
                            False)
     if spec.kind == KIND_ENCODE_UNIT:
-        return _execute_encode_unit(state, spec)
+        return execute_trial_batch(state, [spec])[0]
     handler = _KIND_HANDLERS.get(spec.kind)
     if handler is not None:
         return handler(state, spec)
@@ -377,35 +377,18 @@ def _encode_unit_result(spec: TrialSpec, unit: VideoSequence,
                        aux={"bits": bits, "frame_psnrs": frame_values})
 
 
-def _execute_encode_unit(state: WorkerState, spec: TrialSpec) -> TrialResult:
-    """Scalar encode-unit path: encode, decode, measure.
-
-    This is the per-clip baseline the batched path must match bit for
-    bit: the decode of the emitted stream *is* the measured
-    reconstruction (the codec's closed loop guarantees recon == decode,
-    which is what lets :func:`execute_trial_batch` skip the decode).
-    """
-    from ..codec.encoder import Encoder
-
-    context = state.context
-    unit = _unit_video(context, spec)
-    encoded = Encoder(context.encoder_config).encode(unit)
-    recon = state.decoder.decode(encoded).to_array()
-    return _encode_unit_result(spec, unit, encoded, recon)
-
-
 def execute_trial_batch(state: WorkerState,
                         specs: Sequence[TrialSpec]) -> List[TrialResult]:
     """Execute a group of encode-unit trials as one batched encode.
 
     All specs must be ``KIND_ENCODE_UNIT``. Same-geometry units are
-    stacked through the vectorized kernels by
-    :class:`~repro.codec.batch.BatchEncoder` (mixed geometries become
-    one stack per geometry); each unit's stream is bitwise identical to
-    :func:`execute_trial` on the same spec, and the encoder-side
-    reconstruction replaces the redundant decode.
+    stacked through the batched kernels by
+    :func:`~repro.codec.encoder.encode_batch_with_recon` (mixed
+    geometries become one stack per geometry), and the encoder's
+    closed-loop reconstruction is the measured one: it equals a clean
+    decode of the stream bit for bit, so no unit is decoded.
     """
-    from ..codec.batch import BatchEncoder
+    from ..codec.encoder import encode_batch_with_recon
 
     for spec in specs:
         if spec.kind != KIND_ENCODE_UNIT:
@@ -416,8 +399,8 @@ def execute_trial_batch(state: WorkerState,
         raise AnalysisError(
             "encode-unit trial needs clips and an encoder config")
     units = [_unit_video(context, spec) for spec in specs]
-    encodeds, recons = BatchEncoder(
-        context.encoder_config).encode_batch_with_recon(units)
+    encodeds, recons = encode_batch_with_recon(units,
+                                               context.encoder_config)
     return [_encode_unit_result(spec, unit, encoded, recon)
             for spec, unit, encoded, recon
             in zip(specs, units, encodeds, recons)]

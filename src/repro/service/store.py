@@ -50,11 +50,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..codec.batch import encode_batch_with_recon
 from ..codec.config import EncoderConfig
 from ..codec.decoder import Decoder, dependency_closure
 from ..codec.encoded import EncodedFrame, EncodedVideo, FrameHeader, \
     VideoHeader
+from ..codec.encoder import encode_batch_with_recon
 from ..codec.seek import SeekIndex
 from ..core.assignment import PAPER_TABLE1, ClassAssignment
 from ..core.importance import compute_importance

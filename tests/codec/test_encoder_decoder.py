@@ -47,10 +47,6 @@ class TestRoundTrip:
         assert decoded_small.height == small_video.height
         assert len(decoded_small) == len(small_video)
 
-    def test_encoder_reconstruct_helper(self, small_video, default_config):
-        recon = Encoder(default_config).reconstruct(small_video)
-        assert video_psnr(small_video, recon) > 35.0
-
 
 class TestDeterminism:
     def test_encoding_is_deterministic(self, small_video, default_config):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codec import EncoderConfig
-from repro.codec.batch import encode_batch
+from repro.codec.encoder import encode_batch_with_recon
+from repro.codec.reference import encode_scalar
 from repro.codec.cabac import CabacDecoder, CabacEncoder
 from repro.codec.cavlc import CavlcDecoder, CavlcEncoder
 from repro.codec.contexts import DEFAULT_CONTEXT_MODEL, build_context_model
@@ -180,7 +181,8 @@ class TestContextModel:
                                              num_frames=3, seed=1))
         config = EncoderConfig(crf=24, gop_size=3, bframes=1)
         encoded = Encoder(config).encode(video)
-        encode_batch([video, video], config)
+        encode_batch_with_recon([video, video], config)
+        encode_scalar(video, config)
         Decoder().decode(encoded)
         assert pickles() == before
         assert before[0] == pickle.dumps(build_context_model())

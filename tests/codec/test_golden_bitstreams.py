@@ -29,9 +29,9 @@ import numpy as np
 import pytest
 
 from repro.codec import EncoderConfig, EntropyCoder
-from repro.codec.batch import encode_batch_with_recon
 from repro.codec.decoder import Decoder
-from repro.codec.encoder import Encoder
+from repro.codec.encoder import Encoder, encode_batch_with_recon
+from repro.codec.reference import encode_scalar
 from repro.video import SceneConfig, synthesize_scene
 
 #: name -> (scene, encoder config, expected stream digest, expected
@@ -107,7 +107,7 @@ def test_batched_encode_matches_golden_digest(name):
     # The batched kernels must land on the same pinned digests: the
     # golden clip rides in a two-clip stack with a same-geometry
     # partner (same scene, another seed), whose stream must equal the
-    # scalar encoder's.
+    # scalar reference encoder's.
     scene, config, want_stream, want_pixels = GOLDEN[name]
     partner = synthesize_scene(dataclasses.replace(scene,
                                                    seed=scene.seed + 1))
@@ -118,7 +118,17 @@ def test_batched_encode_matches_golden_digest(name):
     assert _pixel_digest(recons[0]) == want_pixels, (
         f"{name}: batched reconstruction changed")
     assert encodeds[1].serialize() == \
-        Encoder(config).encode(partner).serialize()
+        encode_scalar(partner, config).serialize()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reference_encoder_matches_golden_digest(name):
+    # The oracle of the equivalence tests lands on the pinned streams
+    # too, so a change that moved both encoders alike still fails.
+    scene, config, want_stream, _ = GOLDEN[name]
+    stream = encode_scalar(synthesize_scene(scene), config).serialize()
+    assert hashlib.sha256(stream).hexdigest() == want_stream, (
+        f"{name}: reference encoder's bitstream changed")
 
 
 #: Bit flips per frame payload in the damaged-stream table.

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.codec.motion import (
-    MacroblockSearch,
     compensate,
     pad_reference,
     reference_dependencies,
 )
+from repro.codec.reference import MacroblockSearch
 from repro.codec.types import MotionVector
 from repro.errors import EncoderError
 

@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro.codec import batch as batch_module
+from repro.codec import encoder as encoder_module
 from repro.codec import reference as ref
 from repro.codec.batch import (
     BatchFrameMotionSearch,
     assemble_gop_units,
-    encode_batch_with_recon,
     gop_unit_bounds,
 )
 from repro.codec.bitstream import BitReader, BitWriter
@@ -34,16 +34,16 @@ from repro.codec.deblock import (
     deblock_frame,
     filter_thresholds,
 )
-from repro.codec.encoder import Encoder
+from repro.codec.encoder import Encoder, encode_batch_with_recon
 from repro.codec.entropy import MAX_EG_PREFIX, EntropyDecoder
 from repro.codec.intra import choose_intra_mode
-from repro.codec.motion import (
-    ENCODER_RECTS,
+from repro.codec.motion import ENCODER_RECTS, pad_reference
+from repro.codec.neighbors import FrameMbState
+from repro.codec.reference import (
     FrameMotionSearch,
     MacroblockSearch,
-    pad_reference,
+    encode_scalar,
 )
-from repro.codec.neighbors import FrameMbState
 from repro.codec.ratecontrol import activity_qp_offset, frame_activity_offsets
 from repro.codec.syntax import _contexts
 from repro.codec.transform import (
@@ -572,8 +572,9 @@ class TestEncoderHelperEquivalence:
     @given(coefficients=npst.arrays(np.int32, (16, 4, 4),
                                     elements=st.integers(-3, 3)))
     def test_coded_block_pattern_matches_loops(self, coefficients):
-        got = Encoder._coded_block_pattern(coefficients)
-        assert got == ref.coded_block_pattern_scalar(coefficients)
+        got = batch_module._coded_block_patterns_many(coefficients[None])
+        assert tuple(got[0].tolist()) == ref.coded_block_pattern_scalar(
+            coefficients)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -590,7 +591,7 @@ class TestEncoderHelperEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Whole-pipeline batching: the encode farm's stacked path
+# Whole-pipeline batching: the encoder against the reference encoder
 # ----------------------------------------------------------------------
 
 def clip_stacks(count: int, min_frames: int = 2, max_frames: int = 5):
@@ -616,13 +617,14 @@ def _texture(seed: int, height: int, width: int) -> np.ndarray:
 
 def _coded_bframe_decisions(videos, config):
     """Batch-encode ``videos`` (asserting each stream equals the scalar
-    encoder's) and return every B-frame macroblock decision coded."""
-    with mock.patch.object(batch_module, "encode_macroblock",
-                           wraps=batch_module.encode_macroblock) as spy:
+    reference encoder's) and return every B-frame macroblock decision
+    coded."""
+    with mock.patch.object(encoder_module, "encode_macroblock",
+                           wraps=encoder_module.encode_macroblock) as spy:
         encodeds, recons = encode_batch_with_recon(videos, config)
     for video, encoded in zip(videos, encodeds):
-        assert encoded.serialize() == Encoder(config).encode(
-            video).serialize()
+        assert encoded.serialize() == encode_scalar(
+            video, config).serialize()
     decisions = [call.args[3] for call in spy.call_args_list
                  if call.args[4] == FrameType.B]
     assert decisions
@@ -638,10 +640,11 @@ def _intra_positions(frame_trace) -> set:
 
 
 class TestBatchEncoderEquivalence:
-    """The batch encoder's contract is bit-for-bit equality: same
-    streams, same traces (``serialize`` does not cover them, so they
-    are compared on their own) and the same reconstruction the decoder
-    would produce from those streams."""
+    """The encoder's contract is bit-for-bit equality with the
+    per-macroblock reference :func:`encode_scalar`: same streams, same
+    traces (``serialize`` does not cover them, so they are compared on
+    their own) and the same reconstruction the decoder would produce
+    from those streams."""
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data(), crf=st.integers(18, 42), gop=st.integers(2, 4),
@@ -657,7 +660,7 @@ class TestBatchEncoderEquivalence:
                                slices=slices, entropy_coder=coder)
         encodeds, recons = encode_batch_with_recon(videos, config)
         for video, encoded, recon in zip(videos, encodeds, recons):
-            want = Encoder(config).encode(video)
+            want = encode_scalar(video, config)
             assert encoded.serialize() == want.serialize()
             assert encoded.trace == want.trace
             decoded = Decoder().decode(want).to_array()
@@ -670,7 +673,7 @@ class TestBatchEncoderEquivalence:
             for seed, rows in ((1, 2), (2, 1), (3, 2))]
         encodeds, recons = encode_batch_with_recon(videos, config)
         for video, encoded, recon in zip(videos, encodeds, recons):
-            want = Encoder(config).encode(video)
+            want = encode_scalar(video, config)
             assert encoded.serialize() == want.serialize()
             assert encoded.trace == want.trace
             np.testing.assert_array_equal(
@@ -692,11 +695,11 @@ class TestBatchEncoderEquivalence:
                         np.full((48, 64), 60, dtype=np.uint8)])
         videos = [VideoSequence.from_array(cut),
                   VideoSequence.from_array(pan)]
-        with mock.patch.object(batch_module, "encode_macroblock",
-                               wraps=batch_module.encode_macroblock) as spy:
+        with mock.patch.object(encoder_module, "encode_macroblock",
+                               wraps=encoder_module.encode_macroblock) as spy:
             encodeds, recons = encode_batch_with_recon(videos, config)
         for video, encoded, recon in zip(videos, encodeds, recons):
-            want = Encoder(config).encode(video)
+            want = encode_scalar(video, config)
             assert encoded.serialize() == want.serialize()
             assert encoded.trace == want.trace
             np.testing.assert_array_equal(

@@ -89,20 +89,32 @@ class TestSpanCoverage:
                   if r.name == "encode.frame"}
         assert all(a.parent_id in frames for a in aggregates)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_encode_stages_split_search_and_intra(self, small_video,
-                                                  batched):
-        # Both encoders time the motion search apart from the inter
+    def test_encode_span_per_geometry_group(self, small_video):
+        # One "encode" span per lockstep group: two clips of one
+        # geometry share a span, a third geometry gets its own.
+        from repro.codec import EncoderConfig, EntropyCoder
+        from repro.codec.encoder import encode_batch_with_recon
+
+        config = EncoderConfig(crf=24, gop_size=4,
+                               entropy_coder=EntropyCoder.CAVLC)
+        short = small_video.subsequence(0, 2)
+        trace.enable()
+        encode_batch_with_recon([small_video, short, small_video], config)
+        records = trace.active().drain()
+        groups = sorted((r.attrs["clips"], r.attrs["frames"],
+                         r.attrs["entropy"])
+                        for r in records if r.name == "encode")
+        assert groups == sorted([(2, len(small_video), "CAVLC"),
+                                 (1, 2, "CAVLC")])
+
+    def test_encode_stages_split_search_and_intra(self, small_video):
+        # The encoder times the motion search apart from the inter
         # decision, and the per-MB intra choice in every frame type.
         from repro.codec import Encoder, EncoderConfig
-        from repro.codec.batch import encode_batch_with_recon
 
         config = EncoderConfig(crf=24, gop_size=4, bframes=1)
         trace.enable()
-        if batched:
-            encode_batch_with_recon([small_video], config)
-        else:
-            Encoder(config).encode(small_video)
+        Encoder(config).encode(small_video)
         records = trace.active().drain()
         frames = [r for r in records if r.name == "encode.frame"]
         assert {r.attrs["frame_type"] for r in frames} == {"I", "P", "B"}

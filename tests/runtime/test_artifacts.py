@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.codec import EncoderConfig
 from repro.runtime import ArtifactCache, CACHE_ENV, content_key, session_cache
-from repro.video import SceneConfig, synthesize_scene
+from repro.video import SceneConfig, VideoSequence, synthesize_scene
 
 
 def _tiny_video(seed):
@@ -46,6 +46,31 @@ class TestArtifactCache:
         second = cache.clean_decode(video, config)
         assert second is first
         assert np.array_equal(first.frames[0], second.frames[0])
+
+    def test_clean_decode_is_the_encoders_reconstruction(self,
+                                                         monkeypatch):
+        # The clean decode comes from the encoder's closed loop: no
+        # decoder runs, and the frames equal a decode of the stream,
+        # read-only and at the clip's frame rate, as a decoder's are.
+        from repro.codec import Decoder
+
+        cache = ArtifactCache()
+        video = VideoSequence.from_array(_tiny_video(5).to_array(),
+                                         fps=24.0)
+        config = EncoderConfig(crf=24, gop_size=2, bframes=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("clean_decode ran the decoder")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Decoder, "decode", refuse)
+            clean = cache.clean_decode(video, config)
+        encoded = cache.encode(video, config)
+        assert (cache.hits, cache.misses) == (1, 1)
+        decoded = Decoder().decode(encoded)
+        assert clean.fps == decoded.fps == 24.0
+        assert np.array_equal(clean.to_array(), decoded.to_array())
+        assert not any(frame.flags.writeable for frame in clean.frames)
 
     def test_lru_evicts_oldest(self):
         cache = ArtifactCache(max_entries=2)
