@@ -3,8 +3,9 @@
 The farm's whole contract is "same numbers, faster": GOP work units,
 batched execution, shared-memory clip transport, and journal resume
 must each be invisible in the results. Every test here compares a farm
-configuration against either the scalar per-unit pipeline or another
-farm configuration and demands equality.
+configuration against either the per-macroblock reference encoder
+(:func:`~repro.codec.reference.encode_scalar`, one unit at a time) or
+another farm configuration and demands equality.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from repro.codec import EncoderConfig
 from repro.codec.batch import gop_unit_bounds
 from repro.codec.decoder import Decoder
-from repro.codec.encoder import Encoder
+from repro.codec.reference import encode_scalar
 from repro.metrics.psnr import video_psnr
 from repro.runtime import RunStats
 from repro.runtime.farm import (
@@ -43,14 +44,14 @@ def _clips(count=3, width=32, height=32, frames=6, seed=7):
 
 
 def _per_clip_reference(clips, config):
-    """(bits, psnr) per clip via the scalar per-unit pipeline."""
+    """(bits, psnr) per clip via the reference encoder, unit by unit."""
     expected = []
     for clip in clips:
         bits = 0
         for start, stop in gop_unit_bounds(len(clip), config):
             unit = clip.subsequence(start, stop)
-            bits += 8 * len(Encoder(config).encode(unit).serialize())
-        encoded = Encoder(config).encode(clip)
+            bits += 8 * len(encode_scalar(unit, config).serialize())
+        encoded = encode_scalar(clip, config)
         psnr = video_psnr(clip, Decoder().decode(encoded))
         expected.append((bits, psnr))
     return expected
@@ -219,7 +220,7 @@ class TestBFrameFallback:
         result = encode_farm(clips, self._BCONFIG, workers=0,
                              batch_size=4, use_shared_memory=False)
         for clip, clip_result in zip(clips, result.clips):
-            encoded = Encoder(self._BCONFIG).encode(clip)
+            encoded = encode_scalar(clip, self._BCONFIG)
             assert clip_result.complete
             assert clip_result.units == 1
             assert clip_result.bits == 8 * len(encoded.serialize())
