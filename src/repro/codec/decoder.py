@@ -371,9 +371,19 @@ class Decoder:
 
     def decode_range(self, encoded: EncodedVideo, start: int, stop: int,
                      damage: Optional[DamageMap] = None, *,
-                     scope: str = "") -> VideoSequence:
+                     scope: str = "",
+                     positions: Optional[Sequence[int]] = None
+                     ) -> VideoSequence:
         """Decode display frames ``[start, stop)`` via their dependency
-        closure (see :meth:`decode_frame_at`)."""
+        closure (see :meth:`decode_frame_at`).
+
+        ``positions`` hands in that closure (container positions, coded
+        order) when the caller already holds it, as the object store's
+        per-GOP fetch plan does; the decoder then walks no references
+        and consults no seek index. Only those frames' payloads are
+        read. A closure the frame decoder rejects falls back to one
+        full :meth:`decode`, as a closure it derives itself does.
+        """
         header = encoded.header
         if not 0 <= start < stop <= header.num_frames:
             raise BitstreamError(
@@ -390,27 +400,20 @@ class Decoder:
         targets = range(start, stop)
         with obs_trace.span("seek.decode", start=start, stop=stop):
             try:
-                positions = dependency_closure(encoded, targets)
-            except BitstreamError:
-                positions = None
-            if positions is None:
-                # Index/reference structure unusable for a partial
-                # decode: the sequential decoder is the authority.
-                obs_metrics.counter("decode_seek_fallback_total").inc()
-                full = self.decode(encoded, damage, scope=scope)
-                return VideoSequence([full.frames[d] for d in targets],
-                                     fps=header.fps)
-            obs_metrics.counter("decode_seek_requests_total").inc()
-            obs_metrics.counter("decode_seek_frames_decoded_total").inc(
-                len(positions))
-            obs_metrics.counter("decode_seek_frames_skipped_total").inc(
-                len(encoded.frames) - len(positions))
-            try:
+                if positions is None:
+                    positions = dependency_closure(encoded, targets)
+                obs_metrics.counter("decode_seek_requests_total").inc()
+                obs_metrics.counter(
+                    "decode_seek_frames_decoded_total").inc(len(positions))
+                obs_metrics.counter(
+                    "decode_seek_frames_skipped_total").inc(
+                    len(encoded.frames) - len(positions))
                 decoded = self._decode_frames(encoded, positions, damage,
                                               scope)
             except BitstreamError:
-                # A chain the closure accepted but the frame decoder
-                # rejects (hostile refs): same fallback as above.
+                # Index/reference structure unusable for a partial
+                # decode, or a chain the frame decoder rejects (hostile
+                # refs): the sequential decoder is the authority.
                 obs_metrics.counter("decode_seek_fallback_total").inc()
                 full = self.decode(encoded, damage, scope=scope)
                 return VideoSequence([full.frames[d] for d in targets],

@@ -132,13 +132,20 @@ def partition_video(encoded: EncodedVideo,
 
 
 def merge_streams(layout: StreamLayout,
-                  streams: Dict[str, bytes]) -> List[bytes]:
+                  streams: Dict[str, bytes],
+                  positions: Optional[Sequence[int]] = None
+                  ) -> List[bytes]:
     """Reassemble frame payloads from (possibly corrupted) streams.
 
     Pass a :class:`ProtectedVideo`'s own ``streams`` for the clean
     payloads, or the read-back streams from an approximate device to
     rebuild the corrupted payload set. Stream lengths must be unchanged
     — the device flips bits, it never resizes.
+
+    ``positions`` (container positions, coded order) rebuilds only
+    those frames, as a seek that decodes one dependency closure needs;
+    every other payload comes back as zero bytes of its size. ``None``
+    rebuilds every frame.
     """
     unpacked: Dict[str, np.ndarray] = {}
     cursors: Dict[str, int] = {}
@@ -150,9 +157,16 @@ def merge_streams(layout: StreamLayout,
             )
         unpacked[name] = _unpack(corrupted)
         cursors[name] = 0
+    wanted = None if positions is None else set(positions)
     payloads: List[bytes] = []
-    for header, table in zip(layout.frame_headers, layout.pivots):
+    for position, (header, table) in enumerate(zip(layout.frame_headers,
+                                                   layout.pivots)):
         size = header.payload_bytes
+        if wanted is not None and position not in wanted:
+            for segment in table.segments:
+                cursors[segment.scheme_name] += segment.bits
+            payloads.append(bytes(size))
+            continue
         bits = np.zeros(8 * size, dtype=np.uint8)
         for segment in table.segments:
             cursor = cursors[segment.scheme_name]

@@ -16,7 +16,8 @@ serve`` prints exactly that).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from ..obs import metrics as obs_metrics
@@ -46,18 +47,34 @@ class AuditEvent:
 
 
 class AuditLog:
-    """An append-only, replay-stable event trail."""
+    """An append-only, replay-stable event trail.
+
+    Reads record from the front-end's event loop and its read worker
+    at once, so a lock makes each event's ``seq`` its place in the
+    trail. The lock stays out of pickles and deep copies.
+    """
 
     def __init__(self) -> None:
         self._events: List[AuditEvent] = []
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def record(self, kind: str, tenant: str, object_id: str = "",
                detail: str = "") -> AuditEvent:
         """Append one event and bump the matching audit counter."""
-        event = AuditEvent(seq=len(self._events), kind=kind,
-                           tenant=tenant, object_id=object_id,
-                           detail=detail)
-        self._events.append(event)
+        with self._lock:
+            event = AuditEvent(seq=len(self._events), kind=kind,
+                               tenant=tenant, object_id=object_id,
+                               detail=detail)
+            self._events.append(event)
         obs_metrics.counter("service_audit_events_total").inc()
         return event
 

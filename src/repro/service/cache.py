@@ -13,10 +13,16 @@ LRU with a capacity measured in GOPs (``REPRO_SEEK_CACHE``), hit/miss/
 eviction counters on the ``obs`` metrics registry, and an explicit
 ``invalidate`` for tests and operators. Capacity 0 disables caching
 without disabling the partial-read path.
+
+Two threads share it by design: the service front-end answers hits on
+its event loop (:meth:`GopCache.hit`) while its read worker fills misses
+(:meth:`GopCache.get`, :meth:`GopCache.put`). Every method therefore
+runs under one lock, which stays out of pickles and deep copies.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -65,8 +71,21 @@ class GopCache:
     evictions: int = 0
     expirations: int = 0
 
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def get(self, key: GopKey) -> Optional[CachedGop]:
         """The cached GOP for ``key``, refreshing its recency.
@@ -77,26 +96,40 @@ class GopCache:
         object clean. Serving a damaged hit does *not* refresh its
         recency; it stays first in line for eviction.
         """
-        entry = self._entries.get(key)
-        if entry is None:
+        with self._lock:
+            entry = self._hit(key)
+            if entry is not None:
+                return entry
+            if key in self._entries:
+                del self._entries[key]
+                self.expirations += 1
+                obs_metrics.counter(
+                    "service_gop_cache_expired_total").inc()
             self.misses += 1
             obs_metrics.counter("service_gop_cache_misses_total").inc()
             return None
+
+    def hit(self, key: GopKey) -> Optional[CachedGop]:
+        """:meth:`get` for a key that can serve a hit; ``None``, with
+        nothing counted, expired or reordered, for one that cannot.
+
+        A caller that gets ``None`` and still wants the frame calls
+        :meth:`get` next, which counts the miss (or the expiry) once:
+        each read counts one hit or one miss whichever way it went.
+        """
+        with self._lock:
+            return self._hit(key)
+
+    def _hit(self, key: GopKey) -> Optional[CachedGop]:
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
         if entry.remaining_ttl is not None:
             if entry.remaining_ttl <= 0:
-                del self._entries[key]
-                self.expirations += 1
-                self.misses += 1
-                obs_metrics.counter(
-                    "service_gop_cache_expired_total").inc()
-                obs_metrics.counter(
-                    "service_gop_cache_misses_total").inc()
                 return None
             entry.remaining_ttl -= 1
-            self.hits += 1
-            obs_metrics.counter("service_gop_cache_hits_total").inc()
-            return entry
-        self._entries.move_to_end(key)
+        else:
+            self._entries.move_to_end(key)
         self.hits += 1
         obs_metrics.counter("service_gop_cache_hits_total").inc()
         return entry
@@ -112,17 +145,18 @@ class GopCache:
         if self.capacity <= 0:
             return
         damaged = entry.outcome in DAMAGED_OUTCOMES
-        if damaged:
-            entry.remaining_ttl = self.concealed_ttl
-            obs_metrics.counter(
-                "service_gop_cache_damaged_admits_total").inc()
-        self._entries[key] = entry
-        self._entries.move_to_end(key, last=not damaged)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            obs_metrics.counter(
-                "service_gop_cache_evictions_total").inc()
+        with self._lock:
+            if damaged:
+                entry.remaining_ttl = self.concealed_ttl
+                obs_metrics.counter(
+                    "service_gop_cache_damaged_admits_total").inc()
+            self._entries[key] = entry
+            self._entries.move_to_end(key, last=not damaged)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+                obs_metrics.counter(
+                    "service_gop_cache_evictions_total").inc()
 
     def invalidate(self, tenant: Optional[str] = None,
                    object_id: Optional[str] = None) -> int:
@@ -131,16 +165,18 @@ class GopCache:
         With no arguments the whole cache is cleared; ``tenant`` alone
         scopes to that tenant, ``object_id`` narrows to one object.
         """
-        doomed = [key for key in self._entries
-                  if (tenant is None or key[0] == tenant)
-                  and (object_id is None or key[1] == object_id)]
-        for key in doomed:
-            del self._entries[key]
+        with self._lock:
+            doomed = [key for key in self._entries
+                      if (tenant is None or key[0] == tenant)
+                      and (object_id is None or key[1] == object_id)]
+            for key in doomed:
+                del self._entries[key]
         return len(doomed)
 
     def stats(self) -> Dict[str, int]:
         """Counters snapshot for exhibits and the CLI."""
-        return {"size": len(self._entries), "capacity": self.capacity,
-                "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "expirations": self.expirations}
+        with self._lock:
+            return {"size": len(self._entries), "capacity": self.capacity,
+                    "hits": self.hits, "misses": self.misses,
+                    "evictions": self.evictions,
+                    "expirations": self.expirations}

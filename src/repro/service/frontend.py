@@ -5,9 +5,18 @@ not encode inline — they park the clip on a bounded queue and await a
 future; a single worker coroutine drains the queue in batches of up to
 ``ingest_batch`` clips and hands each batch (grouped by tenant) to
 :meth:`~repro.service.store.VideoObjectStore.put_many`, which routes
-same-geometry clips through the vectorized encode kernel. Reads bypass
-the queue entirely and run on the default executor so they stay
-responsive while an encode batch is in flight.
+same-geometry clips through the vectorized encode kernel on the event
+loop's default executor, as a repair pass does.
+
+Reads bypass the queue and stay responsive while an encode batch is in
+flight. They run on one read worker thread that the front-end starts
+and stops: read work is Python that holds the interpreter lock, so a
+second read thread would only add lock hand-offs. A frame read whose
+display GOP is already decoded is answered on the event loop itself
+(:meth:`~repro.service.store.VideoObjectStore.cached_frame`): a hit
+is a few tens of microseconds of work, a fraction of what the two
+thread hops to a worker and back would cost it. Every miss goes to the
+read worker.
 
 Backpressure is explicit: when the queue is full the front-end sheds
 the ingest with :class:`~repro.errors.ServiceOverloadError` instead of
@@ -19,6 +28,7 @@ docs/SERVICE.md. Queue depth is exported continuously as the
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Awaitable, Callable, List, Optional, Tuple
 
@@ -58,14 +68,19 @@ class ServiceFrontend:
         self._queue: Optional[asyncio.Queue] = None
         self._worker: Optional[asyncio.Task] = None
         self._repair_daemon: Optional[asyncio.Task] = None
+        #: The one thread that serves reads; exists while started.
+        self._reads: Optional[ThreadPoolExecutor] = None
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
-        """Create the queue and launch the ingest worker (and, when
-        ``repair_interval_s`` is set, the background repair daemon)."""
+        """Create the queue and launch the ingest worker, the read
+        worker (and, when ``repair_interval_s`` is set, the background
+        repair daemon)."""
         if self._worker is not None:
             return
+        self._reads = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="repro-read")
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
         self._worker = asyncio.create_task(self._ingest_worker())
         if self.repair_interval_s is not None:
@@ -73,7 +88,8 @@ class ServiceFrontend:
                 self._repair_loop())
 
     async def stop(self) -> None:
-        """Drain every queued ingest, then retire the workers."""
+        """Drain every queued ingest, then retire the workers; the read
+        worker finishes the reads already handed to it."""
         if self._worker is None:
             return
         await self._queue.join()
@@ -85,6 +101,8 @@ class ServiceFrontend:
                 await task
             except asyncio.CancelledError:
                 pass
+        self._reads.shutdown(wait=True)
+        self._reads = None
         self._worker = None
         self._repair_daemon = None
         self._queue = None
@@ -121,21 +139,42 @@ class ServiceFrontend:
                    reader: Optional[str] = None,
                    rng: Optional[np.random.Generator] = None
                    ) -> ReadResult:
-        """Serve one read off the event loop (default executor)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, partial(self.store.get, tenant, object_id,
-                          reader=reader, rng=rng))
+        """Serve one whole-object read on the read worker.
+
+        Raises :class:`ServiceOverloadError` before :meth:`start`.
+        """
+        return await asyncio.get_running_loop().run_in_executor(
+            self._read_worker(),
+            partial(self.store.get, tenant, object_id, reader=reader,
+                    rng=rng))
 
     async def read_frame(self, tenant: str, object_id: str,
                          display: int, reader: Optional[str] = None,
                          rng: Optional[np.random.Generator] = None
                          ) -> FrameReadResult:
-        """Serve one random-access frame off the event loop."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, partial(self.store.get_frame, tenant, object_id,
-                          display, reader=reader, rng=rng))
+        """Serve one random-access frame: a GOP-cache hit on the event
+        loop, a miss on the read worker.
+
+        Either way the read passes the store's access check and is
+        counted and audited once. A hit returns without suspending, as
+        :meth:`asyncio.Queue.get` does when an item is ready, so a
+        caller looping over hits alone should yield to the loop now and
+        then. Raises :class:`ServiceOverloadError` before :meth:`start`.
+        """
+        reads = self._read_worker()
+        hit = self.store.cached_frame(tenant, object_id, display,
+                                      reader=reader)
+        if hit is not None:
+            return hit
+        return await asyncio.get_running_loop().run_in_executor(
+            reads, partial(self.store.get_frame, tenant, object_id,
+                           display, reader=reader, rng=rng))
+
+    def _read_worker(self) -> ThreadPoolExecutor:
+        if self._reads is None:
+            raise ServiceOverloadError(
+                "front-end is not started; call start() first")
+        return self._reads
 
     # -- retry / backoff --------------------------------------------------
 

@@ -445,13 +445,13 @@ class VideoObjectStore:
         says is needed.
 
         The read unit is the frame's display GOP: the seek index
-        resolves ``display`` to its anchor I frame, the dependency
-        closure of the GOP's frames decides which container positions
-        must decode, and only the ECC blocks carrying those frames'
-        stream segments are pulled off the shards, decrypted in place
-        (CTR counter jump), merged, and partially decoded. Decoded
-        GOPs land in the store's LRU (:class:`~repro.service.cache.
-        GopCache`), so scrubbing within a GOP hits memory.
+        resolves ``display`` to its anchor I frame, the GOP's fetch
+        plan names the container positions of its dependency closure,
+        and only the ECC blocks carrying those frames' stream segments
+        are pulled off the shards, decrypted in place (CTR counter
+        jump), merged, and partially decoded. Decoded GOPs land in the
+        store's LRU (:class:`~repro.service.cache.GopCache`), so
+        scrubbing within a GOP hits memory.
 
         The fetch and its four-outcome ladder are :meth:`get`'s. A
         partial window cannot hash bytes it never fetched, so there
@@ -459,19 +459,60 @@ class VideoObjectStore:
         the integrity hash runs whenever an aligned window covers its
         whole stream, as every window of a whole read does.
         """
+        return self._read_frame(tenant, object_id, display, reader, rng,
+                                fetch=True)
+
+    def cached_frame(self, tenant: str, object_id: str, display: int,
+                     reader: Optional[str] = None
+                     ) -> Optional[FrameReadResult]:
+        """:meth:`get_frame` when the frame's display GOP is cached,
+        else ``None``.
+
+        A hit passes the same access check and is counted, audited and
+        served exactly as :meth:`get_frame` serves it. A miss counts,
+        audits and fetches nothing: the caller that still wants the
+        frame calls :meth:`get_frame`, which counts it once. The
+        front-end calls this on its event loop, so a hit never waits
+        for a thread and a miss never runs there.
+        """
+        return self._read_frame(tenant, object_id, display, reader, None,
+                                fetch=False)
+
+    def _read_frame(self, tenant: str, object_id: str, display: int,
+                    reader: Optional[str],
+                    rng: Optional[np.random.Generator],
+                    fetch: bool) -> Optional[FrameReadResult]:
+        """A frame read; with ``fetch`` false a cache miss returns
+        ``None`` before anything is counted or read."""
         reader = reader if reader is not None else tenant
         record = self.record(tenant, object_id)
         if not 0 <= display < record.frames:
             raise ServiceError(
                 f"display {display} outside object "
                 f"{object_id[:12]}'s 0..{record.frames - 1}")
+        encryptor = self._encryptor_for(tenant, reader, object_id)
+        plan = record.gop_plans[
+            record.seek_index.gop_for_display(display).anchor_display]
+        key = (tenant, object_id, plan.start)
+        cached = (self.gop_cache.get if fetch else self.gop_cache.hit)(key)
+        if cached is None and not fetch:
+            return None
         with obs_trace.span("seek.get_frame", tenant=tenant,
                             reader=reader, object_id=object_id[:12],
                             display=display):
-            encryptor = self._encryptor_for(tenant, reader, object_id)
-            rng = rng if rng is not None else np.random.default_rng()
-            result = self._frame_via_seek(record, encryptor, reader,
-                                          display, rng)
+            if cached is None:
+                result = self._frame_via_seek(
+                    record, encryptor, reader, display, plan,
+                    rng if rng is not None else np.random.default_rng())
+            else:
+                result = FrameReadResult(
+                    object_id=object_id, tenant=tenant, reader=reader,
+                    display=display, outcome=cached.outcome,
+                    frame=cached.frames[display],
+                    refusal_reason=cached.refusal_reason,
+                    concealed_streams=cached.concealed_streams,
+                    cache_hit=True, gop_anchor=plan.start,
+                    bytes_total=sum(record.stream_lengths.values()))
         self.audit.record(
             "read_frame", reader, object_id,
             detail=(f"display={display} outcome={result.outcome}"
@@ -496,56 +537,46 @@ class VideoObjectStore:
             raise
 
     def _frame_via_seek(self, record: ObjectRecord, encryptor,
-                        reader: str, display: int,
+                        reader: str, display: int, plan: GopPlan,
                         rng: np.random.Generator) -> FrameReadResult:
-        """Partial read + partial decode of the frame's display GOP."""
-        plan = record.gop_plans[
-            record.seek_index.gop_for_display(display).anchor_display]
-        gop_start, gop_stop = plan.start, plan.stop
-        bytes_total = sum(record.stream_lengths.values())
-        key = (record.tenant, record.object_id, gop_start)
-        cached = self.gop_cache.get(key)
-        if cached is not None:
-            return FrameReadResult(
-                object_id=record.object_id, tenant=record.tenant,
-                reader=reader, display=display, outcome=cached.outcome,
-                frame=cached.frames[display],
-                refusal_reason=cached.refusal_reason,
-                concealed_streams=cached.concealed_streams,
-                cache_hit=True, gop_anchor=gop_start,
-                bytes_total=bytes_total)
-        with obs_trace.span("seek.fetch", gop=gop_start,
+        """Partial read + partial decode of the frame's display GOP,
+        which then enters the cache."""
+        with obs_trace.span("seek.fetch", gop=plan.start,
                             frames=len(plan.positions)):
             fetched = self._fetch(
                 record, encryptor, rng,
                 {name: (lo_bit // 8, -(-hi_bit // 8))
-                 for name, (lo_bit, hi_bit) in plan.ranges.items()})
+                 for name, (lo_bit, hi_bit) in plan.ranges.items()},
+                plan.positions)
         result = FrameReadResult(
             object_id=record.object_id, tenant=record.tenant,
             reader=reader, display=display, outcome=fetched.outcome,
             refusal_reason=fetched.refusal_reason,
             concealed_streams=fetched.concealed_streams,
-            gop_anchor=gop_start, frames_decoded=len(plan.positions),
-            bytes_read=fetched.bytes_read, bytes_total=bytes_total,
+            gop_anchor=plan.start, frames_decoded=len(plan.positions),
+            bytes_read=fetched.bytes_read,
+            bytes_total=sum(record.stream_lengths.values()),
             reports=fetched.reports)
         if fetched.container is None:
             return result
         gop = self._decoder.decode_range(
-            fetched.container, gop_start, gop_stop, fetched.frame_damage,
-            scope=record.tenant)
-        frames = {gop_start + k: frame
+            fetched.container, plan.start, plan.stop, fetched.frame_damage,
+            scope=record.tenant, positions=plan.positions)
+        frames = {plan.start + k: frame
                   for k, frame in enumerate(gop.frames)}
         result.frame = frames[display]
-        self.gop_cache.put(key, CachedGop(
-            anchor_display=gop_start, frames=frames,
-            outcome=result.outcome,
-            refusal_reason=result.refusal_reason,
-            concealed_streams=result.concealed_streams))
+        self.gop_cache.put(
+            (record.tenant, record.object_id, plan.start),
+            CachedGop(anchor_display=plan.start, frames=frames,
+                      outcome=result.outcome,
+                      refusal_reason=result.refusal_reason,
+                      concealed_streams=result.concealed_streams))
         return result
 
     def _fetch(self, record: ObjectRecord, encryptor,
                rng: np.random.Generator,
-               windows: Dict[str, Tuple[int, int]]) -> _Fetched:
+               windows: Dict[str, Tuple[int, int]],
+               positions: Optional[Sequence[int]] = None) -> _Fetched:
         """Read, judge, decrypt and merge byte windows of the streams.
 
         ``windows`` maps a stream name to the half-open byte window to
@@ -554,7 +585,9 @@ class VideoObjectStore:
         at ingest, so a seeded rng yields one flip pattern per plan
         seed regardless of placement. Any stream that needed a retry,
         was damaged or refused, or came from a non-primary replica
-        enqueues read-repair.
+        enqueues read-repair. ``positions`` limits the merge to those
+        frames' payloads (see :func:`~repro.core.partition.
+        merge_streams`); ``None`` merges every frame.
         """
         ordered = sorted(record.stream_lengths)
         reads: Dict[str, Tuple[bytes, int]] = {}
@@ -607,7 +640,8 @@ class VideoObjectStore:
             shifted = [(lo, hi) for lo, hi in shifted if hi > lo]
             if shifted:
                 damage[name] = shifted
-        fetched.container = record.container(merge_streams(record, streams))
+        fetched.container = record.container(
+            merge_streams(record, streams, positions))
         if damage:
             fetched.frame_damage = map_stream_damage(record, damage)
             fetched.outcome = CONCEALED

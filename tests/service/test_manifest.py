@@ -199,6 +199,22 @@ class TestManifestHelpersEqualFullContainer:
             assert merge_streams(record, flipped) == \
                 merge_streams(protected, flipped)
 
+    def test_merge_streams_rebuilds_only_the_listed_positions(self,
+                                                              layouts):
+        protected, record = layouts
+        wanted = [plan.positions for plan in record.gop_plans.values()]
+        wanted += [(), (0,), tuple(range(0, record.frames, 2))]
+        for seed in range(2):
+            flipped, _ = _flipped(protected.streams, seed)
+            full = merge_streams(record, flipped)
+            for positions in wanted:
+                partial = merge_streams(record, flipped, positions)
+                assert len(partial) == len(full)
+                for position, payload in enumerate(partial):
+                    assert payload == (
+                        full[position] if position in positions
+                        else bytes(len(full[position])))
+
     def test_stream_ranges_for_frames(self, layouts):
         protected, record = layouts
         frames = len(protected.pivots)
