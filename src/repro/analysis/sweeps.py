@@ -33,7 +33,6 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import AnalysisError
-from ..codec.decoder import Decoder
 from ..codec.encoded import EncodedVideo
 from ..metrics.psnr import video_psnr
 from ..runtime import (
@@ -86,7 +85,6 @@ def quality_sweep(encoded: EncodedVideo,
                   rates: Sequence[float] = PAPER_ERROR_RATES,
                   runs: int = 10,
                   rng: Optional[np.random.Generator] = None,
-                  decoder: Optional[Decoder] = None,
                   workers: Optional[int] = None,
                   timeout: Optional[float] = None,
                   max_retries: Optional[int] = None,
@@ -117,7 +115,6 @@ def quality_sweep(encoded: EncodedVideo,
         progress: live terminal status line (None = ``REPRO_PROGRESS``);
             observational only, never changes the numbers.
     """
-    del decoder  # retained for API compatibility; workers own decoders
     if runs < 1:
         raise AnalysisError(f"runs must be >= 1, got {runs}")
     rng = rng or np.random.default_rng(0)

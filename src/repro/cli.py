@@ -43,7 +43,6 @@ analysis is an encoder-side step and needs the trace).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -54,6 +53,7 @@ from .codec import Decoder, EncodedVideo, Encoder, EncoderConfig, EntropyCoder
 from .core import ApproximateVideoStore, PAPER_TABLE1, compute_importance
 from .crypto import StreamEncryptor, analyze_all_modes
 from .metrics import video_psnr
+from .settings import resolve
 from .video import (
     SceneConfig,
     read_raw_video,
@@ -177,17 +177,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_trace_path(args: argparse.Namespace) -> Optional[str]:
-    """Effective Chrome-trace output path: ``--trace`` wins, then
-    ``REPRO_TRACE``; None means tracing stays off."""
-    from .obs.trace import TRACE_ENV
-
-    path = getattr(args, "trace", None)
-    if path:
-        return path
-    return os.environ.get(TRACE_ENV, "").strip() or None
-
-
 def _ecc_calibration() -> None:
     """One tiny exact-ECC round trip, recorded as an ``ecc.calibration``
     span.
@@ -227,7 +216,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .obs import trace as obs_trace
     from .runtime import session_cache
 
-    trace_path = _resolve_trace_path(args)
+    trace_path = resolve("REPRO_TRACE", args.trace or None)
     jsonl_path = args.trace_jsonl
     tracer = (obs_trace.enable() if trace_path or jsonl_path
               else obs_trace.active())
@@ -335,7 +324,7 @@ def _cmd_retention(args: argparse.Namespace) -> int:
     from .analysis.retention import run_retention_sweep
     from .obs import trace as obs_trace
 
-    trace_path = _resolve_trace_path(args)
+    trace_path = resolve("REPRO_TRACE", args.trace or None)
     tracer = obs_trace.enable() if trace_path else obs_trace.active()
     video = read_raw_video(args.input)
     grid = tuple(float(t) for t in args.t_days.split(","))
@@ -404,7 +393,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .obs import trace as obs_trace
     from .runtime import session_cache
 
-    trace_path = _resolve_trace_path(args)
+    trace_path = resolve("REPRO_TRACE", args.trace or None)
     tracer = obs_trace.enable() if trace_path else obs_trace.active()
     if args.replay:
         report = replay_corpus(args.replay, timeout=args.timeout)
@@ -997,14 +986,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0,
                        help="keyring + read-rng seed")
     serve.add_argument("--shards", type=int, default=None,
-                       help="shard pool width "
-                            "(default REPRO_SERVICE_SHARDS)")
+                       help="shard pool width (default 4)")
     serve.add_argument("--read-retries", type=int, default=None,
-                       help="device re-read ladder depth "
-                            "(default REPRO_SERVICE_READ_RETRIES)")
+                       help="device re-read ladder depth (default 1)")
     serve.add_argument("--replicas", type=int, default=None,
                        help="copies written per stream "
-                            "(default REPRO_SERVICE_REPLICAS)")
+                            "(default REPRO_SERVICE_REPLICAS, else 2)")
     _add_encoder_args(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -1020,17 +1007,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="probability an op is a read (given an "
                               "earlier ingest exists)")
     loadgen.add_argument("--shards", type=int, default=None,
-                         help="shard pool width "
-                              "(default REPRO_SERVICE_SHARDS)")
+                         help="shard pool width (default 4)")
     loadgen.add_argument("--read-retries", type=int, default=None,
-                         help="device re-read ladder depth "
-                              "(default REPRO_SERVICE_READ_RETRIES)")
+                         help="device re-read ladder depth (default 1)")
     loadgen.add_argument("--t-days", type=float, default=None,
                          help="age every shard to this retention time "
                               "for the mixed phase (default: nominal)")
     loadgen.add_argument("--replicas", type=int, default=None,
                          help="copies written per stream "
-                              "(default REPRO_SERVICE_REPLICAS)")
+                              "(default REPRO_SERVICE_REPLICAS, else 2)")
     loadgen.add_argument("--repair", action="store_true",
                          help="run a repair pass after each "
                               "degradation age and re-read the samples")

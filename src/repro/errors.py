@@ -109,16 +109,6 @@ class TransientShardError(ServiceError):
     """
 
 
-class ReadRefusedError(ServiceError):
-    """The service refused a read rather than return suspect data.
-
-    Raised (or surfaced as a ``refused`` outcome) when read-back bytes
-    fail their integrity check while the device reported a clean read —
-    the signature of a silently miscorrected ECC block — or when a
-    precise stream comes back with known-uncorrectable damage.
-    """
-
-
 class TrialTimeout(ReproError):
     """A Monte Carlo trial exceeded its wall-clock watchdog budget.
 

@@ -29,12 +29,10 @@ from .metrics import (
     histogram,
     reset_registry,
 )
-from .progress import PROGRESS_ENV, ProgressReporter, format_eta, \
-    resolve_progress
+from .progress import ProgressReporter, format_eta
 from .trace import (
     NULL_SPAN,
     NULL_STAGE_CLOCK,
-    TRACE_ENV,
     SpanRecord,
     StageClock,
     Tracer,
@@ -59,11 +57,9 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "NULL_STAGE_CLOCK",
-    "PROGRESS_ENV",
     "ProgressReporter",
     "SpanRecord",
     "StageClock",
-    "TRACE_ENV",
     "Tracer",
     "active",
     "aggregate",
@@ -76,7 +72,6 @@ __all__ = [
     "get_registry",
     "histogram",
     "reset_registry",
-    "resolve_progress",
     "span",
     "spans_to_jsonl",
     "stage_clock",

@@ -13,7 +13,7 @@ nothing here touches randomness or results.
 
 Progress is opt-in, gated by ``--progress`` on the CLI or the
 ``REPRO_PROGRESS`` environment variable (any value except ``0``,
-``false``, or empty enables it). Rendering is throttled to
+``false``, ``no``, ``off`` or empty enables it). Rendering is throttled to
 ``min_interval`` seconds except for fault events (failures, retries,
 pool restarts), which always repaint so degradation is visible the
 moment it happens.
@@ -21,29 +21,11 @@ moment it happens.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from typing import IO, Optional
 
 from ..errors import AnalysisError
-
-#: Environment knob: enable campaign progress lines by default.
-PROGRESS_ENV = "REPRO_PROGRESS"
-
-#: Values of :data:`PROGRESS_ENV` that mean "off".
-_FALSY = ("", "0", "false", "no", "off")
-
-
-def resolve_progress(progress: Optional[bool] = None) -> bool:
-    """Resolve the effective progress setting.
-
-    An explicit ``progress`` wins; otherwise ``REPRO_PROGRESS`` is
-    consulted; otherwise off.
-    """
-    if progress is not None:
-        return bool(progress)
-    return os.environ.get(PROGRESS_ENV, "").strip().lower() not in _FALSY
 
 
 def format_eta(seconds: float) -> str:

@@ -46,11 +46,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-#: Environment knob: a non-empty value enables tracing in the CLI and
-#: names the Chrome-trace output path (``--trace`` overrides it).
-TRACE_ENV = "REPRO_TRACE"
-
-
 @dataclass
 class SpanRecord:
     """One finished span. Picklable: records cross the worker channel."""

@@ -11,7 +11,7 @@ bounded retries and poison-trial quarantine (:mod:`~repro.runtime.executor`),
 and append-only campaign checkpoint/resume (:mod:`~repro.runtime.journal`).
 """
 
-from .artifacts import ArtifactCache, CACHE_ENV, content_key, session_cache
+from .artifacts import ArtifactCache, content_key, session_cache
 from .chaos import (
     ChaosPolicy,
     arm as arm_chaos,
@@ -21,14 +21,9 @@ from .chaos import (
     schedule_digest as chaos_schedule_digest,
 )
 from .executor import (
-    DEFAULT_MAX_RETRIES,
-    MAX_RETRIES_ENV,
     TrialExecutor,
-    WORKERS_ENV,
     default_chunksize,
     fork_available,
-    resolve_max_retries,
-    resolve_workers,
     run_campaign,
 )
 from .farm import (
@@ -41,9 +36,8 @@ from .farm import (
 )
 from .journal import JOURNAL_VERSION, TrialJournal, campaign_digest, \
     context_digest, spec_digest
-from .shm import SHM_ENV, SharedClipStore, pack_clips, shared_memory_enabled
+from .shm import SharedClipStore, pack_clips
 from .trials import (
-    BATCH_SIZE_ENV,
     DEFAULT_BATCH_SIZE,
     FAILURE_CRASH,
     FAILURE_ERROR,
@@ -64,22 +58,13 @@ from .trials import (
     execute_trial,
     execute_trial_batch,
     register_trial_kind,
-    resolve_batch_size,
     spawn_trial_seeds,
     unregister_trial_kind,
 )
-from .watchdog import (
-    TIMEOUT_ENV,
-    alarm_capable,
-    resolve_trial_timeout,
-    run_with_deadline,
-    trial_deadline,
-)
+from .watchdog import alarm_capable, run_with_deadline, trial_deadline
 
 __all__ = [
     "ArtifactCache",
-    "BATCH_SIZE_ENV",
-    "CACHE_ENV",
     "ChaosPolicy",
     "arm_chaos",
     "chaos_events",
@@ -89,7 +74,6 @@ __all__ = [
     "disarm_chaos",
     "ClipEncodeResult",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_MAX_RETRIES",
     "FAILURE_CRASH",
     "FAILURE_ERROR",
     "FAILURE_TIMEOUT",
@@ -100,11 +84,8 @@ __all__ = [
     "KIND_SINGLE_FLIP",
     "KIND_STORED_READ",
     "KIND_SWEEP",
-    "MAX_RETRIES_ENV",
     "RunStats",
-    "SHM_ENV",
     "SharedClipStore",
-    "TIMEOUT_ENV",
     "TrialContext",
     "TrialExecutor",
     "TrialFailure",
@@ -112,7 +93,6 @@ __all__ = [
     "TrialOutcome",
     "TrialResult",
     "TrialSpec",
-    "WORKERS_ENV",
     "WorkerState",
     "alarm_capable",
     "build_encode_unit_specs",
@@ -128,14 +108,9 @@ __all__ = [
     "fork_available",
     "pack_clips",
     "register_trial_kind",
-    "resolve_batch_size",
-    "resolve_max_retries",
-    "resolve_trial_timeout",
-    "resolve_workers",
     "run_campaign",
     "run_with_deadline",
     "session_cache",
-    "shared_memory_enabled",
     "spawn_trial_seeds",
     "spec_digest",
     "trial_deadline",

@@ -11,14 +11,13 @@ equals a decode of the clean stream bit for bit, so nothing is decoded.
 
 Cached objects are shared, not copied: treat them as immutable (every
 library path that damages a stream already works on copies via
-``EncodedVideo.with_payloads``). Set ``REPRO_ARTIFACT_CACHE=0`` to
-disable caching entirely.
+``EncodedVideo.with_payloads``). Set ``REPRO_ARTIFACT_CACHE`` to
+``0``, ``false``, ``no`` or ``off`` to disable caching entirely.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import fields
 from typing import Optional, Tuple
@@ -26,10 +25,8 @@ from typing import Optional, Tuple
 from ..codec.config import EncoderConfig
 from ..codec.encoded import EncodedVideo
 from ..codec.encoder import _encode_clean
+from ..settings import resolve
 from ..video.frame import VideoSequence
-
-#: Environment knob: set to ``0`` to disable the session cache.
-CACHE_ENV = "REPRO_ARTIFACT_CACHE"
 
 
 def content_key(video: VideoSequence, config: EncoderConfig) -> str:
@@ -95,9 +92,10 @@ _session_cache: Optional[ArtifactCache] = None
 
 
 def session_cache() -> ArtifactCache:
-    """The process-wide cache (disabled when REPRO_ARTIFACT_CACHE=0)."""
+    """The process-wide cache, switched by ``REPRO_ARTIFACT_CACHE`` on
+    every call."""
     global _session_cache
-    enabled = os.environ.get(CACHE_ENV, "1").strip() != "0"
+    enabled = resolve("REPRO_ARTIFACT_CACHE")
     if _session_cache is None:
         _session_cache = ArtifactCache(enabled=enabled)
     else:

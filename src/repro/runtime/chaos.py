@@ -48,7 +48,7 @@ Design rules:
   span.
 
 Arm programmatically (``arm(policy)`` / ``disarm()``), or via the
-``REPRO_CHAOS_*`` environment knobs parsed by :func:`policy_from_env`
+``REPRO_CHAOS_*`` environment variables read by :func:`policy_from_env`
 (the CLI arms them automatically, so any exhibit can run under chaos).
 Forked pool workers inherit the armed policy, like registered trial
 kinds.
@@ -69,20 +69,7 @@ import numpy as np
 from ..errors import AnalysisError, ChaosError, TransientShardError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-
-#: Environment knobs (all optional; any one present arms a policy when
-#: the CLI calls :func:`policy_from_env`). See docs/OBSERVABILITY.md.
-CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
-CHAOS_DEVICE_RATE_ENV = "REPRO_CHAOS_DEVICE_RATE"
-CHAOS_BURST_RATE_ENV = "REPRO_CHAOS_BURST_RATE"
-CHAOS_BURST_BLOCKS_ENV = "REPRO_CHAOS_BURST_BLOCKS"
-CHAOS_SHARD_STORM_ENV = "REPRO_CHAOS_SHARD_STORM"
-CHAOS_SHARD_FLAKES_ENV = "REPRO_CHAOS_SHARD_FLAKES"
-CHAOS_FAIL_TRIALS_ENV = "REPRO_CHAOS_FAIL_TRIALS"
-CHAOS_CRASH_TRIALS_ENV = "REPRO_CHAOS_CRASH_TRIALS"
-CHAOS_HANG_TRIALS_ENV = "REPRO_CHAOS_HANG_TRIALS"
-CHAOS_SHM_AT_ENV = "REPRO_CHAOS_SHM_AT"
-CHAOS_JOURNAL_AT_ENV = "REPRO_CHAOS_JOURNAL_AT"
+from ..settings import resolve
 
 
 @dataclass(frozen=True)
@@ -477,69 +464,30 @@ def journal_record_fault(path: Path, record_bytes: int) -> None:
 # Environment activation
 # ----------------------------------------------------------------------
 
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise AnalysisError(f"{name}={raw!r} is not an integer") from None
-
-
-def _env_indices(name: str) -> Tuple[int, ...]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise AnalysisError(
-            f"{name}={raw!r} is not a comma-separated list of trial "
-            f"indices") from None
-
-
 def policy_from_env() -> Optional[ChaosPolicy]:
-    """Build a :class:`ChaosPolicy` from ``REPRO_CHAOS_*`` knobs.
+    """Build a :class:`ChaosPolicy` from the ``REPRO_CHAOS_*`` settings.
 
-    Returns None when no chaos knob is set (the overwhelmingly common
-    case). Invalid values raise a clear :class:`AnalysisError` naming
-    the variable. The CLI arms the result for every subcommand, so any
-    exhibit — sweep, retention, farm — can run under an injected fault
-    schedule without code changes.
+    Returns None when no chaos variable is set (the overwhelmingly
+    common case). Invalid values raise a clear :class:`AnalysisError`
+    naming the variable. The CLI arms the result for every subcommand,
+    so any exhibit — sweep, retention, farm — can run under an injected
+    fault schedule without code changes. Crash, hang and journal-tear
+    faults have no variable; a :class:`ChaosPolicy` built in code sets
+    them.
     """
-    rate_raw = os.environ.get(CHAOS_DEVICE_RATE_ENV, "").strip()
-    burst_raw = os.environ.get(CHAOS_BURST_RATE_ENV, "").strip()
-    storm = os.environ.get(CHAOS_SHARD_STORM_ENV, "").strip() or None
-    flakes = _env_indices(CHAOS_SHARD_FLAKES_ENV)
-    seed = _env_int(CHAOS_SEED_ENV)
-    fail = _env_indices(CHAOS_FAIL_TRIALS_ENV)
-    crash = _env_indices(CHAOS_CRASH_TRIALS_ENV)
-    hang = _env_indices(CHAOS_HANG_TRIALS_ENV)
-    shm_at = _env_int(CHAOS_SHM_AT_ENV)
-    journal_at = _env_int(CHAOS_JOURNAL_AT_ENV)
-    if (not rate_raw and not burst_raw and storm is None and not flakes
-            and seed is None and not fail and not crash
-            and not hang and shm_at is None and journal_at is None):
+    seed = resolve("REPRO_CHAOS_SEED")
+    rate = resolve("REPRO_CHAOS_DEVICE_RATE")
+    burst = resolve("REPRO_CHAOS_BURST_RATE")
+    storm = resolve("REPRO_CHAOS_SHARD_STORM")
+    flakes = resolve("REPRO_CHAOS_SHARD_FLAKES")
+    fail = resolve("REPRO_CHAOS_FAIL_TRIALS")
+    shm_at = resolve("REPRO_CHAOS_SHM_AT")
+    if (seed is None and rate is None and burst is None and storm is None
+            and not flakes and not fail and shm_at is None):
         return None
-
-    def _rate(raw: str, env: str) -> float:
-        if not raw:
-            return 0.0
-        try:
-            return float(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{env}={raw!r} is not a probability") from None
-
-    burst_blocks = _env_int(CHAOS_BURST_BLOCKS_ENV)
     return ChaosPolicy(
-        seed=seed or 0,
-        device_fault_rate=_rate(rate_raw, CHAOS_DEVICE_RATE_ENV),
-        device_burst_rate=_rate(burst_raw, CHAOS_BURST_RATE_ENV),
-        device_burst_blocks=(burst_blocks if burst_blocks is not None
-                             else 4),
+        seed=seed or 0, device_fault_rate=rate or 0.0,
+        device_burst_rate=burst or 0.0,
+        device_burst_blocks=resolve("REPRO_CHAOS_BURST_BLOCKS"),
         shard_storm=storm, shard_flake_reads=flakes,
-        fail_trials=fail, crash_trials=crash,
-        hang_trials=hang, shm_fail_at=shm_at,
-        journal_tear_at=journal_at)
+        fail_trials=fail, shm_fail_at=shm_at)

@@ -52,7 +52,6 @@ including one interleaved with crash recovery or resumed from a journal
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections import deque
 from concurrent.futures import (
@@ -69,10 +68,12 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import AnalysisError, TrialTimeout
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..obs.progress import ProgressReporter, resolve_progress
+from ..obs.progress import ProgressReporter
+from ..settings import resolve
 from . import chaos
 from .journal import TrialJournal
 from .trials import (
+    DEFAULT_BATCH_SIZE,
     FAILURE_CRASH,
     FAILURE_ERROR,
     FAILURE_TIMEOUT,
@@ -86,19 +87,8 @@ from .trials import (
     WorkerState,
     execute_trial,
     execute_trial_batch,
-    resolve_batch_size,
 )
-from .watchdog import resolve_trial_timeout, trial_deadline
-
-#: Environment knob: default worker count for every campaign.
-#: ``0`` or unset means serial; ``N >= 1`` means a pool of N processes.
-WORKERS_ENV = "REPRO_NUM_WORKERS"
-
-#: Environment knob: default crash-retry budget per trial.
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-
-#: Resubmissions a crash-suspect trial gets before quarantine.
-DEFAULT_MAX_RETRIES = 2
+from .watchdog import trial_deadline
 
 #: Parent-side slack (seconds) added to a chunk's watchdog budget before
 #: the pool is presumed hard-hung and killed.
@@ -227,13 +217,14 @@ def _iter_chunk_outcomes(state: WorkerState,
     ``(pos, spec, outcome)`` as work completes.
 
     Consecutive same-geometry ``KIND_ENCODE_UNIT`` items are grouped up
-    to the resolved batch width and run through the stacked kernels;
+    to the context's batch width and run through the stacked kernels;
     everything else runs per-spec. Grouping only reorders *completion*
     within the chunk — the (pos, outcome) mapping is untouched, so
     campaign results are independent of batching.
     """
-    batch_size = resolve_batch_size(
-        getattr(state.context, "batch_size", None))
+    batch_size = getattr(state.context, "batch_size", None)
+    if batch_size is None:
+        batch_size = DEFAULT_BATCH_SIZE
     groups: Dict[tuple, List[Tuple[int, TrialSpec]]] = {}
     for pos, spec in items:
         key = _batchable_key(state, spec) if batch_size > 1 else None
@@ -284,49 +275,6 @@ def _spec_label(spec: TrialSpec) -> str:
     if spec.rate:
         return f"{spec.kind} rate {spec.rate:.0e}"
     return f"{spec.kind} #{spec.index}"
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve the effective worker count.
-
-    Explicit ``workers`` wins; otherwise ``REPRO_NUM_WORKERS`` is
-    consulted; otherwise serial. Non-integer or negative settings are
-    rejected with a clear :class:`AnalysisError` naming the source.
-    """
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 0
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{WORKERS_ENV}={raw!r} is not an integer") from None
-        if workers < 0:
-            raise AnalysisError(f"{WORKERS_ENV}={raw!r} must be >= 0")
-        return workers
-    if workers < 0:
-        raise AnalysisError(f"workers must be >= 0, got {workers}")
-    return workers
-
-
-def resolve_max_retries(max_retries: Optional[int] = None) -> int:
-    """Resolve the crash-retry budget (``REPRO_MAX_RETRIES`` fallback)."""
-    if max_retries is None:
-        raw = os.environ.get(MAX_RETRIES_ENV, "").strip()
-        if not raw:
-            return DEFAULT_MAX_RETRIES
-        try:
-            max_retries = int(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{MAX_RETRIES_ENV}={raw!r} is not an integer") from None
-        if max_retries < 0:
-            raise AnalysisError(f"{MAX_RETRIES_ENV}={raw!r} must be >= 0")
-        return max_retries
-    if max_retries < 0:
-        raise AnalysisError(f"max_retries must be >= 0, got {max_retries}")
-    return max_retries
 
 
 def fork_available() -> bool:
@@ -395,9 +343,9 @@ class TrialExecutor:
                  max_retries: Optional[int] = None,
                  hang_grace: float = DEFAULT_HANG_GRACE,
                  backoff_base: float = DEFAULT_BACKOFF_BASE) -> None:
-        self.workers = resolve_workers(workers)
-        self.timeout = resolve_trial_timeout(timeout)
-        self.max_retries = resolve_max_retries(max_retries)
+        self.workers = resolve("REPRO_NUM_WORKERS", workers)
+        self.timeout = resolve("REPRO_TRIAL_TIMEOUT", timeout)
+        self.max_retries = resolve("REPRO_MAX_RETRIES", max_retries)
         self.hang_grace = hang_grace
         self.backoff_base = backoff_base
 
@@ -433,7 +381,7 @@ class TrialExecutor:
         counters = _Counters()
         if isinstance(progress, ProgressReporter):
             reporter: Optional[ProgressReporter] = progress
-        elif resolve_progress(progress):
+        elif resolve("REPRO_PROGRESS", progress):
             reporter = ProgressReporter(len(specs))
         else:
             reporter = None

@@ -41,13 +41,13 @@ from .executor import run_campaign
 from .journal import TrialJournal
 from .shm import SharedClipStore, pack_clips
 from .trials import (
+    DEFAULT_BATCH_SIZE,
     KIND_ENCODE_UNIT,
     RunStats,
     TrialContext,
     TrialOutcome,
     TrialResult,
     TrialSpec,
-    resolve_batch_size,
     spawn_trial_seeds,
 )
 
@@ -128,13 +128,13 @@ def build_encode_unit_specs(clips: Sequence[VideoSequence],
 
 def build_farm_context(clips: Sequence[VideoSequence],
                        config: EncoderConfig,
-                       use_shared_memory: Optional[bool] = None,
+                       use_shared_memory: bool = True,
                        batch_size: Optional[int] = None) -> TrialContext:
     """Campaign context for an encode farm.
 
-    Clips are packed into a :class:`SharedClipStore` when shared memory
-    is enabled (``REPRO_BATCH_SHM``), else shipped as a plain tuple;
-    both are indexed identically by the trial layer.
+    Clips are packed into a :class:`SharedClipStore` when
+    ``use_shared_memory`` is set, else shipped as a plain tuple; both
+    are indexed identically by the trial layer.
     """
     return TrialContext(clips=pack_clips(clips, use_shared_memory),
                         encoder_config=config,
@@ -171,7 +171,7 @@ def encode_farm(clips: Sequence[VideoSequence],
                 journal: Union[TrialJournal, str, Path, None] = None,
                 progress: Union[bool, ProgressReporter, None] = None,
                 rng: Optional[np.random.Generator] = None,
-                use_shared_memory: Optional[bool] = None) -> FarmResult:
+                use_shared_memory: bool = True) -> FarmResult:
     """Encode a corpus of clips as one batched campaign.
 
     Returns per-clip rate/quality aggregates plus the campaign's
@@ -179,17 +179,18 @@ def encode_farm(clips: Sequence[VideoSequence],
     count, batch width, and shared-memory setting: those only change
     *how* units are executed, never what each unit encodes.
 
-    ``chunksize`` defaults to one batch width per chunk so pool
-    scheduling hands workers whole batchable groups.
+    ``batch_size`` defaults to :data:`DEFAULT_BATCH_SIZE`, and
+    ``chunksize`` to one batch width per chunk so pool scheduling hands
+    workers whole batchable groups.
     """
     config = config or EncoderConfig()
     rng = rng or np.random.default_rng(0)
     specs = build_encode_unit_specs(clips, config, rng)
     context = build_farm_context(clips, config, use_shared_memory,
                                  batch_size)
-    width = resolve_batch_size(batch_size)
     if chunksize is None:
-        chunksize = max(width, 1)
+        chunksize = (DEFAULT_BATCH_SIZE if batch_size is None
+                     else max(1, int(batch_size)))
     try:
         outcomes, stats = run_campaign(
             context, specs, workers=workers, chunksize=chunksize,

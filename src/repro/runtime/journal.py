@@ -133,7 +133,7 @@ def context_digest(context: Optional[TrialContext]) -> str:
     if context.clips is not None:
         # Hash clip *content*, not transport: the digest must not change
         # between shared-memory and by-value clip shipping, or toggling
-        # REPRO_BATCH_SHM would orphan every encode-farm journal.
+        # ``use_shared_memory`` would orphan every encode-farm journal.
         digest.update(b"|clips:")
         for index in range(len(context.clips)):
             clip = context.clips[index]

@@ -18,7 +18,7 @@ Semantics:
 * attachment is lazy and cached per process (fork inherits the handle,
   spawn re-attaches by name), and the creating process unlinks the
   segment on :meth:`close` or interpreter exit;
-* ``REPRO_BATCH_SHM=0`` disables the fast path: :func:`pack_clips`
+* ``use_shared_memory=False`` disables the fast path: :func:`pack_clips`
   then returns a plain tuple, which every consumer handles identically.
 """
 
@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,15 +35,6 @@ from ..errors import AnalysisError
 from ..obs import metrics as obs_metrics
 from ..video.frame import VideoSequence
 from . import chaos
-
-#: Set to ``0`` to ship clips by value instead of by shared segment.
-SHM_ENV = "REPRO_BATCH_SHM"
-
-
-def shared_memory_enabled() -> bool:
-    """Whether contexts should pack clips into shared memory."""
-    return os.environ.get(SHM_ENV, "").strip() != "0"
-
 
 @dataclass(frozen=True)
 class _ClipRecord:
@@ -240,16 +230,14 @@ def _forget_segment(name: str) -> None:
 
 
 def pack_clips(clips: Sequence[VideoSequence],
-               use_shared_memory: Optional[bool] = None):
+               use_shared_memory: bool = True):
     """Clips as a context-ready table: shared segment or plain tuple.
 
-    Uses shared memory when enabled (argument overrides the
-    ``REPRO_BATCH_SHM`` knob) and falls back to a tuple on any packing
-    failure — consumers index both identically.
+    Uses shared memory when ``use_shared_memory`` is set and falls back
+    to a tuple on any packing failure — consumers index both
+    identically.
     """
-    enabled = (shared_memory_enabled() if use_shared_memory is None
-               else use_shared_memory)
-    if enabled:
+    if use_shared_memory:
         try:
             return SharedClipStore.pack(clips)
         except (ImportError, OSError, AnalysisError):

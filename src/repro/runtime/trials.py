@@ -21,7 +21,6 @@ worker count and in any execution order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,24 +42,8 @@ KIND_RETENTION_READ = "retention_read"  #: aged read with lifetime knobs
 KIND_ENCODE_UNIT = "encode_unit"  #: batchable clip/GOP encode work unit
 
 #: Upper bound on same-geometry encode units stacked into one batched
-#: kernel call (``REPRO_BATCH_SIZE`` overrides).
-BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
+#: kernel call when the campaign sets none.
 DEFAULT_BATCH_SIZE = 16
-
-
-def resolve_batch_size(batch_size: Optional[int] = None) -> int:
-    """Effective encode-batch width: argument, env knob, or default."""
-    if batch_size is not None:
-        return max(1, int(batch_size))
-    raw = os.environ.get(BATCH_SIZE_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise AnalysisError(
-                f"{BATCH_SIZE_ENV} must be an integer, got {raw!r}"
-            ) from exc
-    return DEFAULT_BATCH_SIZE
 
 #: Failure kinds a trial can be quarantined with.
 FAILURE_TIMEOUT = "timeout"  #: exceeded its wall-clock watchdog budget
@@ -207,8 +190,8 @@ class TrialContext:
     clips: Optional[object] = None
     #: Encoder configuration for KIND_ENCODE_UNIT trials.
     encoder_config: Optional[object] = None
-    #: Explicit encode-batch width for this campaign (None = resolve
-    #: from ``REPRO_BATCH_SIZE``); carried here so it reaches workers.
+    #: Encode-batch width for this campaign (None =
+    #: :data:`DEFAULT_BATCH_SIZE`); carried here so it reaches workers.
     batch_size: Optional[int] = None
 
 

@@ -25,48 +25,13 @@ only the parent-side backstop applies.
 
 from __future__ import annotations
 
-import math
-import os
 import signal
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
-from ..errors import AnalysisError, TrialTimeout
+from ..errors import TrialTimeout
 from ..obs import metrics as obs_metrics
-
-#: Environment knob: default per-trial wall-clock budget in seconds.
-#: ``0`` or unset disables the watchdog.
-TIMEOUT_ENV = "REPRO_TRIAL_TIMEOUT"
-
-
-def resolve_trial_timeout(timeout: Optional[float] = None) -> float:
-    """Resolve the effective per-trial deadline in seconds.
-
-    Explicit ``timeout`` wins; otherwise ``REPRO_TRIAL_TIMEOUT`` is
-    consulted; otherwise ``0.0`` (no deadline). Negative, NaN, or
-    infinite budgets are rejected with a clear :class:`AnalysisError`.
-    """
-    if timeout is None:
-        raw = os.environ.get(TIMEOUT_ENV, "").strip()
-        if not raw:
-            return 0.0
-        try:
-            timeout = float(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{TIMEOUT_ENV}={raw!r} is not a number of seconds"
-            ) from None
-        if timeout < 0 or not math.isfinite(timeout):
-            raise AnalysisError(
-                f"{TIMEOUT_ENV}={raw!r} must be a finite number >= 0")
-        return timeout
-    timeout = float(timeout)
-    if timeout < 0 or not math.isfinite(timeout):
-        raise AnalysisError(
-            f"trial timeout must be a finite number >= 0, got {timeout}")
-    return timeout
-
 
 def alarm_capable() -> bool:
     """True when this thread can arm a ``SIGALRM`` deadline.

@@ -18,10 +18,12 @@ ApproximateVideoStore` facade into an operable multi-tenant service:
 * :mod:`~repro.service.repair` — read-repair queue and the
   deterministic background repair pass (the self-healing half);
 * :mod:`~repro.service.loadgen` — the seeded, digest-replayable load
-  generator behind ``repro loadgen``;
-* :mod:`~repro.service.config` — the ``REPRO_SERVICE_*`` env surface.
+  generator behind ``repro loadgen``.
 
-Operator documentation lives in docs/SERVICE.md.
+Sizing is set by constructor arguments; the one environment variable
+the service reads, ``REPRO_SERVICE_REPLICAS``, lives in
+:mod:`repro.settings` with every other. Operator documentation lives in
+docs/SERVICE.md.
 """
 
 from .audit import AuditEvent, AuditLog

@@ -9,10 +9,10 @@ outcome — including a refusal — which keeps repeated seeks into the
 same GOP consistent within one cache generation.
 
 The cache is deliberately tiny and deterministic: an ``OrderedDict``
-LRU with a capacity measured in GOPs (``REPRO_SEEK_CACHE``), hit/miss/
-eviction counters on the ``obs`` metrics registry, and an explicit
-``invalidate`` for tests and operators. Capacity 0 disables caching
-without disabling the partial-read path.
+LRU with a capacity measured in GOPs (the store's ``seek_cache``),
+hit/miss/eviction counters on the ``obs`` metrics registry, and an
+explicit ``invalidate`` for tests and operators. Capacity 0 disables
+caching without disabling the partial-read path.
 
 Two threads share it by design: the service front-end answers hits on
 its event loop (:meth:`GopCache.hit`) while its read worker fills misses
@@ -62,7 +62,7 @@ class GopCache:
 
     capacity: int = 16
     #: Hits a damaged (concealed/refused) admission may serve before it
-    #: expires and forces a re-fetch (``REPRO_REPAIR_CACHE_TTL``).
+    #: expires and forces a re-fetch.
     concealed_ttl: int = 1
     _entries: "OrderedDict[GopKey, CachedGop]" = field(
         default_factory=OrderedDict)

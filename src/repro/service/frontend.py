@@ -34,10 +34,11 @@ from typing import Awaitable, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ServiceOverloadError, TransientShardError
+from ..errors import ServiceError, ServiceOverloadError, \
+    TransientShardError
 from ..obs import metrics as obs_metrics
+from ..settings import argument
 from ..video.frame import VideoSequence
-from . import config as service_config
 from .repair import RepairPassReport, run_repair_pass
 from .store import FrameReadResult, ReadResult, VideoObjectStore
 
@@ -56,12 +57,14 @@ class ServiceFrontend:
                  repair_interval_s: Optional[float] = None) -> None:
         # ``store or ...`` would discard an *empty* store (len() == 0).
         self.store = store if store is not None else VideoObjectStore()
-        self.queue_depth = service_config.resolve_queue_depth(queue_depth)
-        self.ingest_batch = service_config.resolve_ingest_batch(
-            ingest_batch)
-        self.retry_attempts = service_config.resolve_retry_attempts(
-            retry_attempts)
-        self.backoff_ms = service_config.resolve_backoff_ms(backoff_ms)
+        self.queue_depth = argument("queue_depth", queue_depth, 64, 1,
+                                    ServiceError)
+        self.ingest_batch = argument("ingest_batch", ingest_batch, 8, 1,
+                                     ServiceError)
+        self.retry_attempts = argument("retry_attempts", retry_attempts,
+                                       3, 1, ServiceError)
+        self.backoff_ms = argument("backoff_ms", backoff_ms, 50, 0,
+                                   ServiceError)
         #: Seconds between background repair passes; ``None`` disables
         #: the daemon task (repair still runs via :meth:`repair_pass`).
         self.repair_interval_s = repair_interval_s
@@ -187,10 +190,10 @@ class ServiceFrontend:
         run replays bit-identically (the fleet-desynchronization role
         of jitter is meaningless in a single-process simulation).
         """
-        attempts = (self.retry_attempts if attempts is None
-                    else service_config.resolve_retry_attempts(attempts))
-        base = (self.backoff_ms if backoff_ms is None
-                else service_config.resolve_backoff_ms(backoff_ms))
+        attempts = argument("attempts", attempts, self.retry_attempts, 1,
+                            ServiceError)
+        base = argument("backoff_ms", backoff_ms, self.backoff_ms, 0,
+                        ServiceError)
         return [base * (2 ** i) / 1000.0 for i in range(attempts - 1)]
 
     async def read_with_retry(

@@ -8,7 +8,7 @@ outright enqueues its object for repair (deduped, FIFO). The **pass**
 store's placement for violations — a replica chain touching a
 quarantined shard, a missing copy, fewer copies than
 ``REPRO_SERVICE_REPLICAS`` healthy shards could hold — then drains up
-to ``REPRO_REPAIR_BATCH`` tickets, stream by stream:
+to ``limit`` tickets (default 32), stream by stream:
 
 1. compute the *wanted* placement: the first R **healthy** shards
    clockwise from the stream key (quarantined shards are skipped, so
@@ -44,8 +44,8 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from ..errors import ServiceError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..settings import argument
 from ..storage.ecc import scheme_by_name
-from . import config as service_config
 
 
 @dataclass(frozen=True)
@@ -247,11 +247,11 @@ def run_repair_pass(store, limit: Optional[int] = None,
                     scan: bool = True) -> RepairPassReport:
     """One deterministic repair-daemon iteration over ``store``.
 
-    ``limit`` bounds the tickets drained (``REPRO_REPAIR_BATCH``);
+    ``limit`` bounds the tickets drained (default 32);
     ``scan=False`` skips placement discovery and drains only what the
     read path already enqueued. Returns a :class:`RepairPassReport`.
     """
-    limit = service_config.resolve_repair_batch(limit)
+    limit = argument("limit", limit, 32, 1, ServiceError)
     report = RepairPassReport()
     with obs_trace.span("service.repair_pass", limit=limit, scan=scan):
         if scan:

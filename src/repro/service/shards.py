@@ -29,11 +29,11 @@ import numpy as np
 
 from ..errors import ServiceError
 from ..obs import metrics as obs_metrics
+from ..settings import argument
 from ..storage.device import ApproximateDevice, ScrubPolicy, StorageReport
 from ..storage.ecc import ECCScheme
 from ..storage.mlc import MLCCellModel
-from . import config as service_config
-from .placement import HashRing
+from .placement import DEFAULT_VNODES, HashRing
 
 #: Shard health states.
 HEALTHY = "healthy"
@@ -119,7 +119,8 @@ class Shard:
         self.written_day[key] = self.t_days or 0.0
         self.repairs += 1
         self.last_repair_day = self.t_days or 0.0
-        device = ApproximateDevice(cell_model=self.cell_model)
+        device = ApproximateDevice(cell_model=self.cell_model,
+                                   read_retries=self.read_retries)
         cells = device.cells_used(8 * len(data), scheme)
         obs_metrics.counter("service_repair_cell_writes_total").inc(cells)
         return cells
@@ -237,14 +238,18 @@ class ShardPool:
                  cell_model: Optional[MLCCellModel] = None) -> None:
         """Build ``count`` identically configured shards.
 
-        All sizing arguments fall back to their ``REPRO_SERVICE_*``
-        environment knobs (see :mod:`repro.service.config`).
+        A ``None`` argument takes its default: 4 shards, a read-retry
+        depth of 1, quarantine after 3 uncorrectable-block events,
+        :data:`~repro.service.placement.DEFAULT_VNODES` ring points per
+        shard, and no scrubbing. An out-of-range value raises
+        :class:`~repro.errors.ServiceError`.
         """
-        count = service_config.resolve_shards(count)
-        retries = service_config.resolve_read_retries(read_retries)
-        threshold = service_config.resolve_quarantine_after(
-            quarantine_after)
-        scrub_days = service_config.resolve_scrub_days(scrub_days)
+        count = argument("count", count, 4, 1, ServiceError)
+        retries = argument("read_retries", read_retries, 1, 0, ServiceError)
+        threshold = argument("quarantine_after", quarantine_after, 3, 1,
+                             ServiceError)
+        if scrub_days is not None and not scrub_days > 0:
+            raise ServiceError(f"scrub_days must be > 0, got {scrub_days}")
         scrub = (ScrubPolicy(interval_days=scrub_days)
                  if scrub_days is not None else None)
         self.shards: Dict[str, Shard] = {}
@@ -255,8 +260,8 @@ class ShardPool:
                 read_retries=retries, quarantine_after=threshold,
                 exact_ecc=exact_ecc,
                 cell_model=cell_model or MLCCellModel())
-        self.ring = HashRing(sorted(self.shards),
-                             vnodes=service_config.resolve_vnodes(vnodes))
+        self.ring = HashRing(sorted(self.shards), vnodes=(
+            DEFAULT_VNODES if vnodes is None else vnodes))
 
     def __len__(self) -> int:
         return len(self.shards)

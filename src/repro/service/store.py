@@ -73,10 +73,10 @@ from ..errors import ServiceError, TransientShardError
 from ..metrics.psnr import video_psnr  # noqa: F401
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..settings import argument, resolve
 from ..storage.device import StorageReport
 from ..storage.ecc import scheme_by_name
 from ..video.frame import VideoSequence
-from . import config as service_config
 from .audit import AuditLog
 from .cache import CachedGop, GopCache
 from .keyring import Keyring
@@ -272,7 +272,12 @@ class _Fetched:
 
 
 class VideoObjectStore:
-    """Sharded, content-addressed, per-tenant-encrypted video store."""
+    """Sharded, content-addressed, per-tenant-encrypted video store.
+
+    ``seek_cache`` sizes the decoded-GOP cache (default 16 GOPs; 0
+    disables it) and ``replicas`` the copies written per stream
+    (default ``REPRO_SERVICE_REPLICAS``, else 2).
+    """
 
     def __init__(self, pool: Optional[ShardPool] = None,
                  keyring: Optional[Keyring] = None,
@@ -290,11 +295,10 @@ class VideoObjectStore:
         self._records: Dict[Tuple[str, str], ObjectRecord] = {}
         self._decoder = Decoder(conceal_uncorrectable=True)
         self.gop_cache = GopCache(
-            capacity=service_config.resolve_seek_cache(seek_cache),
-            concealed_ttl=service_config.resolve_repair_cache_ttl())
+            capacity=argument("seek_cache", seek_cache, 16, 0, ServiceError))
         #: Replicas written per stream (``REPRO_SERVICE_REPLICAS``),
         #: clamped to the pool width at placement time.
-        self.replicas = service_config.resolve_replicas(replicas)
+        self.replicas = resolve("REPRO_SERVICE_REPLICAS", replicas)
         #: Read-repair queue the background repair pass drains.
         self.repair = RepairQueue()
 

@@ -254,10 +254,6 @@ def _log_of(field: GF2m, value: int) -> int:
     return int(field._log[value])  # noqa: SLF001 - intra-package helper
 
 
-def _logs_of(field: GF2m, values: np.ndarray) -> np.ndarray:
-    return field._log[values]  # noqa: SLF001 - intra-package helper
-
-
 @lru_cache(maxsize=None)
 def _shared_field(m: int) -> GF2m:
     return GF2m(m)

@@ -32,22 +32,18 @@ Both modes share the lifetime machinery:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import AnalysisError, StorageError
+from ..errors import StorageError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..settings import resolve
 from .bch import get_bch_code
 from .ecc import ECCScheme, conditional_error_count
 from .mlc import MLCCellModel
-
-#: Environment knob: default re-read attempts for detected-uncorrectable
-#: blocks. ``0`` or unset disables the retry ladder.
-RETRIES_ENV = "REPRO_READ_RETRIES"
 
 #: Chaos seam: :func:`repro.runtime.chaos.arm` installs a fault decider
 #: here (and :func:`~repro.runtime.chaos.disarm` clears it) so the
@@ -56,33 +52,6 @@ RETRIES_ENV = "REPRO_READ_RETRIES"
 #: read corrupts one extra block *and escalates it* (see
 #: ``_chaos_damage``), so chaos can never make the device lie.
 _CHAOS_READ_FAULT = None
-
-
-def resolve_read_retries(retries: Optional[int] = None) -> int:
-    """Resolve the effective re-read retry depth.
-
-    Explicit ``retries`` wins; otherwise ``REPRO_READ_RETRIES`` is
-    consulted; otherwise ``0`` (no retries). Negative or non-integer
-    depths are rejected with a clear :class:`AnalysisError`.
-    """
-    if retries is None:
-        raw = os.environ.get(RETRIES_ENV, "").strip()
-        if not raw:
-            return 0
-        try:
-            retries = int(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{RETRIES_ENV}={raw!r} is not an integer retry depth"
-            ) from None
-        if retries < 0:
-            raise AnalysisError(f"{RETRIES_ENV}={raw!r} must be >= 0")
-        return retries
-    retries = int(retries)
-    if retries < 0:
-        raise AnalysisError(
-            f"read retries must be >= 0, got {retries}")
-    return retries
 
 
 @dataclass(frozen=True)
@@ -179,7 +148,7 @@ class ApproximateDevice:
         self.rng = rng or np.random.default_rng()
         self.exact = exact
         self.scrub = scrub
-        self.read_retries = resolve_read_retries(read_retries)
+        self.read_retries = resolve("REPRO_READ_RETRIES", read_retries)
 
     @property
     def raw_ber(self) -> float:

@@ -7,34 +7,32 @@ import io
 import pytest
 
 from repro.errors import AnalysisError
-from repro.obs.progress import (
-    PROGRESS_ENV,
-    ProgressReporter,
-    format_eta,
-    resolve_progress,
-)
+from repro.obs.progress import ProgressReporter, format_eta
+from repro.settings import resolve
+
+PROGRESS_ENV = "REPRO_PROGRESS"
 
 
 class TestResolveProgress:
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(PROGRESS_ENV, "1")
-        assert resolve_progress(False) is False
+        assert resolve(PROGRESS_ENV, False) is False
         monkeypatch.setenv(PROGRESS_ENV, "0")
-        assert resolve_progress(True) is True
+        assert resolve(PROGRESS_ENV, True) is True
 
     def test_unset_env_means_off(self, monkeypatch):
         monkeypatch.delenv(PROGRESS_ENV, raising=False)
-        assert resolve_progress() is False
+        assert resolve(PROGRESS_ENV) is False
 
     @pytest.mark.parametrize("value", ["0", "false", "no", "off", "", "  "])
     def test_falsy_env_values(self, monkeypatch, value):
         monkeypatch.setenv(PROGRESS_ENV, value)
-        assert resolve_progress() is False
+        assert resolve(PROGRESS_ENV) is False
 
     @pytest.mark.parametrize("value", ["1", "true", "yes", "anything"])
     def test_truthy_env_values(self, monkeypatch, value):
         monkeypatch.setenv(PROGRESS_ENV, value)
-        assert resolve_progress() is True
+        assert resolve(PROGRESS_ENV) is True
 
 
 class TestFormatEta:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.codec import EncoderConfig
-from repro.runtime import ArtifactCache, CACHE_ENV, content_key, session_cache
+from repro.runtime import ArtifactCache, content_key, session_cache
 from repro.video import SceneConfig, VideoSequence, synthesize_scene
+
+CACHE_ENV = "REPRO_ARTIFACT_CACHE"
 
 
 def _tiny_video(seed):
@@ -102,4 +105,12 @@ class TestSessionCache:
         monkeypatch.setenv(CACHE_ENV, "0")
         assert session_cache().enabled is False
         monkeypatch.setenv(CACHE_ENV, "1")
+        assert session_cache().enabled is True
+
+    @pytest.mark.parametrize("word", ["false", "off", "no", "OFF"])
+    def test_every_off_word_disables(self, monkeypatch, word):
+        # The same words that turn REPRO_PROGRESS off.
+        monkeypatch.setenv(CACHE_ENV, word)
+        assert session_cache().enabled is False
+        monkeypatch.delenv(CACHE_ENV)
         assert session_cache().enabled is True

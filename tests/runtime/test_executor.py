@@ -16,14 +16,15 @@ import pytest
 from repro.analysis import quality_sweep, run_figure3
 from repro.errors import AnalysisError
 from repro.runtime import (
-    WORKERS_ENV,
+    TrialExecutor,
     TrialSpec,
     build_sweep_specs,
     default_chunksize,
     fork_available,
-    resolve_workers,
     spawn_trial_seeds,
 )
+
+WORKERS_ENV = "REPRO_NUM_WORKERS"
 
 WORKER_COUNTS = (0, 1, 4)
 RATES = (1e-3, 1e-2)
@@ -74,38 +75,38 @@ class TestSerialParallelEquivalence:
 class TestResolveWorkers:
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "7")
-        assert resolve_workers(3) == 3
+        assert TrialExecutor(3).workers == 3
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "5")
-        assert resolve_workers(None) == 5
+        assert TrialExecutor(None).workers == 5
 
     def test_unset_env_means_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_workers(None) == 0
+        assert TrialExecutor(None).workers == 0
 
     def test_empty_env_means_serial(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "")
-        assert resolve_workers(None) == 0
+        assert TrialExecutor(None).workers == 0
 
     def test_negative_rejected(self):
         with pytest.raises(AnalysisError):
-            resolve_workers(-1)
+            TrialExecutor(-1)
 
     def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "lots")
         with pytest.raises(AnalysisError):
-            resolve_workers(None)
+            TrialExecutor(None)
 
     def test_negative_env_has_clear_message(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "-3")
         with pytest.raises(AnalysisError, match="REPRO_NUM_WORKERS"):
-            resolve_workers(None)
+            TrialExecutor(None)
 
     def test_float_env_has_clear_message(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "2.5")
         with pytest.raises(AnalysisError, match="not an integer"):
-            resolve_workers(None)
+            TrialExecutor(None)
 
 
 class TestChunking:

@@ -22,8 +22,6 @@ from repro.runtime import (
     FAILURE_CRASH,
     FAILURE_ERROR,
     FAILURE_TIMEOUT,
-    MAX_RETRIES_ENV,
-    TIMEOUT_ENV,
     TrialContext,
     TrialExecutor,
     TrialFailure,
@@ -32,14 +30,15 @@ from repro.runtime import (
     alarm_capable,
     fork_available,
     register_trial_kind,
-    resolve_max_retries,
-    resolve_trial_timeout,
     run_campaign,
     run_with_deadline,
     spawn_trial_seeds,
     trial_deadline,
     unregister_trial_kind,
 )
+
+TIMEOUT_ENV = "REPRO_TRIAL_TIMEOUT"
+MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method unavailable")
@@ -165,41 +164,41 @@ class TestWatchdog:
 class TestResolution:
     def test_timeout_env_fallback(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "2.5")
-        assert resolve_trial_timeout(None) == 2.5
+        assert TrialExecutor(timeout=None).timeout == 2.5
 
     def test_timeout_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "2.5")
-        assert resolve_trial_timeout(1.0) == 1.0
+        assert TrialExecutor(timeout=1.0).timeout == 1.0
 
     def test_timeout_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "soon")
         with pytest.raises(AnalysisError):
-            resolve_trial_timeout(None)
+            TrialExecutor(timeout=None)
 
     def test_timeout_negative_rejected(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "-1")
         with pytest.raises(AnalysisError):
-            resolve_trial_timeout(None)
+            TrialExecutor(timeout=None)
         with pytest.raises(AnalysisError):
-            resolve_trial_timeout(-0.5)
+            TrialExecutor(timeout=-0.5)
 
     def test_timeout_infinite_rejected(self):
         with pytest.raises(AnalysisError):
-            resolve_trial_timeout(float("inf"))
+            TrialExecutor(timeout=float("inf"))
 
     def test_retries_env_fallback(self, monkeypatch):
         monkeypatch.setenv(MAX_RETRIES_ENV, "5")
-        assert resolve_max_retries(None) == 5
+        assert TrialExecutor(max_retries=None).max_retries == 5
 
     def test_retries_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv(MAX_RETRIES_ENV, "2.5")
         with pytest.raises(AnalysisError):
-            resolve_max_retries(None)
+            TrialExecutor(max_retries=None)
 
     def test_retries_negative_rejected(self, monkeypatch):
         monkeypatch.setenv(MAX_RETRIES_ENV, "-3")
         with pytest.raises(AnalysisError):
-            resolve_max_retries(None)
+            TrialExecutor(max_retries=None)
 
 
 @needs_fork

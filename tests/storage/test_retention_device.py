@@ -14,12 +14,12 @@ from repro.obs import metrics as obs_metrics
 from repro.storage import (
     ApproximateDevice,
     MLCCellModel,
-    RETRIES_ENV,
     ScrubPolicy,
     UncorrectableBlock,
-    resolve_read_retries,
     scheme_by_name,
 )
+
+RETRIES_ENV = "REPRO_READ_RETRIES"
 
 #: Drift-dominated substrate: block failures become common within the
 #: default decade grid, so every lifetime mechanism is observable.
@@ -40,25 +40,25 @@ def _payload(blocks, rng, scheme=None):
 class TestResolveReadRetries:
     def test_default_is_zero(self, monkeypatch):
         monkeypatch.delenv(RETRIES_ENV, raising=False)
-        assert resolve_read_retries() == 0
+        assert ApproximateDevice().read_retries == 0
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(RETRIES_ENV, "7")
-        assert resolve_read_retries(2) == 2
+        assert ApproximateDevice(read_retries=2).read_retries == 2
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(RETRIES_ENV, "3")
-        assert resolve_read_retries() == 3
+        assert ApproximateDevice().read_retries == 3
 
     @pytest.mark.parametrize("bad", ["three", "1.5", "-2"])
     def test_bad_env_rejected(self, monkeypatch, bad):
         monkeypatch.setenv(RETRIES_ENV, bad)
         with pytest.raises(AnalysisError):
-            resolve_read_retries()
+            ApproximateDevice()
 
     def test_negative_explicit_rejected(self):
         with pytest.raises(AnalysisError):
-            resolve_read_retries(-1)
+            ApproximateDevice(read_retries=-1)
 
 
 class TestScrubPolicy:

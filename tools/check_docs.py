@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Documentation lint: intra-repo Markdown links and public docstrings.
+"""Documentation lint: links, public docstrings and the knob table.
 
-Two checks, both designed to fail CI loudly rather than let docs rot:
+Three checks, all designed to fail CI loudly rather than let docs rot:
 
 1. **Markdown links** — every relative link in every ``*.md`` file must
    point at a file (or directory) that exists in the repository.
@@ -12,6 +12,9 @@ Two checks, both designed to fail CI loudly rather than let docs rot:
    the packages listed in :data:`DOCSTRING_PACKAGES` must carry a
    docstring. "Public" means the name (and, for methods, the owning
    class) does not start with ``_``.
+3. **Knob table** — the library table of environment variables in
+   :data:`KNOB_DOC` must list exactly the variables of
+   ``repro.settings.SETTINGS``, each with the same default.
 
 Usage::
 
@@ -26,16 +29,27 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 #: Packages whose public API must be fully docstringed.
 DOCSTRING_PACKAGES = (
     "src/repro/obs",
     "src/repro/runtime",
     "src/repro/service",
+    "src/repro/settings.py",
     "src/repro/video/adversarial.py",
     "src/repro/analysis/scenarios.py",
 )
+
+#: The one table of environment variables, and the heading of its part
+#: that lists what the library reads (the part runs to the next
+#: heading). Rows under other headings are read by benchmarks and
+#: tests only, and are not checked against the settings table.
+KNOB_DOC = "docs/OBSERVABILITY.md"
+LIBRARY_KNOBS_HEADING = "### Read by the library"
+
+#: A knob row: ``| `NAME` | default | meaning |``.
+_KNOB_ROW = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|\s*([^|]*?)\s*\|")
 
 #: Directories never scanned for Markdown files.
 SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules",
@@ -123,16 +137,76 @@ def check_docstrings(root: Path) -> List[str]:
     return problems
 
 
+def documented_default(value: object) -> str:
+    """How the knob table writes a setting's default: ``unset`` for no
+    value, ``1``/``0`` for a boolean, else the value's text (which the
+    table puts in backticks)."""
+    if value is None or value == ():
+        return "unset"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
+
+
+def knob_table_problems(text: str, settings: Dict[str, object]
+                        ) -> List[str]:
+    """Findings from comparing the library knob table in ``text`` with
+    ``settings`` (name -> :class:`repro.settings.Setting`)."""
+    rows: Dict[str, Tuple[int, str]] = {}
+    problems = []
+    in_table = False
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.startswith("#"):
+            in_table = line.strip() == LIBRARY_KNOBS_HEADING
+            continue
+        match = _KNOB_ROW.match(line) if in_table else None
+        if match:
+            name, cell = match.groups()
+            if name in rows:
+                problems.append(f"{KNOB_DOC}:{number}: {name} has a "
+                                f"second row")
+            default = (cell[1:].split("`", 1)[0] if cell.startswith("`")
+                       else cell.split(" ", 1)[0])
+            rows[name] = (number, default)
+    for name in sorted(set(settings) - set(rows)):
+        problems.append(f"{KNOB_DOC}: {name} is read by the library "
+                        f"but has no row under {LIBRARY_KNOBS_HEADING!r}")
+    for name, (number, default) in sorted(rows.items()):
+        if name not in settings:
+            problems.append(f"{KNOB_DOC}:{number}: {name} has a row but "
+                            f"the library does not read it")
+            continue
+        expected = documented_default(settings[name].default)
+        if default != expected:
+            problems.append(f"{KNOB_DOC}:{number}: {name} default is "
+                            f"{default!r} here but {expected!r} in "
+                            f"repro.settings")
+    return problems
+
+
+def check_knob_table(root: Path) -> List[str]:
+    """Knob-table findings for the repository at ``root``."""
+    sys.path.insert(0, str(root / "src"))
+    from repro.settings import SETTINGS
+
+    text = (root / KNOB_DOC).read_text(encoding="utf-8")
+    return knob_table_problems(text, SETTINGS)
+
+
 def main(argv: List[str]) -> int:
-    """Run both checks; print findings; exit non-zero on any."""
+    """Run the three checks; print findings; exit non-zero on any."""
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path.cwd()
-    problems = check_markdown_links(root) + check_docstrings(root)
+    problems = (check_markdown_links(root) + check_docstrings(root)
+                + check_knob_table(root))
     for problem in problems:
         print(problem)
     if problems:
         print(f"\n{len(problems)} documentation problem(s)")
         return 1
-    print("docs clean: links resolve, public API is docstringed")
+    print("docs clean: links resolve, public API is docstringed, "
+          "knob table matches repro.settings")
     return 0
 
 
