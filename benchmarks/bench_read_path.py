@@ -11,16 +11,26 @@ bench times that keystream step two ways on the same bytes:
   counter value (kept here, and in ``tests/crypto``, as the reference).
 
 Sizes: 2048 B (a whole-object stream), 720 B (a seek slice at an
-unaligned offset) and 112 B (a short slice). Before any timing, both
-paths must return the same bytes. The two are interleaved within each
-timing repeat so host noise lands on both; each keeps its best repeat.
-Writes ``BENCH_read_path.json``; ``tools/check_perf.py`` gates it
-against ``benchmarks/baselines/read_path.json``:
+unaligned offset) and 112 B (a short slice). The seek slice is also
+decrypted a third way:
 
-* yardstick-normalized ``keystream_bytes_per_second`` (regression band);
-* an absolute floor on ``keystream_speedup`` at 2048 B (>= 10x). Both
-  paths run in one process on one host, so the ratio needs no
-  yardstick.
+* warm — ``StreamEncryptor.decrypt_at`` on an encryptor that has
+  already derived the stream's keystream, so the call is one slice and
+  one XOR against its keystream memo (the path every service read
+  takes after a stream's first touch).
+
+Before any timing, all paths must return the same bytes. They are
+interleaved within each timing repeat so host noise lands on all; each
+keeps its best repeat. Writes ``BENCH_read_path.json``;
+``tools/check_perf.py`` gates it against
+``benchmarks/baselines/read_path.json``:
+
+* yardstick-normalized ``keystream_bytes_per_second`` (regression
+  band), which times the memo-free kernel;
+* an absolute floor on ``keystream_speedup`` at 2048 B (>= 10x);
+* an absolute floor on ``memo_speedup`` (cold vector / warm) at 720 B
+  (>= 5x). All paths run in one process on one host, so the ratios
+  need no yardstick.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis import format_table
-from repro.crypto import AES128, CTR
+from repro.crypto import AES128, CTR, StreamEncryptor
 from repro.crypto.aes import BLOCK_SIZE
 
 from bench_codec_throughput import yardstick_rate
@@ -50,6 +60,9 @@ CASES = (
     ("bytes720", 720, 1000),
     ("bytes112", 112, 333),
 )
+
+#: The case a warm ``StreamEncryptor`` also decrypts: the seek slice.
+WARM_CASE = "bytes720"
 
 #: Timing repeats (best-of) per scale.
 _REPEATS = {"quick": 7, "full": 21}
@@ -89,6 +102,9 @@ def test_read_path(scale):
     yardstick = yardstick_rate()
     cipher = AES128(KEY)
     mode = CTR(cipher, IV)
+    # Stream 0's IV is its master IV XOR 0 encrypted under the key, so
+    # this master IV gives the warm encryptor's stream 0 the bench's IV.
+    encryptor = StreamEncryptor(key=KEY, master_iv=cipher.decrypt_block(IV))
     rng = np.random.default_rng(2017)
 
     paths = {}
@@ -107,6 +123,15 @@ def test_read_path(scale):
             "vector": (vector, _calls_per_sample(vector)),
             "scalar": (scalar, _calls_per_sample(scalar)),
         }
+        if label == WARM_CASE:
+
+            def warm(data=data, offset=offset):
+                return encryptor.decrypt_at(0, data, offset)
+
+            # The first call derives the stream's keystream; the rest
+            # are memo hits.
+            assert warm() == vector(), f"{label}: warm decrypt diverges"
+            paths[label]["warm"] = (warm, _calls_per_sample(warm))
 
     best = {(label, path): float("inf") for label in paths for path in paths[label]}
     for _ in range(repeats):
@@ -119,19 +144,21 @@ def test_read_path(scale):
     for label, size, offset in CASES:
         vector_s = best[label, "vector"]
         scalar_s = best[label, "scalar"]
-        records.append(
-            {
-                "label": label,
-                "bytes": size,
-                "offset": offset,
-                "blocks": -(-(offset % BLOCK_SIZE + size) // BLOCK_SIZE),
-                "vector_us": vector_s * 1e6,
-                "scalar_us": scalar_s * 1e6,
-                "keystream_bytes_per_second": size / vector_s,
-                "scalar_bytes_per_second": size / scalar_s,
-                "keystream_speedup": scalar_s / vector_s,
-            }
-        )
+        record = {
+            "label": label,
+            "bytes": size,
+            "offset": offset,
+            "blocks": -(-(offset % BLOCK_SIZE + size) // BLOCK_SIZE),
+            "vector_us": vector_s * 1e6,
+            "scalar_us": scalar_s * 1e6,
+            "keystream_bytes_per_second": size / vector_s,
+            "scalar_bytes_per_second": size / scalar_s,
+            "keystream_speedup": scalar_s / vector_s,
+        }
+        if label == WARM_CASE:
+            record["warm_us"] = best[label, "warm"] * 1e6
+            record["memo_speedup"] = vector_s / best[label, "warm"]
+        records.append(record)
 
     print()
     print(
@@ -150,6 +177,11 @@ def test_read_path(scale):
             ],
             title=f"CTR keystream decrypt (best of {repeats})",
         )
+    )
+    warm = next(r for r in records if r["label"] == WARM_CASE)
+    print(
+        f"warm StreamEncryptor.decrypt_at, {WARM_CASE}: "
+        f"{warm['warm_us']:.1f} us, memo_speedup {warm['memo_speedup']:.1f}x"
     )
     print(f"yardstick: {yardstick:.1f} ops/s")
 

@@ -10,25 +10,53 @@ through the block cipher itself (a standard one-way diversification).
 The analysis/partitioning must run *before* encryption — importance is
 computed on plaintext bits — so the encryptor is applied to the already
 partitioned streams, and decryption happens before merging and decoding.
+
+A stream's CTR keystream depends only on the key, the stream's IV and
+the block counter, so it is the same on every read (NIST SP 800-38A
+§6.5: CTR's cipher work can be done before the data arrives). Each
+encryptor therefore keeps the keystream it has derived, one prefix
+(blocks ``0..k``) per stream in a byte-bounded LRU keyed by the
+IV-derivation input: a window inside a prefix costs one slice and one
+XOR, and AES runs only on blocks no earlier call derived. OFB keeps its
+direct path: no service path uses it, and its ``O(offset)`` random
+access is what Section 5 holds against it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..errors import CryptoError
+from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .aes import AES128, BLOCK_SIZE
-from .modes import MODES, BlockMode
+from .modes import CTR, OFB, _counter_blocks
 
 #: Modes acceptable for stream encryption (requirements 1-3).
 APPROVED_MODES = ("OFB", "CTR")
 
 
-#: Derived stream modes one :class:`StreamEncryptor` keeps; a store
-#: uses one per reliability stream, far fewer than this.
-_MODE_MEMO_LIMIT = 64
+#: Keystream bytes one :class:`StreamEncryptor` keeps. Sized for
+#: per-object IVs (ROADMAP item 3): at perfbench's full scale the seek
+#: corpus is 24 (object, stream) pairs holding 53,454 B of ciphertext
+#: (largest stream 4,586 B), playback 27,946 B and decay 13,443 B, so
+#: each workload's every stream stays resident with room to spare. A
+#: window that ends past the budget is decrypted directly.
+_KEYSTREAM_MEMO_BYTES = 256 << 10
+
+#: A memo entry: a stream's derived IV and its keystream prefix.
+_Entry = Tuple[bytes, np.ndarray]
+
+#: The prefix of a stream no call has derived yet.
+_NO_KEYSTREAM = np.zeros(0, dtype=np.uint8)
+_NO_KEYSTREAM.flags.writeable = False
 
 
 def derive_stream_iv(master_iv: bytes, stream_id: int, key: bytes) -> bytes:
@@ -42,16 +70,87 @@ def _iv_source(master_iv: bytes, stream_id: int) -> bytes:
         raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
     if stream_id < 0:
         raise CryptoError(f"stream id must be non-negative, got {stream_id}")
-    mixed = bytearray(master_iv)
-    identifier = stream_id.to_bytes(BLOCK_SIZE, "big")
-    for index in range(BLOCK_SIZE):
-        mixed[index] ^= identifier[index]
-    return bytes(mixed)
+    return (int.from_bytes(master_iv, "big") ^ stream_id).to_bytes(
+        BLOCK_SIZE, "big")
+
+
+class _KeystreamMemo:
+    """Byte-bounded LRU of CTR keystream prefixes.
+
+    Keyed by a stream's IV-derivation input; each entry holds the
+    stream's derived IV and its keystream blocks ``0..k`` as one
+    read-only uint8 array, and the prefix bytes count against the
+    budget. The lock guards the bookkeeping only; derivation runs
+    outside it, so two threads may derive the same blocks at once and
+    the insert that adds nothing is dropped (both derivations are
+    identical). A forked child starts every memo empty with a new lock,
+    as a pickled copy would: a lock another thread held at the fork
+    would otherwise stay held in the child.
+    """
+
+    def __init__(self) -> None:
+        self.budget = _KEYSTREAM_MEMO_BYTES
+        self.clear()
+        _LIVE_MEMOS.add(self)
+
+    def clear(self) -> None:
+        """Drop every entry (and take a new lock)."""
+        self.nbytes = 0
+        self._entries: "OrderedDict[bytes, _Entry]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, source: bytes) -> Optional[_Entry]:
+        with self._lock:
+            entry = self._entries.get(source)
+            if entry is not None:
+                self._entries.move_to_end(source)
+            return entry
+
+    def put(self, source: bytes, iv: bytes, prefix: np.ndarray) -> None:
+        """Keep ``prefix`` (no longer than the budget) unless the memo
+        holds one at least as long, evicting the least recently used
+        entries past the budget."""
+        evicted = 0
+        with self._lock:
+            held = self._entries.get(source)
+            held_bytes = 0 if held is None else len(held[1])
+            if held_bytes >= len(prefix):
+                return
+            self._entries[source] = (iv, prefix)
+            self._entries.move_to_end(source)
+            self.nbytes += len(prefix) - held_bytes
+            while self.nbytes > self.budget:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.nbytes -= len(dropped)
+                evicted += 1
+        if evicted:
+            obs_metrics.counter("crypto_keystream_memo_evictions_total").inc(
+                evicted)
+
+
+_LIVE_MEMOS: "weakref.WeakSet[_KeystreamMemo]" = weakref.WeakSet()
+
+
+def _clear_memos_after_fork() -> None:
+    for memo in list(_LIVE_MEMOS):
+        memo.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_clear_memos_after_fork)
 
 
 @dataclass
 class StreamEncryptor:
-    """Encrypts/decrypts a set of reliability streams under one secret."""
+    """Encrypts/decrypts a set of reliability streams under one secret.
+
+    In CTR mode the encryptor keeps every stream's derived IV and the
+    keystream it has computed (see the module docstring). That memo is
+    as secret as the key, and the instance already holds the expanded
+    key schedule: pickles and deep copies carry the fields only and
+    start with an empty memo, and the memo is never logged, exported or
+    hashed. One instance is safe to share across threads.
+    """
 
     key: bytes
     master_iv: bytes
@@ -69,55 +168,75 @@ class StreamEncryptor:
             raise CryptoError(f"key must be {BLOCK_SIZE} bytes")
         if len(self.master_iv) != BLOCK_SIZE:
             raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
-        # Expanded once: every stream's IV and mode share this cipher.
+        # Expanded once: every stream's IV and keystream share this cipher.
         self._cipher = AES128(self.key)
-        self._modes: Dict[bytes, BlockMode] = {}
+        self._memo = _KeystreamMemo()
 
     def __getstate__(self) -> dict:
-        # The mode memo is derived state: a pickle or deep copy carries
-        # the same fields whichever streams were used before it.
+        # The keystream memo is derived state: a pickle or deep copy
+        # carries the same fields whichever streams were used before it.
         state = self.__dict__.copy()
-        del state["_modes"]
+        del state["_memo"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._modes = {}
+        self._memo = _KeystreamMemo()
 
-    def _mode_for(self, stream_id: int) -> BlockMode:
-        """The stream's keystream mode, its IV derived once.
+    def _xor(self, stream_id: int, data: bytes, byte_offset: int) -> bytes:
+        """XOR ``data`` with stream ``stream_id``'s keystream from
+        ``byte_offset`` on: the one path of every method below.
 
-        Memoized by the IV-derivation input, so whatever goes into
-        that block decides which mode is reused. The approved modes
-        keep no state between calls, so one instance serves every
-        request and thread.
+        A CTR window that ends within the memo's budget is served from
+        the stream's memoized prefix, extended first by one
+        ``encrypt_blocks`` call over the blocks it lacks; a window that
+        ends past the budget, and every OFB call, derives its keystream
+        directly and leaves the memo untouched.
         """
         source = _iv_source(self.master_iv, stream_id)
-        mode = self._modes.get(source)
-        if mode is None:
-            mode = MODES[self.mode](self._cipher,
-                                    self._cipher.encrypt_block(source))
-            if len(self._modes) < _MODE_MEMO_LIMIT:
-                mode = self._modes.setdefault(source, mode)
-        return mode
+        if self.mode == "OFB":
+            return OFB(self._cipher, self._cipher.encrypt_block(
+                source)).decrypt_range(data, byte_offset)
+        if byte_offset < 0:
+            raise CryptoError(f"negative byte offset {byte_offset}")
+        if not data:
+            return b""
+        end = byte_offset + len(data)
+        if end > self._memo.budget:
+            obs_metrics.counter("crypto_keystream_memo_misses_total").inc()
+            return CTR(self._cipher, self._cipher.encrypt_block(
+                source)).decrypt_range(data, byte_offset)
+        entry = self._memo.get(source)
+        if entry is None:
+            iv, prefix = self._cipher.encrypt_block(source), _NO_KEYSTREAM
+        else:
+            iv, prefix = entry
+        if len(prefix) < end:
+            obs_metrics.counter("crypto_keystream_memo_misses_total").inc()
+            derived = len(prefix) // BLOCK_SIZE
+            missing = -(-end // BLOCK_SIZE) - derived
+            prefix = np.concatenate((prefix, self._cipher.encrypt_blocks(
+                _counter_blocks(iv, derived, missing)).reshape(-1)))
+            prefix.flags.writeable = False
+            self._memo.put(source, iv, prefix)
+        else:
+            obs_metrics.counter("crypto_keystream_memo_hits_total").inc()
+        plain = np.frombuffer(data, dtype=np.uint8)
+        return (plain ^ prefix[byte_offset:end]).tobytes()
 
     def encrypt_streams(self, streams: Dict[int, bytes]) -> Dict[int, bytes]:
         """Encrypt each stream under its derived IV (sizes preserved)."""
         with obs_trace.span("aes.encrypt", mode=self.mode,
                             streams=len(streams)):
-            return {
-                stream_id: self._mode_for(stream_id).encrypt(data)
-                for stream_id, data in streams.items()
-            }
+            return {stream_id: self._xor(stream_id, data, 0)
+                    for stream_id, data in streams.items()}
 
     def decrypt_streams(self, streams: Dict[int, bytes]) -> Dict[int, bytes]:
         """Decrypt each stream under its derived IV."""
         with obs_trace.span("aes.decrypt", mode=self.mode,
                             streams=len(streams)):
-            return {
-                stream_id: self._mode_for(stream_id).decrypt(data)
-                for stream_id, data in streams.items()
-            }
+            return {stream_id: self._xor(stream_id, data, 0)
+                    for stream_id, data in streams.items()}
 
     def decrypt_at(self, stream_id: int, data: bytes,
                    byte_offset: int) -> bytes:
@@ -126,12 +245,12 @@ class StreamEncryptor:
 
         This is the random-access primitive the seek path rides: both
         approved modes are keystream XORs, so a slice decrypts without
-        its neighbours (CTR jumps the counter; OFB pays an
-        ``O(offset)`` keystream walk — see
-        :meth:`~repro.crypto.modes.OFB.decrypt_range`).
+        its neighbours. CTR reads the slice's keystream from the
+        stream's memoized prefix (a counter jump when the window ends
+        past the memo's budget); OFB pays an ``O(offset)`` keystream
+        walk — see :meth:`~repro.crypto.modes.OFB.decrypt_range`.
         """
         with obs_trace.span("aes.decrypt_at", mode=self.mode,
                             stream=stream_id, offset=byte_offset,
                             size=len(data)):
-            return self._mode_for(stream_id).decrypt_range(
-                data, byte_offset)
+            return self._xor(stream_id, data, byte_offset)

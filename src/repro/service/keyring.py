@@ -67,8 +67,9 @@ class Keyring:
         self.seed = int(seed)
         self._keys: Dict[str, TenantKey] = {}
         self._policies: Dict[str, TenantPolicy] = {}
-        #: One expanded encryptor per key; rebuilt on demand, so it
-        #: stays out of pickles and deep copies.
+        #: One encryptor per live key (expanded key schedule plus the
+        #: keystream it derived); rebuilt on demand, so it stays out of
+        #: pickles and deep copies, and dropped when the key retires.
         self._encryptors: Dict[TenantKey, StreamEncryptor] = {}
 
     def __getstate__(self) -> dict:
@@ -112,8 +113,10 @@ class Keyring:
 
     def retire(self, tenant: str) -> None:
         """Retire the tenant's key: later key fetches raise
-        :class:`StaleKeyError`."""
+        :class:`StaleKeyError`, and the tenant's encryptor (expanded
+        key schedule and derived keystream) leaves memory."""
         self.policy(tenant).retired = True
+        self._encryptors.pop(self._keys[tenant], None)
 
     def check_read(self, owner: str, reader: str) -> None:
         """Raise :class:`AccessDeniedError` unless ``reader`` may read
@@ -141,10 +144,11 @@ class Keyring:
 
         Every call runs the retire check of :meth:`key` first, so a
         retired tenant's reads and writes fail closed from the next
-        call on, however warm its encryptor is. The encryptor itself
-        is built (key schedule expanded) on the tenant's first call and
-        handed out again afterwards: it holds no per-request state, so
-        concurrent requests share it.
+        call on. The encryptor is built (key schedule expanded) on the
+        tenant's first call and handed out again afterwards; it keeps
+        the CTR keystream its calls derive, which no request owns and
+        any thread may reuse, so concurrent requests share it.
+        :meth:`retire` drops it.
         """
         material = self.key(tenant)
         encryptor = self._encryptors.get(material)
@@ -155,4 +159,8 @@ class Keyring:
                 material, StreamEncryptor(key=material.key,
                                           master_iv=material.master_iv,
                                           mode="CTR"))
+            # A retire that ran since the check above must not find
+            # the encryptor back in the registry afterwards.
+            if self._policies[tenant].retired:
+                self._encryptors.pop(material, None)
         return encryptor

@@ -90,6 +90,23 @@ class TestEncryptorPerTenant:
         with pytest.raises(StaleKeyError):
             ring.encryptor("alice")
 
+    def test_retire_drops_the_tenants_encryptor(self):
+        # A warm encryptor holds the expanded key schedule and the
+        # keystream it derived: retiring the key takes both out of the
+        # keyring, and leaves every other tenant's encryptor in place.
+        ring = Keyring(seed=3)
+        ring.add_tenant("alice")
+        ring.add_tenant("bob")
+        ring.encryptor("alice").encrypt_streams({0: bytes(40)})
+        bob = ring.encryptor("bob")
+        bob.encrypt_streams({0: bytes(40)})
+        ring.retire("alice")
+        assert [material.tenant for material in ring._encryptors] == ["bob"]
+        assert ring.encryptor("bob") is bob
+        with pytest.raises(StaleKeyError):
+            ring.encryptor("alice")
+        assert [material.tenant for material in ring._encryptors] == ["bob"]
+
     def test_pickle_and_copy_carry_no_encryptors(self):
         ring = Keyring(seed=3)
         ring.add_tenant("alice")

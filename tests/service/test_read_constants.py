@@ -1,9 +1,10 @@
 """Reads reuse what does not change between requests.
 
 The keyring hands out one encryptor per tenant, the encryptor derives
-each stream's IV once, and each manifest carries every GOP's fetch
-plan. None of it may change an answer, outlive a key's retirement, or
-reach a pickle (the campaign journal hashes store pickles).
+each stream's IV and CTR keystream once, and each manifest carries
+every GOP's fetch plan. None of it may change an answer, outlive a
+key's retirement, or reach a pickle (the campaign journal hashes store
+pickles).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 from repro.analysis.experiments import _slim_stored
 from repro.codec import EncoderConfig
 from repro.core import ApproximateVideoStore
+import repro.crypto.streams as streams_module
 from repro.crypto import CTR, StreamEncryptor, derive_stream_iv
 from repro.crypto.aes import AES128
 from repro.errors import StaleKeyError
@@ -48,10 +50,13 @@ def _rng(seed: int = 0) -> np.random.Generator:
 
 @pytest.fixture
 def cipher_work(monkeypatch):
-    """Counts of key expansions and scalar block encryptions (the IV
-    derivation; CTR keystreams run through ``encrypt_blocks``)."""
-    counts = {"key_schedules": 0, "iv_derivations": 0}
-    expand, encrypt_block = AES128.__init__, AES128.encrypt_block
+    """Counts of key expansions, scalar block encryptions (the IV
+    derivation) and batched ones (CTR keystream derivation)."""
+    counts = {"key_schedules": 0, "iv_derivations": 0,
+              "keystream_derivations": 0}
+    expand = AES128.__init__
+    encrypt_block = AES128.encrypt_block
+    encrypt_blocks = AES128.encrypt_blocks
 
     def counted_init(self, key):
         counts["key_schedules"] += 1
@@ -61,8 +66,13 @@ def cipher_work(monkeypatch):
         counts["iv_derivations"] += 1
         return encrypt_block(self, plaintext)
 
+    def counted_blocks(self, blocks):
+        counts["keystream_derivations"] += 1
+        return encrypt_blocks(self, blocks)
+
     monkeypatch.setattr(AES128, "__init__", counted_init)
     monkeypatch.setattr(AES128, "encrypt_block", counted_block)
+    monkeypatch.setattr(AES128, "encrypt_blocks", counted_blocks)
     return counts
 
 
@@ -72,9 +82,11 @@ class TestWarmReadsDeriveNothing:
         store = _store(seek_cache=0)
         object_id = store.put("alice", _clip())
         streams = len(store.record("alice", object_id).stream_lengths)
-        # The first use of the tenant's key pays for it, once.
-        assert cipher_work == {"key_schedules": 1,
-                               "iv_derivations": streams}
+        # The first use of the tenant's key pays for it, once, and the
+        # put derives every stream's whole keystream.
+        cold = {"key_schedules": 1, "iv_derivations": streams,
+                "keystream_derivations": streams}
+        assert cipher_work == cold
         for seed in range(3):
             assert store.get("alice", object_id,
                              rng=_rng(seed)).video is not None
@@ -82,8 +94,7 @@ class TestWarmReadsDeriveNothing:
                 result = store.get_frame("alice", object_id, display,
                                          rng=_rng(seed))
                 assert not result.cache_hit and result.bytes_read > 0
-        assert cipher_work == {"key_schedules": 1,
-                               "iv_derivations": streams}
+        assert cipher_work == cold
 
     def test_seek_miss_uses_the_manifest_plan(self, monkeypatch):
         store = _store(seek_cache=0)
@@ -168,7 +179,7 @@ class TestPicklesIgnoreReads:
         for seed in range(3):
             store.read(stored, rng=_rng(seed))
             store.read(stored, rng=_rng(seed), conceal=True, t_days=1e6)
-        assert store.encryptor._modes
+        assert store.encryptor._memo._entries
         assert pickle.dumps(store) == blob
         assert context_digest(context) == before
         # A cold encryptor pickles the same bytes as the warm one.
@@ -176,39 +187,64 @@ class TestPicklesIgnoreReads:
         assert pickle.dumps(store) == blob
 
 
-def test_threads_share_one_encryptor_and_one_mode_per_stream():
+def test_threads_share_one_encryptor_and_one_mode_per_stream(monkeypatch):
     # Many threads race the first build of a tenant's encryptor and of
-    # each stream's mode; every thread must end up with the same
-    # encryptor, one memo entry per stream, and correct plaintext.
+    # each stream's keystream, mixing whole-stream encrypts with
+    # windowed decrypts. Every result must equal a memo-free CTR's, and
+    # every thread must end up with the same encryptor. Under the real
+    # budget the memo ends with one entry per stream; under a budget
+    # that holds about two streams it evicts constantly, and a lost
+    # update in the bookkeeping would break its byte count.
     key_material = Keyring(seed=9).add_tenant("alice")
-    data = bytes(range(200))
+    plaintext = bytes(range(256)) * 3
     stream_ids = range(6)
-    expected = {
+    references = {
         stream_id: CTR(key_material.key,
                        derive_stream_iv(key_material.master_iv, stream_id,
-                                        key_material.key)
-                       ).decrypt_range(data, 33)
+                                        key_material.key))
         for stream_id in stream_ids}
+    sealed = {stream_id: mode.encrypt(plaintext)
+              for stream_id, mode in references.items()}
+
+    def worker(ring, seed, seen, errors):
+        rng = np.random.default_rng(seed)
+        try:
+            encryptor = ring.encryptor("alice")
+            seen.append(encryptor)
+            memo = encryptor._memo
+            for _ in range(20):
+                stream_id = int(rng.integers(len(stream_ids)))
+                if rng.random() < 0.3:
+                    got = encryptor.encrypt_streams(
+                        {stream_id: plaintext})[stream_id]
+                    want = sealed[stream_id]
+                else:
+                    start = int(rng.integers(len(plaintext)))
+                    end = int(rng.integers(start, len(plaintext) + 1))
+                    got = encryptor.decrypt_at(
+                        stream_id, sealed[stream_id][start:end], start)
+                    want = plaintext[start:end]
+                if got != want:
+                    errors.append(stream_id)
+                with memo._lock:
+                    if memo.nbytes > memo.budget:
+                        errors.append(f"{memo.nbytes} B held")
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
+        for budget in (streams_module._KEYSTREAM_MEMO_BYTES,) * 3 + (
+                2 * len(plaintext),) * 2:
+            monkeypatch.setattr(streams_module, "_KEYSTREAM_MEMO_BYTES",
+                                budget)
             ring = Keyring(seed=9)
             ring.add_tenant("alice")
             seen, errors = [], []
-
-            def worker():
-                try:
-                    encryptor = ring.encryptor("alice")
-                    seen.append(encryptor)
-                    for stream_id in stream_ids:
-                        if (encryptor.decrypt_at(stream_id, data, 33)
-                                != expected[stream_id]):
-                            errors.append(stream_id)
-                except Exception as exc:  # reported below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker) for _ in range(8)]
+            threads = [threading.Thread(target=worker,
+                                        args=(ring, seed, seen, errors))
+                       for seed in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -217,6 +253,14 @@ def test_threads_share_one_encryptor_and_one_mode_per_stream():
             assert errors == []
             assert len(seen) == len(threads)
             assert all(encryptor is seen[0] for encryptor in seen)
-            assert len(seen[0]._modes) == len(stream_ids)
+            memo = seen[0]._memo
+            assert memo.budget == budget
+            assert memo.nbytes == sum(
+                len(prefix) for _, prefix in memo._entries.values())
+            assert memo.nbytes <= budget
+            if budget == 2 * len(plaintext):
+                assert len(memo._entries) <= 2
+            else:
+                assert len(memo._entries) == len(stream_ids)
     finally:
         sys.setswitchinterval(interval)
