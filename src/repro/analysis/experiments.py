@@ -276,7 +276,7 @@ def run_figure10_suite(videos: Sequence[Tuple[str, VideoSequence]],
 
     Per class and rate the suite-worst (maximum) loss is kept — the
     paper's conservative accounting — and storage distributions are
-    merged by bit count across all videos.
+    averaged with equal weight per video.
     """
     if not videos:
         raise AnalysisError("empty video suite")
@@ -303,20 +303,15 @@ def run_figure10_suite(videos: Sequence[Tuple[str, VideoSequence]],
         merged_curves.append(QualityCurve(class_index=class_index,
                                           points=points))
 
-    # Merge storage by absolute bits.
-    bits_by_class: Dict[int, float] = {}
-    total_bits = 0.0
-    for result, (_name, _video) in zip(per_video, videos):
+    # Merge storage distributions with equal weight per video.
+    fraction_sums: Dict[int, float] = {}
+    for result in per_video:
         video_total = sum(result.storage_fractions.values())
-        # storage_fractions are normalized per video; weight by the
-        # video's payload so bigger videos count more.
-        weight = 1.0  # equal weighting unless payload sizes differ a lot
         for index, fraction in result.storage_fractions.items():
-            bits_by_class[index] = (bits_by_class.get(index, 0.0)
-                                    + weight * fraction / video_total)
-        total_bits += weight
-    storage_fractions = {index: value / total_bits
-                         for index, value in bits_by_class.items()}
+            fraction_sums[index] = (fraction_sums.get(index, 0.0)
+                                    + fraction / video_total)
+    storage_fractions = {index: value / len(per_video)
+                         for index, value in fraction_sums.items()}
     cumulative = []
     running = 0.0
     for index in all_classes:

@@ -164,11 +164,6 @@ def single_scheme_assignment(scheme_name: str) -> ClassAssignment:
                            header_scheme=PRECISE_SCHEME)
 
 
-def _counter_snapshot() -> Dict[str, int]:
-    counters = obs_metrics.get_registry().snapshot()["counters"]
-    return {name: int(counters.get(name, 0)) for name in TRACKED_COUNTERS}
-
-
 def run_retention_sweep(
         video: VideoSequence,
         t_days: Sequence[float] = DEFAULT_T_GRID,
@@ -234,14 +229,12 @@ def run_retention_sweep(
                     conceal=cfg.conceal))
         journal_path = (None if journal is None
                         else f"{journal}.{cfg.label}.jsonl")
-        before = _counter_snapshot()
-        outcomes, run_stats = run_campaign(
-            context, specs, workers=workers, timeout=timeout,
-            journal=journal_path, progress=progress)
-        after = _counter_snapshot()
-        counters[cfg.label] = {name: after[name] - before[name]
-                               for name in TRACKED_COUNTERS
-                               if after[name] != before[name]}
+        with obs_metrics.counter_deltas(*TRACKED_COUNTERS) as moved:
+            outcomes, run_stats = run_campaign(
+                context, specs, workers=workers, timeout=timeout,
+                journal=journal_path, progress=progress)
+        counters[cfg.label] = {name: delta for name, delta in moved.items()
+                               if delta}
         stats[cfg.label] = run_stats
         for t_index, t in enumerate(grid):
             cell = outcomes[t_index * runs:(t_index + 1) * runs]

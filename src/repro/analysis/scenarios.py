@@ -39,6 +39,10 @@ Determinism is the point: the same ``seed`` produces the same fault
 schedule (:func:`~repro.runtime.chaos.schedule_digest` per cell) and
 the same journal digest, so the whole matrix is a replayable regression
 artifact — the JSON report it emits is compared across runs in CI.
+
+The repair matrix (fault × replication × repair, below) shares the
+driver: the same :class:`MatrixCell`, armed-chaos block and
+:class:`MatrixReport`.
 """
 
 from __future__ import annotations
@@ -48,9 +52,10 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,37 +133,48 @@ def build_content(name: str, width: int, height: int, num_frames: int,
 
 
 @dataclass
-class ScenarioCell:
-    """One (content, fault) cell's verdict."""
+class MatrixCell:
+    """One cell's verdict, in either matrix."""
 
-    content: str
-    fault: str
-    #: Every invariant held. Model-gap flags do NOT clear this.
-    passed: bool
-    #: Named invariant verdicts (all must be True for ``passed``).
+    #: The cell's coordinates in axis order: ``content, fault`` in the
+    #: scenario matrix, ``fault, replicas, repair`` in the repair matrix.
+    axes: Dict[str, object]
+    #: Named invariant verdicts (all must hold for :attr:`passed`).
     invariants: Dict[str, bool] = field(default_factory=dict)
     #: Model gaps and environment skips: recorded, never failing.
     flags: List[str] = field(default_factory=list)
-    #: Parent-side chaos schedule fingerprint while this cell ran.
-    schedule_digest: str = ""
+    #: Parent-side chaos schedule fingerprint while this cell ran. Cells
+    #: are built disarmed (both runners refuse an ambient policy), so a
+    #: cell that never arms keeps the disarmed digest.
+    schedule_digest: str = field(default_factory=chaos.schedule_digest)
     #: Chaos events fired in the parent during this cell.
     chaos_events: int = 0
     #: Cell-specific numbers (trial values, counter deltas, bits).
     details: Dict[str, object] = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        """Every invariant held. Model-gap flags never clear this."""
+        return all(self.invariants.values())
+
+    def to_dict(self) -> dict:
+        """JSON-ready cell: its axes, then the verdict fields."""
+        data = dataclasses.asdict(self)
+        return {**data.pop("axes"), "passed": self.passed, **data}
+
 
 @dataclass
-class ScenarioReport:
-    """A full scenario-matrix run."""
+class MatrixReport:
+    """A full matrix run: every cell plus the matrix-wide verdicts."""
 
-    cells: List[ScenarioCell]
+    cells: List[MatrixCell]
     seed: int
-    width: int
-    height: int
-    num_frames: int
-    trials: int
-    #: Canonical digest of the torn-then-resumed campaign journal.
-    journal_digest: str = ""
+    #: Ordered geometry: ``width, height, num_frames``, then ``trials``
+    #: (scenario matrix) or ``objects, reads`` (repair matrix).
+    geometry: Dict[str, int]
+    #: Canonical digest of the torn-then-resumed campaign journal. The
+    #: scenario matrix sets it; the repair matrix has none.
+    journal_digest: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -166,9 +182,9 @@ class ScenarioReport:
         return all(cell.passed for cell in self.cells)
 
     @property
-    def flagged(self) -> List[Tuple[str, str, str]]:
-        """(content, fault, flag) for every recorded model gap / skip."""
-        return [(c.content, c.fault, flag)
+    def flagged(self) -> List[Tuple[object, ...]]:
+        """(*axes, flag) for every recorded model gap / skip."""
+        return [(*c.axes.values(), flag)
                 for c in self.cells for flag in c.flags]
 
     @property
@@ -182,25 +198,26 @@ class ScenarioReport:
         """
         payload = {
             "seed": self.seed,
-            "geometry": [self.width, self.height, self.num_frames,
-                         self.trials],
-            "journal": self.journal_digest,
+            "geometry": list(self.geometry.values()),
             "cells": [{
-                "content": c.content, "fault": c.fault,
-                "passed": c.passed, "invariants": c.invariants,
+                **c.axes, "passed": c.passed, "invariants": c.invariants,
                 "flags": c.flags, "schedule": c.schedule_digest,
                 "events": c.chaos_events,
                 "details": {k: repr(v) for k, v in sorted(c.details.items())},
             } for c in self.cells],
         }
+        if self.journal_digest is not None:
+            payload["journal"] = self.journal_digest
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()[:32]
 
     def to_dict(self) -> dict:
         """JSON-ready report: all cells plus the derived verdicts."""
-        data = dataclasses.asdict(self)
-        data["passed"] = self.passed
-        data["matrix_digest"] = self.matrix_digest
+        data = {"cells": [cell.to_dict() for cell in self.cells],
+                "seed": self.seed, **self.geometry, "passed": self.passed,
+                "matrix_digest": self.matrix_digest}
+        if self.journal_digest is not None:
+            data["journal_digest"] = self.journal_digest
         return data
 
 
@@ -236,9 +253,31 @@ def _cell_seed(seed: int, content: str, fault: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def _counters(*names: str) -> Dict[str, int]:
-    snapshot = obs_metrics.get_registry().snapshot()["counters"]
-    return {name: int(snapshot.get(name, 0)) for name in names}
+def _check_entry(matrix: str,
+                 *axes: Tuple[str, Sequence[str], Sequence[str]]) -> None:
+    """Refuse an ambient chaos policy, and any ``(label, names, known)``
+    axis naming something it does not know."""
+    if chaos.active() is not None:
+        raise AnalysisError(
+            f"{matrix} matrix manages its own chaos policies; disarm the "
+            "ambient one first")
+    for label, names, known in axes:
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise AnalysisError(
+                f"unknown {label} {unknown}; known: {list(known)}")
+
+
+@contextmanager
+def _armed(cell: MatrixCell, policy: chaos.ChaosPolicy) -> Iterator[None]:
+    """Run the block under ``policy``, record the cell's schedule, disarm."""
+    chaos.arm(policy)
+    try:
+        yield
+    finally:
+        cell.schedule_digest = chaos.schedule_digest()
+        cell.chaos_events = len(chaos.chaos_events())
+        chaos.disarm()
 
 
 def _values(outcomes: Sequence[object]) -> List[Optional[float]]:
@@ -330,33 +369,22 @@ def run_scenario_matrix(contents: Optional[Sequence[str]] = None,
                         seed: int = 0,
                         config: Optional[EncoderConfig] = None,
                         journal_dir: Union[str, Path, None] = None,
-                        model_checks: bool = True) -> ScenarioReport:
+                        model_checks: bool = True) -> MatrixReport:
     """Run the (content × fault) scenario matrix.
 
     Serial except the ``worker_crash`` cell (which needs a pool to have
     a worker to kill), so in-parent fault ordinals are deterministic.
     ``journal_dir`` holds the ``journal_torn`` cell's journals (a
     temporary directory when None). Same ``seed`` → same content, same
-    trial seeds, same fault schedule, same :attr:`ScenarioReport.matrix_digest`.
+    trial seeds, same fault schedule, same :attr:`MatrixReport.matrix_digest`.
     """
-    if chaos.active() is not None:
-        raise AnalysisError(
-            "scenario matrix manages its own chaos policies; disarm the "
-            "ambient one first")
     contents = list(QUICK_CONTENTS if contents is None else contents)
-    unknown = [c for c in contents if c not in ALL_CONTENTS]
-    if unknown:
-        raise AnalysisError(
-            f"unknown scenario contents {unknown}; known: "
-            f"{list(ALL_CONTENTS)}")
-    unknown = [f for f in faults if f not in DEFAULT_FAULTS]
-    if unknown:
-        raise AnalysisError(
-            f"unknown fault cells {unknown}; known: {list(DEFAULT_FAULTS)}")
+    _check_entry("scenario", ("scenario contents", contents, ALL_CONTENTS),
+                 ("fault cells", faults, DEFAULT_FAULTS))
     if trials < 3:
         raise AnalysisError(f"the matrix needs >= 3 trials, got {trials}")
     config = config or EncoderConfig(crf=30, gop_size=4)
-    cells: List[ScenarioCell] = []
+    cells: List[MatrixCell] = []
     journal_digest = ""
     own_tmp = tempfile.TemporaryDirectory() if journal_dir is None else None
     journal_root = Path(own_tmp.name if own_tmp else journal_dir)
@@ -378,31 +406,23 @@ def run_scenario_matrix(contents: Optional[Sequence[str]] = None,
                 cell = _run_fault_cell(
                     fault, content, video, context, specs, baseline_values,
                     config, seed, journal_root, model_checks)
-                if fault == "journal_torn" and cell.details.get(
-                        "journal_digest"):
+                if cell.details.get("journal_digest"):
                     journal_digest = str(cell.details["journal_digest"])
                 cells.append(cell)
     finally:
         if own_tmp is not None:
             own_tmp.cleanup()
-    return ScenarioReport(cells=cells, seed=seed, width=width,
-                          height=height, num_frames=num_frames,
-                          trials=trials, journal_digest=journal_digest)
-
-
-def _finish_cell(cell: ScenarioCell) -> ScenarioCell:
-    cell.schedule_digest = chaos.schedule_digest()
-    cell.chaos_events = len(chaos.chaos_events())
-    cell.passed = all(cell.invariants.values())
-    return cell
+    return MatrixReport(cells=cells, seed=seed, geometry=dict(
+        width=width, height=height, num_frames=num_frames, trials=trials),
+        journal_digest=journal_digest)
 
 
 def _run_fault_cell(fault: str, content: str, video: VideoSequence,
                     context: TrialContext, specs: List[TrialSpec],
                     baseline_values: List[Optional[float]],
                     config: EncoderConfig, seed: int, journal_root: Path,
-                    model_checks: bool) -> ScenarioCell:
-    cell = ScenarioCell(content=content, fault=fault, passed=False)
+                    model_checks: bool) -> MatrixCell:
+    cell = MatrixCell(axes={"content": content, "fault": fault})
     cell_seed = _cell_seed(seed, content, fault)
 
     if fault == "none":
@@ -412,16 +432,14 @@ def _run_fault_cell(fault: str, content: str, video: VideoSequence,
         if model_checks:
             cell.flags += importance_ranking_flags(video, config, cell_seed)
             cell.flags += predictor_prune_flags(video, config)
-        cell.schedule_digest = chaos.schedule_digest()  # disarmed digest
-        cell.passed = all(cell.invariants.values())
         return cell
 
     if fault == "device_overrate":
-        chaos.arm(chaos.ChaosPolicy(seed=cell_seed, device_fault_rate=0.9))
-        try:
-            before = _counters("storage_uncorrectable_blocks_total",
-                               "storage_miscorrected_blocks_total",
-                               "chaos_device_read_total")
+        policy = chaos.ChaosPolicy(seed=cell_seed, device_fault_rate=0.9)
+        with _armed(cell, policy), obs_metrics.counter_deltas(
+                "storage_uncorrectable_blocks_total",
+                "storage_miscorrected_blocks_total",
+                "chaos_device_read_total") as moved:
             outcomes, stats = run_campaign(context, specs, workers=0)
             # The retry ladder must not pretend to fix chaos damage:
             # faults are keyed by payload content, so a re-read faults
@@ -429,63 +447,53 @@ def _run_fault_cell(fault: str, content: str, video: VideoSequence,
             context.store.read(context.stored,
                                rng=np.random.default_rng(cell_seed),
                                read_retries=2)
-            after = _counters(*before)
-            events = (after["chaos_device_read_total"]
-                      - before["chaos_device_read_total"])
-            uncorrectable = (after["storage_uncorrectable_blocks_total"]
-                             - before["storage_uncorrectable_blocks_total"])
-            miscorrected = (after["storage_miscorrected_blocks_total"]
-                            - before["storage_miscorrected_blocks_total"])
-            cell.invariants["campaign_completes"] = (stats.failed == 0)
-            cell.invariants["damage_visible"] = (uncorrectable >= events)
-            cell.invariants["no_silent_miscorrection"] = (miscorrected == 0)
-            if events == 0:
-                cell.flags.append("no-device-fault-fired")
-            cell.details.update(device_events=events,
-                                uncorrectable_blocks=uncorrectable,
-                                values=_values(outcomes))
-            return _finish_cell(cell)
-        finally:
-            chaos.disarm()
+        events = moved["chaos_device_read_total"]
+        uncorrectable = moved["storage_uncorrectable_blocks_total"]
+        cell.invariants["campaign_completes"] = (stats.failed == 0)
+        cell.invariants["damage_visible"] = (uncorrectable >= events)
+        cell.invariants["no_silent_miscorrection"] = (
+            moved["storage_miscorrected_blocks_total"] == 0)
+        if events == 0:
+            cell.flags.append("no-device-fault-fired")
+        cell.details.update(device_events=events,
+                            uncorrectable_blocks=uncorrectable,
+                            values=_values(outcomes))
+        return cell
 
     if fault == "trial_error":
         victim = 1
-        chaos.arm(chaos.ChaosPolicy(seed=cell_seed, fail_trials=(victim,)))
-        try:
+        with _armed(cell, chaos.ChaosPolicy(seed=cell_seed,
+                                            fail_trials=(victim,))):
             outcomes, stats = run_campaign(context, specs, workers=0)
-            values = _values(outcomes)
-            cell.invariants["victim_fails"] = (stats.failed == 1
-                                               and values[victim] is None)
-            cell.invariants["survivors_bitwise_equal"] = all(
-                values[i] == baseline_values[i]
-                for i in range(len(values)) if i != victim)
-            cell.details.update(values=values, victim=victim)
-            return _finish_cell(cell)
-        finally:
-            chaos.disarm()
+        values = _values(outcomes)
+        cell.invariants["victim_fails"] = (stats.failed == 1
+                                           and values[victim] is None)
+        cell.invariants["survivors_bitwise_equal"] = all(
+            values[i] == baseline_values[i]
+            for i in range(len(values)) if i != victim)
+        cell.details.update(values=values, victim=victim)
+        return cell
 
     if fault == "worker_crash":
         if os.name != "posix":  # pragma: no cover - posix-only runtime
             cell.flags.append("worker-pool-unavailable")
             cell.invariants["skipped"] = True
-            return _finish_cell(cell)
+            return cell
         victim = 1
-        chaos.arm(chaos.ChaosPolicy(seed=cell_seed, crash_trials=(victim,)))
-        try:
+        with _armed(cell, chaos.ChaosPolicy(seed=cell_seed,
+                                            crash_trials=(victim,))):
             outcomes, stats = run_campaign(context, specs, workers=2,
                                            max_retries=2)
-            values = _values(outcomes)
-            cell.invariants["victim_quarantined"] = (
-                stats.quarantined == 1 and values[victim] is None)
-            cell.invariants["survivors_bitwise_equal"] = all(
-                values[i] == baseline_values[i]
-                for i in range(len(values)) if i != victim)
-            cell.details.update(values=values, victim=victim,
-                                retried=stats.retried,
-                                pool_restarts=stats.pool_restarts)
-            return _finish_cell(cell)
-        finally:
-            chaos.disarm()
+        values = _values(outcomes)
+        cell.invariants["victim_quarantined"] = (
+            stats.quarantined == 1 and values[victim] is None)
+        cell.invariants["survivors_bitwise_equal"] = all(
+            values[i] == baseline_values[i]
+            for i in range(len(values)) if i != victim)
+        cell.details.update(values=values, victim=victim,
+                            retried=stats.retried,
+                            pool_restarts=stats.pool_restarts)
+        return cell
 
     if fault == "shm_loss":
         clips = [video, build_content("friendly", video.width, video.height,
@@ -494,56 +502,45 @@ def _run_fault_cell(fault: str, content: str, video: VideoSequence,
         if not isinstance(probe, SharedClipStore):
             cell.flags.append("shared-memory-unavailable")
             cell.invariants["skipped"] = True
-            return _finish_cell(cell)
+            return cell
         probe.close()
         baseline_farm = encode_farm(clips, config, workers=0, batch_size=1,
                                     use_shared_memory=True)
-        chaos.arm(chaos.ChaosPolicy(seed=cell_seed, shm_fail_at=0))
-        try:
+        with _armed(cell, chaos.ChaosPolicy(seed=cell_seed, shm_fail_at=0)):
             farm = encode_farm(clips, config, workers=0, batch_size=1,
                                use_shared_memory=True)
-            failed_units = sum(c.failed_units for c in farm.clips)
-            cell.invariants["exactly_one_unit_lost"] = (failed_units == 1)
-            cell.invariants["other_clip_untouched"] = (
-                farm.clips[1].bits == baseline_farm.clips[1].bits
-                and farm.clips[1].psnr_db == baseline_farm.clips[1].psnr_db
-                and farm.clips[1].complete)
-            cell.invariants["lost_clip_scaled"] = (
-                farm.clips[0].failed_units == 1
-                and farm.clips[0].units == baseline_farm.clips[0].units)
-            cell.details.update(
-                failed_units=failed_units,
-                bits=[c.bits for c in farm.clips],
-                baseline_bits=[c.bits for c in baseline_farm.clips])
-            return _finish_cell(cell)
-        finally:
-            chaos.disarm()
+        failed_units = sum(c.failed_units for c in farm.clips)
+        cell.invariants["exactly_one_unit_lost"] = (failed_units == 1)
+        cell.invariants["other_clip_untouched"] = (
+            farm.clips[1].bits == baseline_farm.clips[1].bits
+            and farm.clips[1].psnr_db == baseline_farm.clips[1].psnr_db
+            and farm.clips[1].complete)
+        cell.invariants["lost_clip_scaled"] = (
+            farm.clips[0].failed_units == 1
+            and farm.clips[0].units == baseline_farm.clips[0].units)
+        cell.details.update(
+            failed_units=failed_units,
+            bits=[c.bits for c in farm.clips],
+            baseline_bits=[c.bits for c in baseline_farm.clips])
+        return cell
 
     if fault == "journal_torn":
         journal_path = journal_root / f"scenario.{content}.jsonl"
-        if journal_path.exists():
-            journal_path.unlink()
-        chaos.arm(chaos.ChaosPolicy(seed=cell_seed, journal_tear_at=1))
-        try:
-            aborted = False
+        journal_path.unlink(missing_ok=True)
+        with _armed(cell, chaos.ChaosPolicy(seed=cell_seed,
+                                            journal_tear_at=1)):
             try:
                 run_campaign(context, specs, workers=0,
                              journal=str(journal_path))
+                cell.invariants["writer_crashes"] = False
             except ChaosError:
-                aborted = True
-            cell.invariants["writer_crashes"] = aborted
-            cell.schedule_digest = chaos.schedule_digest()
-            cell.chaos_events = len(chaos.chaos_events())
-        finally:
-            chaos.disarm()
-        before = _counters("journal_torn_tails_total")
-        outcomes, stats = run_campaign(context, specs, workers=0,
-                                       journal=str(journal_path))
-        after = _counters(*before)
+                cell.invariants["writer_crashes"] = True
+        with obs_metrics.counter_deltas("journal_torn_tails_total") as moved:
+            outcomes, stats = run_campaign(context, specs, workers=0,
+                                           journal=str(journal_path))
         values = _values(outcomes)
         cell.invariants["torn_tail_detected"] = (
-            after["journal_torn_tails_total"]
-            - before["journal_torn_tails_total"] == 1)
+            moved["journal_torn_tails_total"] == 1)
         cell.invariants["resume_completes"] = (stats.failed == 0
                                                and stats.resumed >= 1)
         cell.invariants["resume_bitwise_equal"] = (
@@ -555,7 +552,6 @@ def _run_fault_cell(fault: str, content: str, video: VideoSequence,
                 [o for o in outcomes if isinstance(o, TrialResult)]))
         cell.details.update(values=values, resumed=stats.resumed,
                             journal_digest=journal_file_digest(journal_path))
-        cell.passed = all(cell.invariants.values())
         return cell
 
     raise AnalysisError(f"unknown fault cell {fault!r}")
@@ -568,71 +564,6 @@ def _run_fault_cell(fault: str, content: str, video: VideoSequence,
 #: Fault cells of the self-healing matrix.
 REPAIR_FAULTS: Tuple[str, ...] = (
     "single_shard_storm", "correlated_burst", "burst_on_scrub")
-
-
-@dataclass
-class RepairCell:
-    """One (fault, replicas, repair) cell's verdict."""
-
-    fault: str
-    replicas: int
-    repair: bool
-    #: Every invariant held.
-    passed: bool
-    invariants: Dict[str, bool] = field(default_factory=dict)
-    flags: List[str] = field(default_factory=list)
-    schedule_digest: str = ""
-    chaos_events: int = 0
-    details: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
-class RepairMatrixReport:
-    """A full (fault × replication × repair) self-healing matrix run."""
-
-    cells: List[RepairCell]
-    seed: int
-    width: int
-    height: int
-    num_frames: int
-    objects: int
-    reads: int
-
-    @property
-    def passed(self) -> bool:
-        """Every cell's invariants held."""
-        return all(cell.passed for cell in self.cells)
-
-    @property
-    def matrix_digest(self) -> str:
-        """Replayable fingerprint of the whole repair-matrix outcome.
-
-        Covers every cell's fault schedule, invariants, and measured
-        details (exact float repr); wall clock never enters, so CI can
-        run the matrix twice and compare digests byte for byte.
-        """
-        payload = {
-            "seed": self.seed,
-            "geometry": [self.width, self.height, self.num_frames,
-                         self.objects, self.reads],
-            "cells": [{
-                "fault": c.fault, "replicas": c.replicas,
-                "repair": c.repair, "passed": c.passed,
-                "invariants": c.invariants, "flags": c.flags,
-                "schedule": c.schedule_digest, "events": c.chaos_events,
-                "details": {k: repr(v)
-                            for k, v in sorted(c.details.items())},
-            } for c in self.cells],
-        }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()[:32]
-
-    def to_dict(self) -> dict:
-        """JSON-ready report: all cells plus the derived verdicts."""
-        data = dataclasses.asdict(self)
-        data["passed"] = self.passed
-        data["matrix_digest"] = self.matrix_digest
-        return data
 
 
 def _storm_victim(store) -> str:
@@ -667,7 +598,7 @@ def run_repair_matrix(faults: Sequence[str] = REPAIR_FAULTS,
                       num_frames: int = 4, objects: int = 2,
                       reads: int = 3, seed: int = 0,
                       config: Optional[EncoderConfig] = None
-                      ) -> RepairMatrixReport:
+                      ) -> MatrixReport:
     """Run the (fault × replication × repair) self-healing matrix.
 
     Each cell builds a fresh 4-shard pool and replicated store, ingests
@@ -687,144 +618,112 @@ def run_repair_matrix(faults: Sequence[str] = REPAIR_FAULTS,
       storm-free (the victim no longer serves) — every read clean.
 
     Same ``seed`` → same fault schedule and the same
-    :attr:`RepairMatrixReport.matrix_digest`.
+    :attr:`MatrixReport.matrix_digest`.
     """
-    from ..service.repair import replication_health, run_repair_pass
-    from ..service.shards import QUARANTINED, ShardPool
-    from ..service.store import VideoObjectStore
-
-    if chaos.active() is not None:
-        raise AnalysisError(
-            "repair matrix manages its own chaos policies; disarm the "
-            "ambient one first")
-    unknown = [f for f in faults if f not in REPAIR_FAULTS]
-    if unknown:
-        raise AnalysisError(
-            f"unknown repair fault cells {unknown}; known: "
-            f"{list(REPAIR_FAULTS)}")
+    _check_entry("repair", ("repair fault cells", faults, REPAIR_FAULTS))
     if any(r < 1 for r in replicas_axis):
         raise AnalysisError(f"replicas axis must be >= 1: "
                             f"{list(replicas_axis)}")
     config = config or EncoderConfig(crf=30, gop_size=4)
-    tenant = "matrix"
     clips = [synthesize_scene(SceneConfig(
         width=width, height=height, num_frames=num_frames,
         seed=seed + index, num_objects=2)) for index in range(objects)]
-    cells: List[RepairCell] = []
-    for fault in faults:
-        for replicas in replicas_axis:
-            for repair in repair_axis:
-                cell = RepairCell(fault=fault, replicas=replicas,
-                                  repair=repair, passed=False)
-                cell_seed = _cell_seed(seed, fault,
-                                       f"r{replicas}-{repair}")
-                scrubbed = fault == "burst_on_scrub"
-                pool = ShardPool(count=4, read_retries=1,
-                                 quarantine_after=2,
-                                 scrub_days=365.0 if scrubbed else None)
-                store = VideoObjectStore(pool=pool, config=config,
-                                         replicas=replicas)
-                ids = store.put_many(tenant, clips)
-                if scrubbed:
-                    # Age the written keys to the far end of the scrub
-                    # interval: the burst lands on cells already
-                    # carrying a cycle's worth of drift, and repair
-                    # rewrites (which stamp the moved clock) read as
-                    # fresh afterwards.
-                    pool.advance_all(360.0)
-                victim = _storm_victim(store)
-                if fault == "single_shard_storm":
-                    policy = chaos.ChaosPolicy(
-                        seed=cell_seed, shard_storm=victim,
-                        device_burst_blocks=3)
-                else:
-                    # burst_on_scrub draws at a higher rate: uncoded
-                    # (t=0) streams return before the device's chaos
-                    # seam, so a low rate can leave a cell with no
-                    # coded blob faulting at all.
-                    rate = 0.7 if fault == "correlated_burst" else 0.9
-                    policy = chaos.ChaosPolicy(
-                        seed=cell_seed, device_burst_rate=rate,
-                        device_burst_blocks=3)
-                before = _counters(
-                    "storage_miscorrected_blocks_total",
-                    "storage_uncorrectable_blocks_total",
-                    "chaos_device_storm_total",
-                    "chaos_device_burst_total")
-                chaos.arm(policy)
-                try:
-                    storm_tally = _repair_outcomes(
-                        store, tenant, ids, reads, [cell_seed, 1])
-                    after = _counters(*before)
-                    events = (
-                        after["chaos_device_storm_total"]
-                        - before["chaos_device_storm_total"]
-                        + after["chaos_device_burst_total"]
-                        - before["chaos_device_burst_total"])
-                    uncorrectable = (
-                        after["storage_uncorrectable_blocks_total"]
-                        - before["storage_uncorrectable_blocks_total"])
-                    miscorrected = (
-                        after["storage_miscorrected_blocks_total"]
-                        - before["storage_miscorrected_blocks_total"])
-                    cell.invariants["no_silent_miscorrection"] = (
-                        miscorrected == 0)
-                    cell.invariants["damage_visible"] = (
-                        events == 0 or uncorrectable >= events)
-                    if events == 0:
-                        cell.flags.append("no-chaos-fault-fired")
-                    if fault == "single_shard_storm" and replicas >= 2:
-                        cell.invariants["zero_refusals"] = (
-                            storm_tally["refused"] == 0)
-                        cell.invariants["no_data_loss"] = (
-                            sum(storm_tally.values())
-                            == len(ids) * reads
-                            and storm_tally["refused"] == 0)
-                    cell.details.update(
-                        victim=victim, storm_outcomes=storm_tally,
-                        chaos_fired=events,
-                        uncorrectable_blocks=uncorrectable,
-                        backlog_after_storm=store.repair.backlog())
-                    if repair:
-                        reports = []
-                        for _ in range(3):
-                            report = run_repair_pass(store)
-                            reports.append(report.to_dict())
-                            if (report.backlog == 0
-                                    and report.scan_enqueued == 0
-                                    and report.tickets_drained == 0):
-                                break
-                        health = replication_health(store)
-                        cell.invariants["repair_converges"] = (
-                            reports[-1]["backlog"] == 0
-                            and reports[-1]["scan_enqueued"] == 0
-                            and reports[-1]["tickets_drained"] == 0)
-                        cell.invariants["fully_replicated"] = (
-                            health["under_replicated"] == 0)
-                        if fault == "single_shard_storm":
-                            victim_shard = store.pool.shard(victim)
-                            cell.invariants["victim_drained"] = (
-                                victim_shard.health == QUARANTINED
-                                and len(victim_shard.blobs) == 0)
-                        post_tally = _repair_outcomes(
-                            store, tenant, ids, reads, [cell_seed, 2])
-                        if fault == "single_shard_storm":
-                            cell.invariants["post_repair_clean"] = (
-                                post_tally["refused"] == 0
-                                and post_tally["concealed"] == 0)
-                        cell.details.update(
-                            repair_passes=reports, health=health,
+    cells = [_run_repair_cell(fault, replicas, repair, clips, config,
+                              reads, seed)
+             for fault in faults for replicas in replicas_axis
+             for repair in repair_axis]
+    return MatrixReport(cells=cells, seed=seed, geometry=dict(
+        width=width, height=height, num_frames=num_frames, objects=objects,
+        reads=reads))
+
+
+def _run_repair_cell(fault: str, replicas: int, repair: bool,
+                     clips: Sequence[VideoSequence], config: EncoderConfig,
+                     reads: int, seed: int) -> MatrixCell:
+    from ..service.repair import replication_health, run_repair_pass
+    from ..service.shards import QUARANTINED, ShardPool
+    from ..service.store import VideoObjectStore
+
+    cell = MatrixCell(axes={"fault": fault, "replicas": replicas,
+                            "repair": repair})
+    cell_seed = _cell_seed(seed, fault, f"r{replicas}-{repair}")
+    storm = fault == "single_shard_storm"
+    tenant = "matrix"
+    scrubbed = fault == "burst_on_scrub"
+    pool = ShardPool(count=4, read_retries=1, quarantine_after=2,
+                     scrub_days=365.0 if scrubbed else None)
+    store = VideoObjectStore(pool=pool, config=config, replicas=replicas)
+    ids = store.put_many(tenant, clips)
+    if scrubbed:
+        # Age the written keys to the far end of the scrub interval:
+        # the burst lands on cells already carrying a cycle's worth of
+        # drift, and repair rewrites (which stamp the moved clock) read
+        # as fresh afterwards.
+        pool.advance_all(360.0)
+    victim = _storm_victim(store)
+    if storm:
+        policy = chaos.ChaosPolicy(seed=cell_seed, shard_storm=victim,
+                                   device_burst_blocks=3)
+    else:
+        # burst_on_scrub draws at a higher rate: uncoded (t=0) streams
+        # return before the device's chaos seam, so a low rate can
+        # leave a cell with no coded blob faulting at all.
+        rate = 0.7 if fault == "correlated_burst" else 0.9
+        policy = chaos.ChaosPolicy(seed=cell_seed, device_burst_rate=rate,
+                                   device_burst_blocks=3)
+    with _armed(cell, policy):
+        with obs_metrics.counter_deltas(
+                "storage_miscorrected_blocks_total",
+                "storage_uncorrectable_blocks_total",
+                "chaos_device_storm_total",
+                "chaos_device_burst_total") as moved:
+            storm_tally = _repair_outcomes(store, tenant, ids, reads,
+                                           [cell_seed, 1])
+        events = (moved["chaos_device_storm_total"]
+                  + moved["chaos_device_burst_total"])
+        uncorrectable = moved["storage_uncorrectable_blocks_total"]
+        cell.invariants["no_silent_miscorrection"] = (
+            moved["storage_miscorrected_blocks_total"] == 0)
+        cell.invariants["damage_visible"] = (events == 0
+                                             or uncorrectable >= events)
+        if events == 0:
+            cell.flags.append("no-chaos-fault-fired")
+        if storm and replicas >= 2:
+            cell.invariants["zero_refusals"] = (storm_tally["refused"] == 0)
+            cell.invariants["no_data_loss"] = (
+                sum(storm_tally.values()) == len(ids) * reads
+                and storm_tally["refused"] == 0)
+        cell.details.update(
+            victim=victim, storm_outcomes=storm_tally, chaos_fired=events,
+            uncorrectable_blocks=uncorrectable,
+            backlog_after_storm=store.repair.backlog())
+        if not repair:
+            return cell
+        reports = []
+        for _ in range(3):
+            report = run_repair_pass(store)
+            reports.append(report.to_dict())
+            if (report.backlog == 0 and report.scan_enqueued == 0
+                    and report.tickets_drained == 0):
+                break
+        health = replication_health(store)
+        cell.invariants["repair_converges"] = (
+            reports[-1]["backlog"] == 0
+            and reports[-1]["scan_enqueued"] == 0
+            and reports[-1]["tickets_drained"] == 0)
+        cell.invariants["fully_replicated"] = (
+            health["under_replicated"] == 0)
+        if storm:
+            victim_shard = store.pool.shard(victim)
+            cell.invariants["victim_drained"] = (
+                victim_shard.health == QUARANTINED
+                and len(victim_shard.blobs) == 0)
+        post_tally = _repair_outcomes(store, tenant, ids, reads,
+                                      [cell_seed, 2])
+        if storm:
+            cell.invariants["post_repair_clean"] = (
+                post_tally["refused"] == 0
+                and post_tally["concealed"] == 0)
+        cell.details.update(repair_passes=reports, health=health,
                             post_outcomes=post_tally)
-                    cells.append(_finish_cell_repair(cell))
-                finally:
-                    chaos.disarm()
-    return RepairMatrixReport(cells=cells, seed=seed, width=width,
-                              height=height, num_frames=num_frames,
-                              objects=objects, reads=reads)
-
-
-def _finish_cell_repair(cell: RepairCell) -> RepairCell:
-    cell.schedule_digest = chaos.schedule_digest()
-    cell.chaos_events = len(chaos.chaos_events())
-    cell.passed = all(cell.invariants.values())
     return cell

@@ -19,6 +19,9 @@ shell, the way a downstream user would script it:
 * ``fuzz``     — decoder no-crash fuzz harness (random bit/byte/
   truncation corruptions under a deadline, crash corpus on failure,
   corpus replay with ``--replay``);
+* ``scenarios`` / ``repair`` — the chaos × adversarial-content matrix
+  and the fault × replication × repair matrix, each with a replayable
+  matrix digest;
 * ``serve``    — scripted session against the sharded video store
   service (put/get/share/retire/age/stats/audit commands from a
   script file, stdin, or the built-in ``--demo``);
@@ -43,8 +46,9 @@ analysis is an encoder-side step and needs the trace).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -438,9 +442,41 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    import json
+def _write_json(path: str, data: object) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+    print(f"wrote {path}")
 
+
+def _report_matrix(report, args: argparse.Namespace, title: str,
+                   columns: Tuple[str, ...],
+                   labels: Callable[..., Tuple[str, ...]]) -> int:
+    """Print a matrix's verdict table, flags and digest; write its
+    ``--json`` report; exit non-zero unless every invariant held.
+
+    ``labels`` turns one cell's axis values into its ``columns``.
+    """
+    rows = []
+    for cell in report.cells:
+        broken = sorted(k for k, ok in cell.invariants.items() if not ok)
+        status = "PASS" if cell.passed else "FAIL"
+        if cell.flags:
+            status += " *"
+        rows.append((*labels(*cell.axes.values()), status,
+                     ", ".join(broken) if broken
+                     else f"{len(cell.invariants)} invariants held"))
+    print(format_table(
+        (*columns, "verdict", "detail"), rows,
+        title=f"{title}: {len(report.cells)} cells, seed {report.seed}"))
+    for *axes, flag in report.flagged:
+        print(f"  flag [{' x '.join(labels(*axes))}]: {flag}")
+    print(f"matrix digest: {report.matrix_digest}")
+    if args.json:
+        _write_json(args.json, report.to_dict())
+    return 0 if report.passed else 1
+
+
+def _cmd_scenarios(args: argparse.Namespace) -> int:
     from .analysis.scenarios import (ALL_CONTENTS, run_scenario_matrix)
     from .obs import trace as obs_trace
 
@@ -454,32 +490,12 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             contents=contents, seed=args.seed, trials=args.trials,
             journal_dir=args.journal_dir,
             model_checks=not args.no_model_checks)
-    rows = []
-    for cell in report.cells:
-        broken = sorted(k for k, ok in cell.invariants.items() if not ok)
-        status = "PASS" if cell.passed else "FAIL"
-        if cell.flags:
-            status += " *"
-        rows.append((cell.content, cell.fault, status,
-                     ", ".join(broken) if broken
-                     else f"{len(cell.invariants)} invariants held"))
-    print(format_table(
-        ("content", "fault", "verdict", "detail"), rows,
-        title=f"scenario matrix: {len(report.cells)} cells, seed "
-              f"{report.seed}"))
-    for content, fault, flag in report.flagged:
-        print(f"  flag [{content} x {fault}]: {flag}")
-    print(f"matrix digest: {report.matrix_digest}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0 if report.passed else 1
+    return _report_matrix(report, args, "scenario matrix",
+                          ("content", "fault"),
+                          lambda content, fault: (content, fault))
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    import json
-
     from .analysis.scenarios import run_repair_matrix
     from .obs import trace as obs_trace
 
@@ -488,26 +504,10 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     with obs_trace.span("repro.repair", seed=args.seed):
         report = run_repair_matrix(replicas_axis=replicas_axis,
                                    seed=args.seed, reads=args.reads)
-    rows = []
-    for cell in report.cells:
-        broken = sorted(k for k, ok in cell.invariants.items() if not ok)
-        status = "PASS" if cell.passed else "FAIL"
-        if cell.flags:
-            status += " *"
-        rows.append((cell.fault, f"R={cell.replicas}",
-                     "repair" if cell.repair else "-", status,
-                     ", ".join(broken) if broken
-                     else f"{len(cell.invariants)} invariants held"))
-    print(format_table(
-        ("fault", "replicas", "daemon", "verdict", "detail"), rows,
-        title=f"repair matrix: {len(report.cells)} cells, seed "
-              f"{report.seed}"))
-    print(f"matrix digest: {report.matrix_digest}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0 if report.passed else 1
+    return _report_matrix(
+        report, args, "repair matrix", ("fault", "replicas", "daemon"),
+        lambda fault, replicas, repair: (
+            fault, f"R={replicas}", "repair" if repair else "-"))
 
 
 #: The ``serve --demo`` script: one shared object, one denied read,
@@ -642,8 +642,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
-
     from .service.loadgen import run_durability_contrast, run_loadgen
 
     if args.durability_contrast:
@@ -653,9 +651,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             read_retries=args.read_retries,
             config=_encoder_config(args))
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(contrast, handle, indent=2, sort_keys=True)
-            print(f"wrote {args.json}")
+            _write_json(args.json, contrast)
         print(format_table(("metric", "R=1 bare", "R=2 + repair"), [
             ("refusal rate",
              f"{contrast['refusal_rate_baseline']:.2%}",
@@ -675,11 +671,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         read_retries=args.read_retries, t_days=args.t_days,
         config=_encoder_config(args), replicas=args.replicas,
         repair=args.repair)
-    data = report.to_dict()
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_dict())
     print(format_table(("metric", "value"), [
         ("clients", report.clients),
         ("ops (ingest/read)",
@@ -720,8 +713,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_seek(args: argparse.Namespace) -> int:
-    import json
-
     from .analysis.random_access import run_random_access_sweep
 
     if args.input:
@@ -737,11 +728,8 @@ def _cmd_seek(args: argparse.Namespace) -> int:
         ages=tuple(None if a <= 0 else a for a in args.ages),
         seeks=args.seeks, seed=args.seed, shards=args.shards,
         seek_cache=args.cache)
-    data = result.to_dict()
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
+        _write_json(args.json, result.to_dict())
     rows = []
     for cell in result.cells:
         rows.append((
@@ -956,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="skip the importance-ranking and "
                                 "predictor-prune model-gap audits")
     scenarios.add_argument("--json", default=None,
-                           help="write the full ScenarioReport here "
+                           help="write the full MatrixReport here "
                                 "(CI compares matrix_digest across runs)")
     scenarios.set_defaults(func=_cmd_scenarios)
 
@@ -969,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument("--replicas-axis", default="1,2",
                         help="comma-separated replica counts to sweep")
     repair.add_argument("--json", default=None,
-                        help="write the full RepairMatrixReport here "
+                        help="write the full MatrixReport here "
                              "(CI compares matrix_digest across runs)")
     repair.set_defaults(func=_cmd_repair)
 

@@ -27,7 +27,8 @@ pipeline, with the same guarantee that none of it perturbs results.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 
@@ -243,6 +244,20 @@ def histogram(name: str,
               ) -> Histogram:
     """Module-level shorthand for ``get_registry().histogram(...)``."""
     return get_registry().histogram(name, boundaries)
+
+
+@contextmanager
+def counter_deltas(*names: str) -> Iterator[Dict[str, int]]:
+    """Yield a dict that, once the block exits (raising or not), maps
+    each named counter to how far the block moved it (0 if untouched)."""
+    before = get_registry().snapshot()["counters"]
+    deltas: Dict[str, int] = {}
+    try:
+        yield deltas
+    finally:
+        after = get_registry().snapshot()["counters"]
+        deltas.update((name, int(after.get(name, 0))
+                       - int(before.get(name, 0))) for name in names)
 
 
 def reset_registry() -> None:

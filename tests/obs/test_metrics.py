@@ -30,6 +30,24 @@ class TestCounter:
             metrics.counter("c").inc(-1)
 
 
+class TestCounterDeltas:
+    def test_reads_how_far_the_block_moved_each_counter(self):
+        metrics.counter("moved").inc(3)
+        with metrics.counter_deltas("moved", "untouched") as moved:
+            metrics.counter("moved").inc(2)
+            metrics.counter("other").inc(7)
+        assert moved == {"moved": 2, "untouched": 0}
+        assert "untouched" not in metrics.get_registry().snapshot()[
+            "counters"]
+
+    def test_filled_when_the_block_raises(self):
+        with pytest.raises(RuntimeError):
+            with metrics.counter_deltas("moved") as moved:
+                metrics.counter("moved").inc()
+                raise RuntimeError("block failed")
+        assert moved == {"moved": 1}
+
+
 class TestGauge:
     def test_last_write_wins(self):
         gauge = metrics.gauge("g")

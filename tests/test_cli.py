@@ -254,6 +254,35 @@ class TestScenarios:
         assert data["passed"] is True
         assert len(data["cells"]) == 6
 
+    def test_repair_prints_flags_and_broken_invariants(self, tmp_path,
+                                                       monkeypatch, capsys):
+        from repro.analysis import scenarios
+        from repro.analysis.scenarios import MatrixCell, MatrixReport
+
+        cells = [
+            MatrixCell(axes={"fault": "correlated_burst", "replicas": 1,
+                             "repair": False},
+                       invariants={"no_silent_miscorrection": True},
+                       flags=["no-chaos-fault-fired"]),
+            MatrixCell(axes={"fault": "burst_on_scrub", "replicas": 2,
+                             "repair": True},
+                       invariants={"repair_converges": False}),
+        ]
+        report = MatrixReport(cells=cells, seed=5, geometry=dict(
+            width=48, height=32, num_frames=4, objects=2, reads=3))
+        monkeypatch.setattr(scenarios, "run_repair_matrix",
+                            lambda **kwargs: report)
+        path = tmp_path / "repair.json"
+        assert main(["repair", "--json", str(path)]) == 1
+        text = capsys.readouterr().out
+        assert ("flag [correlated_burst x R=1 x -]: no-chaos-fault-fired"
+                in text)
+        assert "repair_converges" in text and "FAIL" in text
+        assert f"matrix digest: {report.matrix_digest}" in text
+        data = json.loads(path.read_text())
+        assert data["passed"] is False
+        assert data["cells"][0]["flags"] == ["no-chaos-fault-fired"]
+
     def test_env_chaos_armed_for_any_subcommand(self, clip, monkeypatch,
                                                 capsys):
         monkeypatch.setenv("REPRO_CHAOS_FAIL_TRIALS", "0")
