@@ -17,7 +17,15 @@ gate:
   run >= 2x faster than one whole-clip read of the same object. Both
   paths are timed interleaved on the same host, so the ratio needs no
   yardstick; it is the PR's acceptance criterion ("partial decode is
-  provably cheaper than whole-clip decode at GOP >= 8") as a number.
+  provably cheaper than whole-clip decode at GOP >= 8") as a number;
+* an **absolute floor** on ``miss_length_ratio`` — a GOP-cache miss
+  must cost about the same in a long clip as in a short one. The same
+  four GOPs are read from a 32-frame and a 256-frame clip (64x48, GOP
+  8) with the decoder's frame memo warm, so a miss is all fetch, merge
+  and validation; the ratio is the short clip's thread CPU per miss
+  over the long clip's, timed in interleaved rounds. A miss whose work
+  grows with the object reads about 0.5 here, one that follows its
+  GOP's dependency closure about 1.0.
 
 Each repeat's deterministic outputs (outcomes, per-seek PSNR of the
 served frame against the source clip, byte accounting) are hashed and
@@ -41,7 +49,7 @@ from repro.analysis import format_table
 from repro.codec import EncoderConfig
 from repro.metrics import psnr
 from repro.service import VideoObjectStore
-from repro.video import SceneConfig, synthesize_scene
+from repro.video import SceneConfig, VideoSequence, synthesize_scene
 
 from bench_codec_throughput import yardstick_rate
 
@@ -56,6 +64,10 @@ _RECIPES = {
 
 #: Timing repeats (best-of) per scale.
 _REPEATS = {"quick": 3, "full": 3}
+
+#: Miss-length recipe (same at every scale): width, height, short and
+#: long clip frames, GOP, anchors of the GOPs read, timed rounds, seed.
+_MISS_RECIPE = (64, 48, 32, 256, 8, (0, 8, 16, 24), 15, 5)
 
 
 def _run_once(video, gop_size, seeks, seed):
@@ -114,6 +126,49 @@ def _run_once(video, gop_size, seeks, seed):
     return rec, digest
 
 
+def _miss_length_record():
+    """Warm-memo GOP-miss CPU at two clip lengths (see the module
+    docstring); returns the ``miss_length`` clip record."""
+    width, height, short_frames, long_frames, gop, anchors, rounds, seed = \
+        _MISS_RECIPE
+    long_clip = synthesize_scene(SceneConfig(
+        width=width, height=height, num_frames=long_frames, seed=seed))
+    short_clip = VideoSequence(long_clip.frames[:short_frames],
+                               fps=long_clip.fps)
+    store = VideoObjectStore(
+        config=EncoderConfig(crf=28, gop_size=gop, bframes=1),
+        seek_cache=0)
+    objects = {"short": store.put("bench", short_clip),
+               "long": store.put("bench", long_clip)}
+
+    def misses(name):
+        # One device seed per GOP: every re-read returns the same bytes,
+        # so after the warm pass each decode is a frame-memo hit.
+        began = time.thread_time()
+        for anchor in anchors:
+            store.get_frame("bench", objects[name], anchor,
+                            rng=np.random.default_rng(seed + anchor))
+        return (time.thread_time() - began) / len(anchors) * 1e6
+
+    for name in objects:
+        misses(name)
+    cpu_us = {name: [] for name in objects}
+    for which in range(rounds):
+        for name in (("short", "long") if which % 2 == 0
+                     else ("long", "short")):
+            cpu_us[name].append(misses(name))
+    short_us = float(np.median(cpu_us["short"]))
+    long_us = float(np.median(cpu_us["long"]))
+    return {
+        "label": "miss_length",
+        "short_frames": short_frames,
+        "long_frames": long_frames,
+        "short_miss_cpu_us": short_us,
+        "long_miss_cpu_us": long_us,
+        "miss_length_ratio": short_us / long_us,
+    }
+
+
 def test_seek_latency(scale):
     del scale  # recipe geometry is fixed per REPRO_BENCH_SCALE below
     scale_name = os.environ.get("REPRO_BENCH_SCALE", "quick")
@@ -137,6 +192,8 @@ def test_seek_latency(scale):
             f"seek path is nondeterministic at gop={gop_size}: "
             f"{len(digests)} distinct digests across {repeats} runs")
         clips.append(best)
+    misses = _miss_length_record()
+    clips.append(misses)
 
     print()
     print(format_table(
@@ -144,9 +201,14 @@ def test_seek_latency(scale):
         [(c["label"], f"{c['seeks_per_second']:.2f}",
           f"{c['seek_p50_ms']:.1f}", f"{c['seek_p99_ms']:.1f}",
           f"{c['full_read_ms']:.1f}", f"{c['seek_speedup']:.2f}x")
-         for c in clips],
+         for c in clips if "seek_speedup" in c],
         title=f"seek latency, {frames}f {width}x{height}, "
               f"{seeks} seeks (best of {repeats})"))
+    print(f"warm GOP miss: {misses['short_miss_cpu_us']:.0f} us CPU at "
+          f"{misses['short_frames']} frames, "
+          f"{misses['long_miss_cpu_us']:.0f} us at "
+          f"{misses['long_frames']} frames "
+          f"(miss_length_ratio {misses['miss_length_ratio']:.2f})")
     print(f"yardstick: {yardstick:.1f} ops/s")
 
     payload = {

@@ -379,10 +379,15 @@ class Decoder:
 
         ``positions`` hands in that closure (container positions, coded
         order) when the caller already holds it, as the object store's
-        per-GOP fetch plan does; the decoder then walks no references
-        and consults no seek index. Only those frames' payloads are
-        read. A closure the frame decoder rejects falls back to one
-        full :meth:`decode`, as a closure it derives itself does.
+        per-GOP fetch plan does; the decoder then walks no references,
+        consults no seek index and validates only what it decodes: the
+        video header, and each position's range, uniqueness, slice
+        count and display index, which must cover ``[start, stop)``.
+        Only those frames' headers and payloads are read, so the work
+        follows the closure, not the container. A closure that fails
+        those checks, or that the frame decoder rejects, falls back to
+        one full :meth:`decode` (which validates every frame), as a
+        closure the decoder derives itself does.
         """
         header = encoded.header
         if not 0 <= start < stop <= header.num_frames:
@@ -394,7 +399,10 @@ class Decoder:
                 f"header promises {header.num_frames} frames, "
                 f"container has {len(encoded.frames)}"
             )
-        self._validate_structure(encoded)
+        if positions is None:
+            self._validate_structure(encoded)
+        else:
+            self._validate_header(encoded)
         if not self.conceal_uncorrectable:
             damage = None
         targets = range(start, stop)
@@ -402,6 +410,8 @@ class Decoder:
             try:
                 if positions is None:
                     positions = dependency_closure(encoded, targets)
+                else:
+                    self._validate_frames(encoded, positions, targets)
                 obs_metrics.counter("decode_seek_requests_total").inc()
                 obs_metrics.counter(
                     "decode_seek_frames_decoded_total").inc(len(positions))
@@ -430,6 +440,50 @@ class Decoder:
         internal ``KeyError``/``ZeroDivisionError`` artifacts (the
         decoder's no-crash contract, exercised by :mod:`repro.fuzz`).
         """
+        self._validate_header(encoded)
+        self._validate_frames(encoded, range(len(encoded.frames)),
+                              range(encoded.header.num_frames))
+
+    @staticmethod
+    def _validate_frames(encoded: EncodedVideo, positions: Sequence[int],
+                         targets: Sequence[int]) -> None:
+        """Reject the frames at ``positions`` unless each is in the
+        container once, its slices tile the macroblock rows, and its
+        display index is in range and shown once; and unless they show
+        every display in ``targets``. Over every frame and display this
+        is the whole container's check; over a closure, only what the
+        partial decode reads."""
+        header = encoded.header
+        mb_rows = header.height // MACROBLOCK_SIZE
+        count = len(encoded.frames)
+        seen = set()
+        displays = set()
+        for position in positions:
+            if not 0 <= position < count or position in seen:
+                raise BitstreamError(
+                    f"frame position {position} is outside the "
+                    f"container's 0..{count - 1} or repeated")
+            seen.add(position)
+            fh = encoded.frames[position].header
+            num_slices = len(fh.slice_byte_lengths)
+            if not 1 <= num_slices <= mb_rows:
+                raise BitstreamError(
+                    f"frame {fh.coded_index}: {num_slices} slices cannot "
+                    f"tile {mb_rows} macroblock rows")
+            if (not 0 <= fh.display_index < header.num_frames
+                    or fh.display_index in displays):
+                raise BitstreamError(
+                    f"frame display indices do not cover "
+                    f"0..{header.num_frames - 1} once each: frame "
+                    f"{fh.coded_index} shows {fh.display_index}")
+            displays.add(fh.display_index)
+        missing = [display for display in targets if display not in displays]
+        if missing:
+            raise BitstreamError(
+                f"frame display indices do not cover display(s) {missing}")
+
+    def _validate_header(self, encoded: EncodedVideo) -> None:
+        """The video-header half of :meth:`_validate_structure`."""
         header = encoded.header
         if header.width <= 0 or header.height <= 0:
             raise BitstreamError(
@@ -454,22 +508,6 @@ class Decoder:
                 f"x{header.num_frames} = {declared} exceeds the decoder "
                 f"limit of {self.max_declared_pixels} (raise "
                 f"max_declared_pixels to decode larger streams)")
-        mb_rows = header.height // MACROBLOCK_SIZE
-        displays = []
-        for frame in encoded.frames:
-            fh = frame.header
-            num_slices = len(fh.slice_byte_lengths)
-            if not 1 <= num_slices <= mb_rows:
-                raise BitstreamError(
-                    f"frame {fh.coded_index}: {num_slices} slices cannot "
-                    f"tile {mb_rows} macroblock rows"
-                )
-            displays.append(fh.display_index)
-        if sorted(displays) != list(range(header.num_frames)):
-            raise BitstreamError(
-                "frame display indices do not cover "
-                f"0..{header.num_frames - 1}"
-            )
 
     def _new_entropy_decoder(self, payload: bytes,
                              coder: EntropyCoder):

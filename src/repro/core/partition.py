@@ -12,6 +12,12 @@ counts, the pivot tables and the frame headers. A full
 :class:`ProtectedVideo` is one; the service store's per-object manifest,
 which keeps no payload bytes, is another.
 
+A seek reads one dependency closure, not the object. :func:`frame_cursors`
+derives, once per layout, where every frame's segments sit in the
+streams; with those cursors a merge rebuilds a closure's payloads from
+the stream windows that were fetched, and a damage projection touches
+the closure's frames only, so neither grows with the clip.
+
 Streams are bit-granular: segments need not align to bytes, so payloads
 are unpacked to bit arrays for slicing and packed back afterwards.
 """
@@ -131,9 +137,48 @@ def partition_video(encoded: EncodedVideo,
     )
 
 
+#: One frame's non-empty payload segment, placed: ``(stream name,
+#: first stream bit, bit count, first payload bit)``.
+PlacedSegment = Tuple[str, int, int, int]
+
+
+@dataclass(frozen=True)
+class FrameCursors:
+    """Where every frame's payload segments sit in the streams.
+
+    :func:`frame_cursors` derives it with one cursor sweep over the
+    pivot tables; afterwards any frame's segments are a lookup, so work
+    on a few frames never walks the frames before them.
+    """
+
+    #: Payload bytes per frame, coded order.
+    sizes: Tuple[int, ...]
+    #: Per frame, its non-empty segments in payload order.
+    segments: Tuple[Tuple[PlacedSegment, ...], ...]
+
+
+def frame_cursors(layout: StreamLayout) -> FrameCursors:
+    """The :class:`FrameCursors` of ``layout`` (one sweep, O(frames))."""
+    cursors: Dict[str, int] = {name: 0 for name in layout.stream_bits}
+    placed: List[Tuple[PlacedSegment, ...]] = []
+    for table in layout.pivots:
+        frame: List[PlacedSegment] = []
+        for segment in table.segments:
+            cursor = cursors[segment.scheme_name]
+            cursors[segment.scheme_name] = cursor + segment.bits
+            if segment.bits:
+                frame.append((segment.scheme_name, cursor, segment.bits,
+                              segment.start_bit))
+        placed.append(tuple(frame))
+    return FrameCursors(
+        sizes=tuple(header.payload_bytes for header in layout.frame_headers),
+        segments=tuple(placed))
+
+
 def merge_streams(layout: StreamLayout,
                   streams: Dict[str, bytes],
-                  positions: Optional[Sequence[int]] = None
+                  positions: Optional[Sequence[int]] = None, *,
+                  cursors: Optional[FrameCursors] = None
                   ) -> List[bytes]:
     """Reassemble frame payloads from (possibly corrupted) streams.
 
@@ -143,10 +188,21 @@ def merge_streams(layout: StreamLayout,
     — the device flips bits, it never resizes.
 
     ``positions`` (container positions, coded order) rebuilds only
-    those frames, as a seek that decodes one dependency closure needs;
-    every other payload comes back as zero bytes of its size. ``None``
-    rebuilds every frame.
+    those frames; every other payload comes back as zero bytes of its
+    size. ``None`` rebuilds every frame.
+
+    With ``cursors`` (:func:`frame_cursors` of ``layout``) the merge
+    reads stream *windows* and returns only the ``positions`` asked
+    for, in that order, as a seek that decodes one dependency closure
+    needs: ``streams`` then maps a stream name to ``(byte offset,
+    bytes)``, a window that must cover the segments those frames hold
+    in the stream, and streams they never touch may be absent. Its work
+    follows the frames asked for, not the object.
     """
+    if cursors is not None:
+        return _merge_windows(
+            cursors, streams,
+            range(len(cursors.sizes)) if positions is None else positions)
     unpacked: Dict[str, np.ndarray] = {}
     cursors: Dict[str, int] = {}
     for name, length in layout.stream_lengths.items():
@@ -182,6 +238,32 @@ def merge_streams(layout: StreamLayout,
     return payloads
 
 
+def _merge_windows(cursors: FrameCursors,
+                   windows: Dict[str, Tuple[int, bytes]],
+                   positions: Sequence[int]) -> List[bytes]:
+    """``positions``' payloads from stream windows (see
+    :func:`merge_streams`)."""
+    unpacked = {name: (8 * offset, _unpack(data))
+                for name, (offset, data) in windows.items()}
+    payloads: List[bytes] = []
+    for position in positions:
+        if not 0 <= position < len(cursors.sizes):
+            raise AnalysisError(
+                f"frame position {position} outside the container")
+        size = cursors.sizes[position]
+        bits = np.zeros(8 * size, dtype=np.uint8)
+        for name, cursor, count, start in cursors.segments[position]:
+            origin, window = unpacked.get(name, (0, None))
+            lo = cursor - origin
+            if window is None or lo < 0 or lo + count > window.size:
+                raise AnalysisError(
+                    f"stream {name!r}: the window read does not cover "
+                    f"frame {position}'s segment")
+            bits[start:start + count] = window[lo:lo + count]
+        payloads.append(_pack(bits)[:size])
+    return payloads
+
+
 def stream_ranges_for_frames(layout: StreamLayout,
                              frame_positions: Sequence[int]
                              ) -> Dict[str, Tuple[int, int]]:
@@ -192,10 +274,10 @@ def stream_ranges_for_frames(layout: StreamLayout,
     bit_end)`` range — in *stream* bit coordinates, the same coordinates
     :func:`map_stream_damage` consumes — covering every payload segment
     those frames contributed to the stream; streams the frames never
-    touch are absent. The walk mirrors :func:`merge_streams`'s cursor
-    sweep, so fetching exactly these ranges (padded to whatever block
-    granularity the device needs) is sufficient to reassemble the
-    requested frames' payloads.
+    touch are absent. The segments are the ones :func:`merge_streams`
+    reassembles (:func:`frame_cursors`), so fetching exactly these
+    ranges (padded to whatever block granularity the device needs) is
+    sufficient to reassemble the requested frames' payloads.
 
     Positions need not be contiguous; the range per stream is the
     convex hull of the touched segments, which over-fetches only when
@@ -209,23 +291,19 @@ def stream_ranges_for_frames(layout: StreamLayout,
         if not 0 <= position < len(layout.pivots):
             raise AnalysisError(
                 f"frame position {position} outside the container")
+    segments = frame_cursors(layout).segments
     ranges: Dict[str, Tuple[int, int]] = {}
-    cursors: Dict[str, int] = {name: 0 for name in layout.stream_bits}
-    for frame_index, table in enumerate(layout.pivots):
-        for segment in table.segments:
-            cursor = cursors[segment.scheme_name]
-            cursors[segment.scheme_name] = cursor + segment.bits
-            if frame_index not in wanted or segment.bits == 0:
-                continue
-            lo, hi = ranges.get(segment.scheme_name,
-                                (cursor, cursor + segment.bits))
-            ranges[segment.scheme_name] = (min(lo, cursor),
-                                           max(hi, cursor + segment.bits))
+    for frame_index in sorted(wanted):
+        for name, cursor, count, _ in segments[frame_index]:
+            lo, hi = ranges.get(name, (cursor, cursor + count))
+            ranges[name] = (min(lo, cursor), max(hi, cursor + count))
     return ranges
 
 
 def map_stream_damage(layout: StreamLayout,
-                      damage: Dict[str, Sequence[Tuple[int, int]]]
+                      damage: Dict[str, Sequence[Tuple[int, int]]],
+                      positions: Optional[Sequence[int]] = None, *,
+                      cursors: Optional[FrameCursors] = None
                       ) -> Dict[int, List[Tuple[int, int]]]:
     """Project per-stream damage intervals onto frame payloads.
 
@@ -236,8 +314,12 @@ def map_stream_damage(layout: StreamLayout,
     ranges in that frame's *payload* coordinates: the slices of the
     bitstream the decoder must treat as unreadable.
 
-    The walk mirrors :func:`merge_streams`'s cursor sweep, so the
-    mapping is consistent with how payloads are actually reassembled.
+    ``positions`` projects onto those frames only (``None``: every
+    frame), as a seek that decodes one dependency closure needs; with
+    the layout's ``cursors`` (:func:`frame_cursors`) the frames outside
+    them are not walked at all. The segments walked are the ones
+    :func:`merge_streams` reassembles, so the mapping is consistent
+    with how payloads are actually rebuilt.
     """
     per_stream: Dict[str, List[Tuple[int, int]]] = {}
     for name, intervals in damage.items():
@@ -247,19 +329,21 @@ def map_stream_damage(layout: StreamLayout,
         cleaned = sorted((int(a), int(b)) for a, b in intervals if b > a)
         if cleaned:
             per_stream[name] = cleaned
+    if not per_stream:
+        return {}
+    if cursors is None:
+        cursors = frame_cursors(layout)
+    if positions is None:
+        positions = range(len(cursors.segments))
     hit: Dict[int, List[Tuple[int, int]]] = {}
-    cursors: Dict[str, int] = {name: 0 for name in layout.stream_bits}
-    for frame_index, table in enumerate(layout.pivots):
-        for segment in table.segments:
-            cursor = cursors[segment.scheme_name]
-            cursors[segment.scheme_name] = cursor + segment.bits
-            for start, end in per_stream.get(segment.scheme_name, ()):
+    for frame_index in positions:
+        for name, cursor, count, start_bit in cursors.segments[frame_index]:
+            for start, end in per_stream.get(name, ()):
                 lo = max(start, cursor)
-                hi = min(end, cursor + segment.bits)
+                hi = min(end, cursor + count)
                 if lo < hi:
                     hit.setdefault(frame_index, []).append(
-                        (segment.start_bit + lo - cursor,
-                         segment.start_bit + hi - cursor))
+                        (start_bit + lo - cursor, start_bit + hi - cursor))
     merged: Dict[int, List[Tuple[int, int]]] = {}
     for frame_index, ranges in hit.items():
         ranges.sort()

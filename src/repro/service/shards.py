@@ -262,6 +262,18 @@ class ShardPool:
                 cell_model=cell_model or MLCCellModel())
         self.ring = HashRing(sorted(self.shards), vnodes=(
             DEFAULT_VNODES if vnodes is None else vnodes))
+        #: Healthy shard ids (sorted) -> their ring, for :meth:`place_n`;
+        #: kept out of pickles and copies.
+        self._rings: Dict[Tuple[str, ...], HashRing] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_rings"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._rings = {}
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -274,19 +286,31 @@ class ShardPool:
                 healthy_only: bool = False) -> List[Shard]:
         """The first ``r`` distinct replica shards for ``key``.
 
-        ``healthy_only`` skips quarantined shards while walking the
-        ring — the placement the repair daemon targets when draining a
-        quarantined shard. Falls back to the unfiltered walk when fewer
-        than ``r`` healthy shards exist (degraded redundancy beats no
-        placement at all).
+        ``healthy_only`` places on a ring of the healthy shards alone —
+        the placement the repair daemon targets when draining a
+        quarantined shard. With fewer than ``r`` healthy shards that
+        ring returns all of them (degraded redundancy); only when no
+        shard is healthy does it fall back to the unfiltered walk
+        (some placement beats none). A healthy set's ring is built
+        once: the pool's own ring when every shard is healthy.
         """
         if healthy_only:
-            healthy = [s for s in self.shards
-                       if self.shards[s].health == HEALTHY]
-            if len(healthy) >= min(r, 1):
-                sub = HashRing(sorted(healthy), vnodes=self.ring.vnodes)
-                return [self.shards[s] for s in sub.place_n(key, r)]
+            healthy = tuple(sorted(s for s in self.shards
+                                   if self.shards[s].health == HEALTHY))
+            if healthy:
+                return [self.shards[s] for s in
+                        self._healthy_ring(healthy).place_n(key, r)]
         return [self.shards[s] for s in self.ring.place_n(key, r)]
+
+    def _healthy_ring(self, healthy: Tuple[str, ...]) -> HashRing:
+        """The ring over shard ids ``healthy`` (sorted), built once."""
+        if healthy == self.ring.shard_ids:
+            return self.ring
+        ring = self._rings.get(healthy)
+        if ring is None:
+            ring = self._rings[healthy] = HashRing(healthy,
+                                                   vnodes=self.ring.vnodes)
+        return ring
 
     def shard(self, shard_id: str) -> Shard:
         """Look a shard up by id."""

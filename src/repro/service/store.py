@@ -45,6 +45,7 @@ with its own source clip.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,7 +60,9 @@ from ..codec.seek import SeekIndex
 from ..core.assignment import PAPER_TABLE1, ClassAssignment
 from ..core.importance import compute_importance
 from ..core.partition import (
+    FrameCursors,
     StreamLayout,
+    frame_cursors,
     map_stream_damage,
     merge_streams,
     partition_video,
@@ -201,6 +204,57 @@ class ObjectRecord:
             seek_index=self.seek_index)
 
 
+class _MissTemplate:
+    """What every GOP-cache miss on one object reuses.
+
+    ``cursors`` place each frame's payload segments in the streams, and
+    ``frames`` is the object's container with every payload zeroed —
+    what a frame outside a seek's dependency closure carries. A miss
+    merges its closure's payloads from the windows it read and copies
+    the frame list with those positions filled in, so neither the merge
+    nor the container grows with the clip. It is derived from the
+    manifest on an object's first miss and kept beside the record (see
+    :func:`_miss_template`), so no pickle or copy of a store carries it.
+    """
+
+    def __init__(self, record: ObjectRecord) -> None:
+        self.cursors: FrameCursors = frame_cursors(record)
+        self.header = record.video_header
+        self.seek_index = record.seek_index
+        self.frames = [EncodedFrame(header=header,
+                                    payload=bytes(header.payload_bytes))
+                       for header in record.frame_headers]
+
+    def container(self, positions: Sequence[int],
+                  payloads: Sequence[bytes]) -> EncodedVideo:
+        """The zeroed container with ``payloads`` at ``positions``."""
+        frames = list(self.frames)
+        for position, payload in zip(positions, payloads):
+            frames[position] = EncodedFrame(
+                header=frames[position].header, payload=payload)
+        return EncodedVideo(header=self.header, frames=frames,
+                            seek_index=self.seek_index)
+
+
+#: ``id(record)`` -> (weak reference to the record, its miss template).
+#: A side table rather than store or record state, so pickles and copies
+#: carry no template; an entry leaves when its record is collected.
+_TEMPLATES: Dict[int, Tuple["weakref.ref[ObjectRecord]", _MissTemplate]] = {}
+
+
+def _miss_template(record: ObjectRecord) -> _MissTemplate:
+    """``record``'s :class:`_MissTemplate`, derived on its first miss."""
+    key = id(record)
+    entry = _TEMPLATES.get(key)
+    if entry is not None and entry[0]() is record:
+        return entry[1]
+    template = _MissTemplate(record)
+    _TEMPLATES[key] = (
+        weakref.ref(record, lambda _, key=key: _TEMPLATES.pop(key, None)),
+        template)
+    return template
+
+
 @dataclass
 class ReadResult:
     """One served read, classified.
@@ -257,8 +311,8 @@ class _Fetched:
     """One fetch's windows off the shards, judged.
 
     ``container`` is ``None`` exactly when ``outcome`` is refused;
-    otherwise it holds the merged payloads, ready for the decoder
-    together with ``frame_damage``.
+    otherwise it holds the merged payloads (a seek's closure only),
+    ready for the decoder together with ``frame_damage``.
     """
 
     outcome: str
@@ -589,9 +643,15 @@ class VideoObjectStore:
         at ingest, so a seeded rng yields one flip pattern per plan
         seed regardless of placement. Any stream that needed a retry,
         was damaged or refused, or came from a non-primary replica
-        enqueues read-repair. ``positions`` limits the merge to those
-        frames' payloads (see :func:`~repro.core.partition.
-        merge_streams`); ``None`` merges every frame.
+        enqueues read-repair.
+
+        ``positions`` (a GOP plan's dependency closure) makes the fetch
+        a seek's: each stream's decrypted window stays at its aligned
+        byte offset, only those frames' payloads are merged from the
+        windows and damage is projected onto those frames only, into
+        the object's :class:`_MissTemplate`, so the work follows the
+        closure and not the object. ``None`` is a whole read: every
+        window is its whole stream, and every frame is merged.
         """
         ordered = sorted(record.stream_lengths)
         reads: Dict[str, Tuple[bytes, int]] = {}
@@ -620,21 +680,14 @@ class VideoObjectStore:
             bytes_read=sum(len(data) for data, _ in reads.values()))
         if refusal:
             return fetched
-        streams: Dict[str, bytes] = {}
+        plain: Dict[str, Tuple[int, bytes]] = {}
         damage: Dict[str, List[Tuple[int, int]]] = {}
         for stream_id, name in enumerate(ordered):
-            length = record.stream_lengths[name]
             if name not in reads:
-                streams[name] = bytes(length)
                 continue
             data, a_start = reads[name]
-            plain = encryptor.decrypt_at(stream_id, data, a_start)
-            if a_start == 0 and len(plain) == length:
-                streams[name] = plain
-            else:
-                buffer = bytearray(length)
-                buffer[a_start:a_start + len(plain)] = plain
-                streams[name] = bytes(buffer)
+            plain[name] = (a_start,
+                           encryptor.decrypt_at(stream_id, data, a_start))
             # Block coordinates survive the positional cipher: shift
             # them to stream bits, clamp off the byte padding.
             limit = record.stream_bits[name]
@@ -644,10 +697,20 @@ class VideoObjectStore:
             shifted = [(lo, hi) for lo, hi in shifted if hi > lo]
             if shifted:
                 damage[name] = shifted
-        fetched.container = record.container(
-            merge_streams(record, streams, positions))
+        if positions is None:
+            fetched.container = record.container(merge_streams(
+                record, {name: data for name, (_, data) in plain.items()}))
+            if damage:
+                fetched.frame_damage = map_stream_damage(record, damage)
+        else:
+            template = _miss_template(record)
+            fetched.container = template.container(
+                positions, merge_streams(record, plain, positions,
+                                         cursors=template.cursors))
+            if damage:
+                fetched.frame_damage = map_stream_damage(
+                    record, damage, positions, cursors=template.cursors)
         if damage:
-            fetched.frame_damage = map_stream_damage(record, damage)
             fetched.outcome = CONCEALED
             fetched.concealed_streams = tuple(sorted(damage))
         elif sum(r.retry_successes for r in reports.values()) > 0:

@@ -15,6 +15,7 @@ block and the code metadata".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -31,8 +32,16 @@ DEFAULT_BLOCK_DATA_BITS = 512
 PARITY_BITS_PER_T = 10
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def binomial_tail(n: int, p: float, t: int) -> float:
-    """P[Binomial(n, p) > t], computed stably in log space."""
+    """P[Binomial(n, p) > t], computed stably in log space.
+
+    Memoized by ``(n, p, t)`` — for a block failure rate, by scheme and
+    raw rate — since every coded device read asks for one and a store's
+    reads ask for the same few. The memo is bounded (decay reads many
+    ages), safe across threads, and module-level, so no pickle or copy
+    carries it; ``binomial_tail.__wrapped__`` is the uncached sum.
+    """
     if not 0.0 <= p <= 1.0:
         raise StorageError(f"probability {p} out of range")
     if p == 0.0:

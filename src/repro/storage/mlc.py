@@ -42,11 +42,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import StorageError
+
+
+#: Raw bit error rates already derived, keyed by the cell parameters and
+#: the age: every device read asks for one, and a store's reads ask for
+#: the same few ages over and over. Decay and repair read many ages, so
+#: a full memo starts over. Dictionary reads and writes are atomic, so
+#: threads share it without a lock (two may derive the same rate, which
+#: is the same float). It is module-level: no pickle or copy carries it.
+_RATE_MEMO: Dict[Tuple, float] = {}
+_RATE_MEMO_LIMIT = 1 << 12
 
 
 def gray_code(index: int) -> int:
@@ -236,8 +246,20 @@ class MLCCellModel:
         return float(np.mean(self.level_error_rates(t_days)))
 
     def raw_bit_error_rate(self, t_days: Optional[float] = None) -> float:
-        """Bit error rate, assuming Gray coding (1 flip per misread)."""
-        return self.cell_error_rate(t_days) / self.bits_per_cell
+        """Bit error rate, assuming Gray coding (1 flip per misread).
+
+        Derived once per cell parameters and age (see ``_RATE_MEMO``);
+        a repeat returns the float the first call computed.
+        """
+        key = (self.levels, self.write_sigma, self.drift_coefficient,
+               self.drift_sigma, self.scrub_interval_days, t_days)
+        rate = _RATE_MEMO.get(key)
+        if rate is None:
+            rate = self.cell_error_rate(t_days) / self.bits_per_cell
+            if len(_RATE_MEMO) >= _RATE_MEMO_LIMIT:
+                _RATE_MEMO.clear()
+            _RATE_MEMO[key] = rate
+        return rate
 
     # -- Monte Carlo write/read ------------------------------------------------
 

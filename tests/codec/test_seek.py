@@ -6,6 +6,8 @@ of a whole-clip decode on clean streams, across GOP sizes, B-frame
 reorderings, and both container versions.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.codec import (
 )
 from repro.codec.types import FrameType
 from repro.errors import BitstreamError
+from repro.obs.metrics import counter_deltas
 from repro.video import SceneConfig, synthesize_scene
 
 #: The reordering regimes the identity property must survive: closed
@@ -241,3 +244,65 @@ class TestPartialDecodeIdentity:
         with pytest.raises(BitstreamError):
             decoder.decode_range(encoded_gops, 0,
                                  len(encoded_gops.frames) + 1)
+
+
+class TestHandedInClosure:
+    """``decode_range(positions=...)`` trusts only what it checks: bad
+    closures raise :class:`BitstreamError` or fall back to one full
+    decode, never an ``IndexError`` or ``KeyError``."""
+
+    @staticmethod
+    def _fallback_range(encoded, start, stop, positions):
+        full = Decoder().decode(encoded)
+        with counter_deltas("decode_seek_fallback_total") as moved:
+            clip = Decoder().decode_range(encoded, start, stop,
+                                          positions=positions)
+        assert moved["decode_seek_fallback_total"] == 1
+        assert len(clip) == stop - start
+        for offset, frame in enumerate(clip.frames):
+            assert np.array_equal(frame, full.frames[start + offset])
+
+    def test_out_of_range_position_falls_back(self, encoded_gops):
+        self._fallback_range(encoded_gops, 0, 1, [0, 99])
+        self._fallback_range(encoded_gops, 0, 1, [len(encoded_gops.frames)])
+
+    def test_negative_position_falls_back(self, encoded_gops):
+        self._fallback_range(encoded_gops, 0, 1, [-1])
+        self._fallback_range(encoded_gops, 0, 1, [0, -len(encoded_gops.frames)])
+
+    def test_duplicate_position_falls_back(self, encoded_gops):
+        closure = dependency_closure(encoded_gops, range(0, 2))
+        self._fallback_range(encoded_gops, 0, 2, closure + closure[:1])
+
+    def test_closure_missing_a_target_falls_back(self, encoded_gops):
+        self._fallback_range(encoded_gops, 0, 2, [0])
+        self._fallback_range(encoded_gops, 1, 3, [])
+
+    def test_valid_closure_decodes_without_fallback(self, encoded_gops):
+        full = Decoder().decode(encoded_gops)
+        closure = dependency_closure(encoded_gops, range(2, 5))
+        with counter_deltas("decode_seek_fallback_total") as moved:
+            clip = Decoder().decode_range(encoded_gops, 2, 5,
+                                          positions=closure)
+        assert moved["decode_seek_fallback_total"] == 0
+        for offset, frame in enumerate(clip.frames):
+            assert np.array_equal(frame, full.frames[2 + offset])
+
+    def test_validates_only_the_closure(self, encoded_gops):
+        """A broken header outside the closure does not stop a partial
+        decode; inside it, the full decode's validation refuses."""
+        closure = dependency_closure(encoded_gops, [0])
+        outside = next(p for p in range(len(encoded_gops.frames))
+                       if p not in closure)
+        expected = Decoder().decode(encoded_gops).frames[0]
+        broken = copy.deepcopy(encoded_gops)
+        broken.frames[outside].header.slice_byte_lengths = []
+        with pytest.raises(BitstreamError):
+            Decoder().decode(broken)
+        frame = Decoder().decode_range(broken, 0, 1,
+                                       positions=closure).frames[0]
+        assert np.array_equal(frame, expected)
+        broken = copy.deepcopy(encoded_gops)
+        broken.frames[closure[0]].header.slice_byte_lengths = []
+        with pytest.raises(BitstreamError):
+            Decoder().decode_range(broken, 0, 1, positions=closure)

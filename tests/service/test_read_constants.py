@@ -10,6 +10,7 @@ pickles).
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import sys
 import threading
@@ -27,7 +28,9 @@ from repro.errors import StaleKeyError
 from repro.runtime.journal import context_digest
 from repro.runtime.trials import TrialContext
 from repro.service import Keyring, ShardPool, VideoObjectStore
+from repro.service import run_repair_pass
 from repro.service import store as store_module
+from repro.service.shards import QUARANTINED
 from repro.video import SceneConfig, synthesize_scene
 
 CONFIG = EncoderConfig(crf=28, gop_size=4, bframes=1)
@@ -164,6 +167,47 @@ class TestPicklesIgnoreReads:
             cold.add_tenant(tenant)
         store.keyring = cold
         assert pickle.dumps(store) == blob
+
+    def test_state_after_warm_misses_is_the_pickled_state(self):
+        """Miss templates, built hash rings and error-rate memos stay
+        out of the store's, the pool's and the cell model's pickles and
+        copies: the pickled state keys are the ones they always had."""
+        store = _store(seek_cache=0)
+        object_id = store.put("alice", _clip())
+        store.pool.shard("shard-2").health = QUARANTINED
+        run_repair_pass(store)
+        for seed in range(2):
+            for display in range(8):
+                store.get_frame("alice", object_id, display,
+                                rng=_rng(seed))
+        record = store.record("alice", object_id)
+        assert store_module._TEMPLATES[id(record)][0]() is record
+        assert store.pool._rings
+
+        def state(obj):
+            return sorted(obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2])
+
+        assert state(store) == [
+            "_decoder", "_records", "assignment", "audit", "config",
+            "gop_cache", "keyring", "pool", "repair", "replicas"]
+        assert state(store.pool) == ["ring", "shards"]
+        assert state(store.pool.shard("shard-0").cell_model) == [
+            "drift_coefficient", "drift_sigma", "level_positions", "levels",
+            "read_targets", "read_thresholds", "scrub_interval_days",
+            "write_sigma"]
+        copied = copy.deepcopy(store)
+        assert copied.pool._rings == {}
+        served = copied.get_frame("alice", object_id, 5, rng=_rng(0))
+        assert np.array_equal(
+            served.frame,
+            store.get_frame("alice", object_id, 5, rng=_rng(0)).frame)
+        # A copy's template is its own, and leaves with its record.
+        copied_record = copied.record("alice", object_id)
+        key = id(copied_record)
+        assert store_module._TEMPLATES[key][0]() is copied_record
+        del copied, copied_record
+        gc.collect()
+        assert key not in store_module._TEMPLATES
 
     def test_pipeline_store_with_encryptor_pickles_alike(self):
         key, master_iv = bytes(range(16)), bytes(range(16, 32))

@@ -1,5 +1,7 @@
 """Replica placement and the escalating replicated read ladder."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from repro.service import (
     Keyring,
     ShardPool,
     VideoObjectStore,
+    run_repair_pass,
     stream_key,
 )
+from repro.service import shards as shards_module
+from repro.service.shards import HEALTHY, QUARANTINED
 from repro.video import SceneConfig, synthesize_scene
 
 
@@ -63,6 +68,61 @@ class TestPlaceN:
         ring = HashRing(self.IDS)
         with pytest.raises(ServiceError):
             ring.place_n("k", 0)
+
+
+class TestHealthyPlacement:
+    """``place_n(healthy_only=True)`` places like a fresh ring over the
+    healthy shards and builds each healthy set's ring once."""
+
+    KEYS = [f"tenant/obj-{i}/BCH-{i % 7}" for i in range(40)]
+
+    def test_every_healthy_subset_places_as_a_fresh_ring(self):
+        pool = ShardPool(count=4)
+        ids = sorted(pool.shards)
+        for mask in range(1, 1 << len(ids)):
+            healthy = [sid for bit, sid in enumerate(ids) if mask >> bit & 1]
+            for sid in ids:
+                pool.shard(sid).health = (HEALTHY if sid in healthy
+                                          else QUARANTINED)
+            fresh = HashRing(healthy, vnodes=pool.ring.vnodes)
+            for r in (1, 2, 3):
+                for key in self.KEYS:
+                    got = [s.shard_id for s in
+                           pool.place_n(key, r, healthy_only=True)]
+                    assert got == list(fresh.place_n(key, r))
+        # With no healthy shard the walk falls back to the whole ring.
+        for sid in ids:
+            pool.shard(sid).health = QUARANTINED
+        for key in self.KEYS:
+            got = pool.place_n(key, 2, healthy_only=True)
+            assert [s.shard_id for s in got] == list(pool.ring.place_n(key, 2))
+
+    def test_one_repair_pass_builds_one_ring_per_healthy_set(
+            self, monkeypatch):
+        store = VideoObjectStore(pool=ShardPool(count=4),
+                                 keyring=Keyring(seed=5), replicas=2)
+        for seed in range(3):
+            store.put("alice", _clip(seed))
+        built = []
+
+        class CountingRing(HashRing):
+            def __init__(self, *args, **kwargs):
+                built.append(tuple(args[0]))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(shards_module, "HashRing", CountingRing)
+        run_repair_pass(store)
+        assert built == []          # every shard healthy: the pool's ring
+        store.pool.shard("shard-1").health = QUARANTINED
+        report = run_repair_pass(store)
+        assert report.scanned_objects == 3
+        assert built == [("shard-0", "shard-2", "shard-3")]
+        run_repair_pass(store)
+        assert len(built) == 1
+        # A pickle drops the built rings; its copy rebuilds on demand.
+        copied = pickle.loads(pickle.dumps(store.pool))
+        assert copied.place_n("k", 2, healthy_only=True)[0].shard_id != \
+            "shard-1"
 
 
 class TestReplicatedWrites:

@@ -1,6 +1,10 @@
 """Tests for the MLC PCM cell model."""
 
 import math
+import pickle
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage import MLCCellModel, calibrated_model, gray_code, gray_decode
+from repro.storage import mlc as mlc_module
+from repro.storage.ecc import SCHEME_MENU, binomial_tail
 
 
 class TestGrayCode:
@@ -231,3 +237,72 @@ class TestScalarTails:
         assert rates.tobytes() == reference.tobytes()
         raw = float(np.mean(reference)) / model.bits_per_cell
         assert model.raw_bit_error_rate(t_days) == raw
+
+    @pytest.mark.parametrize("model", [
+        MLCCellModel(), MLCCellModel(levels=4), calibrated_model(1e-4)],
+        ids=["default", "four_level", "calibrated_1e-4"])
+    def test_memoized_rates_equal_the_derivation(self, model):
+        """The error-rate memos hand back the derivation's bytes, on a
+        cold memo and on every repeat: the raw bit error rate per (cell
+        parameters, age), each scheme's block failure rate per (scheme,
+        rate)."""
+        mlc_module._RATE_MEMO.clear()
+        binomial_tail.cache_clear()
+        for call in ("first", "repeat", "repeat"):
+            for t_days in self.AGES:
+                raw = model.raw_bit_error_rate(t_days)
+                derived = model.cell_error_rate(t_days) / model.bits_per_cell
+                assert struct.pack("<d", raw) == struct.pack("<d", derived)
+                for scheme in SCHEME_MENU:
+                    unmemoized = (raw if scheme.t == 0 else
+                                  binomial_tail.__wrapped__(
+                                      scheme.block_bits, raw, scheme.t))
+                    assert struct.pack("<d", scheme.block_failure_rate(raw)) \
+                        == struct.pack("<d", unmemoized)
+        assert binomial_tail.cache_info().hits > 0
+
+    def test_rate_memo_is_bounded_and_shared_by_threads(self, monkeypatch):
+        monkeypatch.setattr(mlc_module, "_RATE_MEMO_LIMIT", 5)
+        mlc_module._RATE_MEMO.clear()
+        models = [MLCCellModel(), MLCCellModel(levels=4)]
+        want = {(index, t_days):
+                model.cell_error_rate(t_days) / model.bits_per_cell
+                for index, model in enumerate(models)
+                for t_days in self.AGES}
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(400):
+                index = int(rng.integers(len(models)))
+                t_days = self.AGES[int(rng.integers(len(self.AGES)))]
+                if models[index].raw_bit_error_rate(t_days) != \
+                        want[index, t_days]:
+                    errors.append((index, t_days))
+                if len(mlc_module._RATE_MEMO) > 5:
+                    errors.append("memo past its limit")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(mlc_module._RATE_MEMO) <= 5
+
+    def test_memos_stay_out_of_pickles(self):
+        model = MLCCellModel()
+        blob = pickle.dumps(model)
+        for t_days in self.AGES:
+            model.raw_bit_error_rate(t_days)
+        assert pickle.dumps(model) == blob
+        assert sorted(vars(pickle.loads(blob))) == [
+            "drift_coefficient", "drift_sigma", "level_positions", "levels",
+            "read_targets", "read_thresholds", "scrub_interval_days",
+            "write_sigma"]
