@@ -44,20 +44,19 @@ earlier decode is served without decoding it again, and a frame that
 differs (or references one that differs) always decodes afresh. Frames
 with a damage map are never memoized, so salvage and concealment run
 exactly as without the memo. Decoded frames are handed out read-only.
+The memo is a :class:`~repro.memo.ByteMemo`, the byte-bounded LRU the
+stream encryptors keep their keystreams in.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
-import weakref
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import BitstreamError
+from ..memo import ByteMemo
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..video.frame import MACROBLOCK_SIZE, VideoSequence
@@ -126,64 +125,10 @@ _FRAME_MEMO_BYTES = 2 << 20
 _NO_REFERENCE = bytes(32)
 
 
-class _FrameMemo:
-    """Byte-bounded LRU of read-only decoded frames, keyed by content.
-
-    The lock guards the bookkeeping only; decodes run outside it, so two
-    threads may decode the same frame at once and the second insert is
-    dropped (both decodes are identical). A forked child starts every
-    memo empty with a new lock, as a pickled copy would: a lock another
-    thread held at the fork would otherwise stay held in the child.
-    """
-
-    def __init__(self) -> None:
-        self.budget = _FRAME_MEMO_BYTES
-        self.clear()
-        _LIVE_MEMOS.add(self)
-
-    def clear(self) -> None:
-        """Drop every entry (and take a new lock)."""
-        self.nbytes = 0
-        self._entries: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: bytes) -> Optional[np.ndarray]:
-        with self._lock:
-            frame = self._entries.get(key)
-            if frame is not None:
-                self._entries.move_to_end(key)
-            return frame
-
-    def put(self, key: bytes, frame: np.ndarray) -> None:
-        """Keep read-only ``frame`` under ``key``, evicting the least
-        recently used entries past the budget."""
-        if frame.nbytes > self.budget:
-            return
-        evicted = 0
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = frame
-            self.nbytes += frame.nbytes
-            while self.nbytes > self.budget:
-                _, old = self._entries.popitem(last=False)
-                self.nbytes -= old.nbytes
-                evicted += 1
-        if evicted:
-            obs_metrics.counter("decode_frame_memo_evictions_total").inc(
-                evicted)
-
-
-_LIVE_MEMOS: "weakref.WeakSet[_FrameMemo]" = weakref.WeakSet()
-
-
-def _clear_memos_after_fork() -> None:
-    for memo in list(_LIVE_MEMOS):
-        memo.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_clear_memos_after_fork)
+def _frame_memo() -> ByteMemo:
+    """A decoder's memo of read-only decoded frames, keyed by content."""
+    return ByteMemo(_FRAME_MEMO_BYTES, lambda frame: frame.nbytes,
+                    "decode_frame_memo_evictions_total")
 
 
 #: Default ceiling on the pixel volume (width x height x frames) a
@@ -219,7 +164,7 @@ class Decoder:
         self._model = DEFAULT_CONTEXT_MODEL
         self.conceal_uncorrectable = conceal_uncorrectable
         self.max_declared_pixels = int(max_declared_pixels)
-        self._memo = _FrameMemo()
+        self._memo = _frame_memo()
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -228,7 +173,7 @@ class Decoder:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._memo = _FrameMemo()
+        self._memo = _frame_memo()
 
     def decode(self, encoded: EncodedVideo,
                damage: Optional[DamageMap] = None, *,

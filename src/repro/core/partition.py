@@ -12,11 +12,12 @@ counts, the pivot tables and the frame headers. A full
 :class:`ProtectedVideo` is one; the service store's per-object manifest,
 which keeps no payload bytes, is another.
 
-A seek reads one dependency closure, not the object. :func:`frame_cursors`
-derives, once per layout, where every frame's segments sit in the
-streams; with those cursors a merge rebuilds a closure's payloads from
-the stream windows that were fetched, and a damage projection touches
-the closure's frames only, so neither grows with the clip.
+Every merge reads stream *windows*, ``name -> (byte offset, bytes)``: a
+whole read passes each stream at offset 0, a seek the windows that hold
+one dependency closure. :func:`frame_cursors` derives, once per layout,
+where every frame's segments sit in the streams; with those cursors a
+merge rebuilds just the payloads asked for and a damage projection
+touches just those frames, so a seek's work does not grow with the clip.
 
 Streams are bit-granular: segments need not align to bytes, so payloads
 are unpacked to bit arrays for slicing and packed back afterwards.
@@ -176,75 +177,42 @@ def frame_cursors(layout: StreamLayout) -> FrameCursors:
 
 
 def merge_streams(layout: StreamLayout,
-                  streams: Dict[str, bytes],
+                  windows: Dict[str, Tuple[int, bytes]],
                   positions: Optional[Sequence[int]] = None, *,
                   cursors: Optional[FrameCursors] = None
                   ) -> List[bytes]:
-    """Reassemble frame payloads from (possibly corrupted) streams.
+    """Reassemble frame payloads from (possibly corrupted) stream windows.
 
-    Pass a :class:`ProtectedVideo`'s own ``streams`` for the clean
-    payloads, or the read-back streams from an approximate device to
-    rebuild the corrupted payload set. Stream lengths must be unchanged
-    — the device flips bits, it never resizes.
+    ``windows`` maps a stream name to ``(byte offset, bytes)``: the part
+    of the stream that was read, at its offset. Pass ``{name: (0,
+    data)}`` for whole streams — a :class:`ProtectedVideo`'s own
+    ``streams`` for the clean payloads, or the streams read back from an
+    approximate device for the corrupted ones. The device flips bits, it
+    never resizes: a window that starts before its stream, runs past the
+    stream's length in ``layout``, or names a stream ``layout`` lacks
+    raises :class:`AnalysisError`, and so does a window (or a missing
+    stream) that does not cover a segment of a frame asked for. Streams
+    the frames never touch may be absent.
 
-    ``positions`` (container positions, coded order) rebuilds only
-    those frames; every other payload comes back as zero bytes of its
-    size. ``None`` rebuilds every frame.
-
-    With ``cursors`` (:func:`frame_cursors` of ``layout``) the merge
-    reads stream *windows* and returns only the ``positions`` asked
-    for, in that order, as a seek that decodes one dependency closure
-    needs: ``streams`` then maps a stream name to ``(byte offset,
-    bytes)``, a window that must cover the segments those frames hold
-    in the stream, and streams they never touch may be absent. Its work
-    follows the frames asked for, not the object.
+    ``positions`` (container positions, coded order) are the frames to
+    rebuild, returned in that order; ``None`` rebuilds every frame.
+    ``cursors`` is :func:`frame_cursors` of ``layout``, derived here if
+    not given; a caller that keeps it pays only for the frames asked
+    for, never for the frames before them.
     """
-    if cursors is not None:
-        return _merge_windows(
-            cursors, streams,
-            range(len(cursors.sizes)) if positions is None else positions)
-    unpacked: Dict[str, np.ndarray] = {}
-    cursors: Dict[str, int] = {}
-    for name, length in layout.stream_lengths.items():
-        corrupted = streams.get(name)
-        if corrupted is None or len(corrupted) != length:
+    lengths = layout.stream_lengths
+    unpacked: Dict[str, Tuple[int, np.ndarray]] = {}
+    for name, (offset, data) in windows.items():
+        if (name not in lengths or offset < 0
+                or offset + len(data) > lengths[name]):
             raise AnalysisError(
-                f"stream {name!r} missing or resized on read-back"
-            )
-        unpacked[name] = _unpack(corrupted)
-        cursors[name] = 0
-    wanted = None if positions is None else set(positions)
-    payloads: List[bytes] = []
-    for position, (header, table) in enumerate(zip(layout.frame_headers,
-                                                   layout.pivots)):
-        size = header.payload_bytes
-        if wanted is not None and position not in wanted:
-            for segment in table.segments:
-                cursors[segment.scheme_name] += segment.bits
-            payloads.append(bytes(size))
-            continue
-        bits = np.zeros(8 * size, dtype=np.uint8)
-        for segment in table.segments:
-            cursor = cursors[segment.scheme_name]
-            piece = unpacked[segment.scheme_name][
-                cursor:cursor + segment.bits]
-            if piece.size != segment.bits:
-                raise AnalysisError(
-                    f"stream {segment.scheme_name!r} exhausted mid-merge"
-                )
-            bits[segment.start_bit:segment.end_bit] = piece
-            cursors[segment.scheme_name] = cursor + segment.bits
-        payloads.append(_pack(bits)[:size])
-    return payloads
-
-
-def _merge_windows(cursors: FrameCursors,
-                   windows: Dict[str, Tuple[int, bytes]],
-                   positions: Sequence[int]) -> List[bytes]:
-    """``positions``' payloads from stream windows (see
-    :func:`merge_streams`)."""
-    unpacked = {name: (8 * offset, _unpack(data))
-                for name, (offset, data) in windows.items()}
+                f"stream {name!r}: window of {len(data)} bytes at "
+                f"{offset} lies outside the stream")
+        unpacked[name] = (8 * offset, _unpack(data))
+    if cursors is None:
+        cursors = frame_cursors(layout)
+    if positions is None:
+        positions = range(len(cursors.sizes))
     payloads: List[bytes] = []
     for position in positions:
         if not 0 <= position < len(cursors.sizes):

@@ -27,7 +27,7 @@ from ..errors import AnalysisError
 from ..codec.config import EncoderConfig
 from ..codec.decoder import Decoder
 from ..codec.encoder import Encoder
-from ..crypto.streams import StreamEncryptor
+from ..crypto.streams import StreamEncryptor, stream_ids
 from ..storage.density import DensityReport
 from ..storage.device import ApproximateDevice, ScrubPolicy, StorageReport
 from ..storage.ecc import scheme_by_name
@@ -131,12 +131,10 @@ class ApproximateVideoStore:
         if self.encryptor is not None:
             # Encryption happens after partitioning (the analysis must
             # see plaintext) and before the approximate device.
-            ordered = sorted(device_streams)
+            ids = stream_ids(device_streams)
             encrypted = self.encryptor.encrypt_streams(
-                {index: device_streams[name]
-                 for index, name in enumerate(ordered)})
-            device_streams = {name: encrypted[index]
-                              for index, name in enumerate(ordered)}
+                {i: device_streams[name] for name, i in ids.items()})
+            device_streams = {name: encrypted[i] for name, i in ids.items()}
         return StoredVideo(
             protected=protected,
             importance=importance,
@@ -185,12 +183,13 @@ class ApproximateVideoStore:
             if self.encryptor is None:
                 raise AnalysisError(
                     "stored video is encrypted but the store has no key")
-            ordered = sorted(stored.protected.streams)
+            ids = stream_ids(stored.protected.streams)
             decrypted = self.encryptor.decrypt_streams(
-                {index: streams[name] for index, name in enumerate(ordered)})
-            streams = {name: decrypted[index][:len(stored.protected.streams[name])]
-                       for index, name in enumerate(ordered)}
-        payloads = merge_streams(stored.protected, streams)
+                {i: streams[name] for name, i in ids.items()})
+            streams = {name: decrypted[i] for name, i in ids.items()}
+        payloads = merge_streams(
+            stored.protected,
+            {name: (0, data) for name, data in streams.items()})
         corrupted = stored.protected.encoded.with_payloads(payloads)
         self._last_storage_reports = reports
         if not conceal:

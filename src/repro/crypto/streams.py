@@ -6,6 +6,9 @@ mode. Per the paper, the per-stream IV is derived from a single master
 value combined with the stream's identifier, so one secret (key + master
 IV) covers the whole video; the derivation here runs the identifier
 through the block cipher itself (a standard one-way diversification).
+A stream's identifier is its name's index among the video's stream
+names in sorted order (:func:`stream_ids`), the rule every writer and
+reader of the streams follows.
 
 The analysis/partitioning must run *before* encryption — importance is
 computed on plaintext bits — so the encryptor is applied to the already
@@ -15,25 +18,23 @@ A stream's CTR keystream depends only on the key, the stream's IV and
 the block counter, so it is the same on every read (NIST SP 800-38A
 §6.5: CTR's cipher work can be done before the data arrives). Each
 encryptor therefore keeps the keystream it has derived, one prefix
-(blocks ``0..k``) per stream in a byte-bounded LRU keyed by the
-IV-derivation input: a window inside a prefix costs one slice and one
-XOR, and AES runs only on blocks no earlier call derived. OFB keeps its
-direct path: no service path uses it, and its ``O(offset)`` random
-access is what Section 5 holds against it.
+(blocks ``0..k``) per stream in a byte-bounded LRU
+(:class:`~repro.memo.ByteMemo`) keyed by the IV-derivation input: a
+window inside a prefix costs one slice and one XOR, and AES runs only
+on blocks no earlier call derived. OFB keeps its direct path: no
+service path uses it, and its ``O(offset)`` random access is what
+Section 5 holds against it.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from ..errors import CryptoError
+from ..memo import ByteMemo
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .aes import AES128, BLOCK_SIZE
@@ -59,6 +60,12 @@ _NO_KEYSTREAM = np.zeros(0, dtype=np.uint8)
 _NO_KEYSTREAM.flags.writeable = False
 
 
+def stream_ids(names: Iterable[str]) -> Dict[str, int]:
+    """Each stream name's id, the input of its IV: the name's index in
+    sorted order. The map iterates in that order too."""
+    return {name: index for index, name in enumerate(sorted(names))}
+
+
 def derive_stream_iv(master_iv: bytes, stream_id: int, key: bytes) -> bytes:
     """Per-stream IV: encrypt (master_iv XOR stream_id) under the key."""
     return AES128(key).encrypt_block(_iv_source(master_iv, stream_id))
@@ -74,70 +81,11 @@ def _iv_source(master_iv: bytes, stream_id: int) -> bytes:
         BLOCK_SIZE, "big")
 
 
-class _KeystreamMemo:
-    """Byte-bounded LRU of CTR keystream prefixes.
-
-    Keyed by a stream's IV-derivation input; each entry holds the
-    stream's derived IV and its keystream blocks ``0..k`` as one
-    read-only uint8 array, and the prefix bytes count against the
-    budget. The lock guards the bookkeeping only; derivation runs
-    outside it, so two threads may derive the same blocks at once and
-    the insert that adds nothing is dropped (both derivations are
-    identical). A forked child starts every memo empty with a new lock,
-    as a pickled copy would: a lock another thread held at the fork
-    would otherwise stay held in the child.
-    """
-
-    def __init__(self) -> None:
-        self.budget = _KEYSTREAM_MEMO_BYTES
-        self.clear()
-        _LIVE_MEMOS.add(self)
-
-    def clear(self) -> None:
-        """Drop every entry (and take a new lock)."""
-        self.nbytes = 0
-        self._entries: "OrderedDict[bytes, _Entry]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, source: bytes) -> Optional[_Entry]:
-        with self._lock:
-            entry = self._entries.get(source)
-            if entry is not None:
-                self._entries.move_to_end(source)
-            return entry
-
-    def put(self, source: bytes, iv: bytes, prefix: np.ndarray) -> None:
-        """Keep ``prefix`` (no longer than the budget) unless the memo
-        holds one at least as long, evicting the least recently used
-        entries past the budget."""
-        evicted = 0
-        with self._lock:
-            held = self._entries.get(source)
-            held_bytes = 0 if held is None else len(held[1])
-            if held_bytes >= len(prefix):
-                return
-            self._entries[source] = (iv, prefix)
-            self._entries.move_to_end(source)
-            self.nbytes += len(prefix) - held_bytes
-            while self.nbytes > self.budget:
-                _, (_, dropped) = self._entries.popitem(last=False)
-                self.nbytes -= len(dropped)
-                evicted += 1
-        if evicted:
-            obs_metrics.counter("crypto_keystream_memo_evictions_total").inc(
-                evicted)
-
-
-_LIVE_MEMOS: "weakref.WeakSet[_KeystreamMemo]" = weakref.WeakSet()
-
-
-def _clear_memos_after_fork() -> None:
-    for memo in list(_LIVE_MEMOS):
-        memo.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_clear_memos_after_fork)
+def _keystream_memo() -> ByteMemo:
+    """An encryptor's memo: IV-derivation input -> :data:`_Entry`; a
+    longer prefix of a stream replaces a shorter one."""
+    return ByteMemo(_KEYSTREAM_MEMO_BYTES, lambda entry: len(entry[1]),
+                    "crypto_keystream_memo_evictions_total")
 
 
 @dataclass
@@ -170,7 +118,7 @@ class StreamEncryptor:
             raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
         # Expanded once: every stream's IV and keystream share this cipher.
         self._cipher = AES128(self.key)
-        self._memo = _KeystreamMemo()
+        self._memo = _keystream_memo()
 
     def __getstate__(self) -> dict:
         # The keystream memo is derived state: a pickle or deep copy
@@ -181,7 +129,7 @@ class StreamEncryptor:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._memo = _KeystreamMemo()
+        self._memo = _keystream_memo()
 
     def _xor(self, stream_id: int, data: bytes, byte_offset: int) -> bytes:
         """XOR ``data`` with stream ``stream_id``'s keystream from
@@ -218,7 +166,7 @@ class StreamEncryptor:
             prefix = np.concatenate((prefix, self._cipher.encrypt_blocks(
                 _counter_blocks(iv, derived, missing)).reshape(-1)))
             prefix.flags.writeable = False
-            self._memo.put(source, iv, prefix)
+            self._memo.put(source, (iv, prefix))
         else:
             obs_metrics.counter("crypto_keystream_memo_hits_total").inc()
         plain = np.frombuffer(data, dtype=np.uint8)

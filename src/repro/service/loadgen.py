@@ -366,7 +366,7 @@ def _degradation_sweep(store: VideoObjectStore, pool: ShardPool,
         record = store.record(op.tenant, object_ids[ingest_ordinals[0]])
         name = max(record.stream_sha,
                    key=lambda n: record.stream_lengths[n])
-        blob = pool.shard(record.placement[name]).blobs[
+        blob = pool.shard(record.replicas[name][0]).blobs[
             stream_key(record.tenant, record.object_id, name)]
         device = ApproximateDevice(
             rng=np.random.default_rng(entropy[count]))

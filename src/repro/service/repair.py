@@ -25,7 +25,7 @@ to ``limit`` tickets (default 32), stream by stream:
 4. drain strays: copies parked on shards outside the wanted set
    (quarantined donors included) are deleted once the wanted set is
    whole;
-5. update the record's replica chain + primary and invalidate the
+5. update the record's replica chain and invalidate the
    object's cached GOPs so a post-repair seek re-fetches clean data.
 
 Everything is deterministic: tickets drain in FIFO order, streams
@@ -155,7 +155,7 @@ def _chain_violated(store, record, name: str, key: str) -> bool:
     falls back to the unfiltered ring, wanted equals the chain, and no
     un-actionable ticket is enqueued forever.
     """
-    chain = record.replicas.get(name) or (record.placement[name],)
+    chain = record.replicas[name]
     held = [sid for sid in chain if store.pool.shard(sid).has(key)]
     if len(held) < len(chain):
         return True
@@ -191,8 +191,7 @@ def _repair_stream(store, record, name: str,
     key = stream_key(record.tenant, record.object_id, name)
     scheme = scheme_by_name(name)
     want = _wanted_placement(store, key)
-    chain = list(record.replicas.get(name)
-                 or (record.placement[name],))
+    chain = list(record.replicas[name])
     # A verified donor: any shard whose at-rest blob still hashes to
     # the write-time record. Walk the recorded chain first, then the
     # whole pool (a drained-then-regrown pool may hold strays).
@@ -236,10 +235,9 @@ def _repair_stream(store, record, name: str,
     if drained:
         report.drained_shards = tuple(
             sorted(set(report.drained_shards) | set(drained)))
-    if tuple(want) != tuple(chain) or record.placement[name] != want[0]:
+    if tuple(want) != tuple(chain):
         changed = True
     record.replicas[name] = tuple(want)
-    record.placement[name] = want[0]
     return changed
 
 
@@ -294,8 +292,7 @@ def replication_health(store) -> Dict[str, int]:
         ok = True
         for name in sorted(record.stream_lengths):
             key = stream_key(record.tenant, record.object_id, name)
-            chain = record.replicas.get(name) \
-                or (record.placement[name],)
+            chain = record.replicas[name]
             held = [sid for sid in chain
                     if store.pool.shard(sid).has(key)]
             if (len(held) < len(chain)

@@ -35,6 +35,11 @@ Read path (:meth:`VideoObjectStore.get`) — the four-outcome ladder:
 Refusal is the invariant the loadgen's degradation exhibit leans on:
 aged shards may force concealment, but never a silently wrong frame.
 
+A whole read and a seek (:meth:`VideoObjectStore.get_frame`) run one
+fetch over byte windows of the streams (every stream's full extent, or
+one GOP's dependency closure) and merge them through the object's read
+template, derived once per object.
+
 The store keeps a manifest per object (:class:`ObjectRecord`) and no
 copy of the clip, its payloads or its reconstruction, so every served
 frame was decoded from bytes the shards returned. It does not measure
@@ -69,6 +74,7 @@ from ..core.partition import (
     stream_ranges_for_frames,
 )
 from ..core.pivots import FramePivots
+from ..crypto.streams import stream_ids
 from ..errors import ServiceError, TransientShardError
 # Not called here: the store measures no quality. The name stays so a
 # profiler that wraps ``repro.service.store.video_psnr`` (as it wraps
@@ -171,12 +177,10 @@ class ObjectRecord:
     stream_lengths: Dict[str, int]
     #: Write-time SHA-256 hex of each ciphertext stream.
     stream_sha: Dict[str, str]
-    #: Stream name -> *primary* shard id (the first replica); kept as
-    #: a plain map so single-copy callers and exhibits keep working.
-    placement: Dict[str, str]
-    #: Stream name -> full replica chain in ring order (element 0 is
-    #: the primary). Updated by the repair daemon as shards drain.
-    replicas: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: Stream name -> replica chain in ring order (element 0 is the
+    #: primary): where the stream lives. Updated by the repair daemon
+    #: as shards drain.
+    replicas: Dict[str, Tuple[str, ...]]
 
     @property
     def frames(self) -> int:
@@ -190,31 +194,19 @@ class ObjectRecord:
             header.serialized_bits() + 8 * header.payload_bytes
             for header in self.frame_headers)
 
-    def replica_chain(self, name: str) -> Tuple[str, ...]:
-        """The replica shards of stream ``name``, primary first."""
-        return self.replicas.get(name) or (self.placement[name],)
 
-    def container(self, payloads: Sequence[bytes]) -> EncodedVideo:
-        """The coded video the record's headers and ``payloads`` make."""
-        return EncodedVideo(
-            header=self.video_header,
-            frames=[EncodedFrame(header=header, payload=payload)
-                    for header, payload in zip(self.frame_headers,
-                                               payloads)],
-            seek_index=self.seek_index)
-
-
-class _MissTemplate:
-    """What every GOP-cache miss on one object reuses.
+class _ReadTemplate:
+    """What every read of one object reuses.
 
     ``cursors`` place each frame's payload segments in the streams, and
     ``frames`` is the object's container with every payload zeroed —
-    what a frame outside a seek's dependency closure carries. A miss
-    merges its closure's payloads from the windows it read and copies
-    the frame list with those positions filled in, so neither the merge
-    nor the container grows with the clip. It is derived from the
-    manifest on an object's first miss and kept beside the record (see
-    :func:`_miss_template`), so no pickle or copy of a store carries it.
+    what a frame outside a seek's dependency closure carries. A read
+    merges the payloads of the frames it needs from the windows it read
+    and copies the frame list with those positions filled in, so a
+    seek's merge and container do not grow with the clip, and no read
+    after the first derives cursors. It is derived from the manifest on
+    an object's first read and kept beside the record (see
+    :func:`_read_template`), so no pickle or copy of a store carries it.
     """
 
     def __init__(self, record: ObjectRecord) -> None:
@@ -236,19 +228,19 @@ class _MissTemplate:
                             seek_index=self.seek_index)
 
 
-#: ``id(record)`` -> (weak reference to the record, its miss template).
+#: ``id(record)`` -> (weak reference to the record, its read template).
 #: A side table rather than store or record state, so pickles and copies
 #: carry no template; an entry leaves when its record is collected.
-_TEMPLATES: Dict[int, Tuple["weakref.ref[ObjectRecord]", _MissTemplate]] = {}
+_TEMPLATES: Dict[int, Tuple["weakref.ref[ObjectRecord]", _ReadTemplate]] = {}
 
 
-def _miss_template(record: ObjectRecord) -> _MissTemplate:
-    """``record``'s :class:`_MissTemplate`, derived on its first miss."""
+def _read_template(record: ObjectRecord) -> _ReadTemplate:
+    """``record``'s :class:`_ReadTemplate`, derived on its first read."""
     key = id(record)
     entry = _TEMPLATES.get(key)
     if entry is not None and entry[0]() is record:
         return entry[1]
-    template = _MissTemplate(record)
+    template = _ReadTemplate(record)
     _TEMPLATES[key] = (
         weakref.ref(record, lambda _, key=key: _TEMPLATES.pop(key, None)),
         template)
@@ -411,20 +403,17 @@ class VideoObjectStore:
             return object_id
         importance = compute_importance(encoded.trace)
         protected = partition_video(encoded, importance, self.assignment)
-        ordered = sorted(protected.streams)
+        ids = stream_ids(protected.streams)
         ciphertext = encryptor.encrypt_streams(
-            {i: protected.streams[name]
-             for i, name in enumerate(ordered)})
+            {i: protected.streams[name] for name, i in ids.items()})
         stream_sha: Dict[str, str] = {}
-        placement: Dict[str, str] = {}
         replicas: Dict[str, Tuple[str, ...]] = {}
-        for i, name in enumerate(ordered):
+        for name, i in ids.items():
             key = stream_key(tenant, object_id, name)
             chain = self.pool.place_n(key, self.replicas)
             for shard in chain:
                 shard.write(key, ciphertext[i])
             stream_sha[name] = hashlib.sha256(ciphertext[i]).hexdigest()
-            placement[name] = chain[0].shard_id
             replicas[name] = tuple(s.shard_id for s in chain)
         self._records[(tenant, object_id)] = ObjectRecord(
             object_id=object_id, tenant=tenant,
@@ -434,13 +423,12 @@ class VideoObjectStore:
             gop_plans=plan_gops(encoded, protected),
             pivots=protected.pivots, stream_bits=protected.stream_bits,
             stream_lengths=protected.stream_lengths,
-            stream_sha=stream_sha, placement=placement,
-            replicas=replicas)
+            stream_sha=stream_sha, replicas=replicas)
         obs_metrics.counter("service_ingest_objects_total").inc()
         self.audit.record(
             "ingest", tenant, object_id,
-            detail=f"streams={len(ordered)} "
-                   f"shards={sorted(set(placement.values()))}")
+            detail=f"streams={len(ids)} "
+                   f"shards={sorted(set(c[0] for c in replicas.values()))}")
         return object_id
 
     # -- read path --------------------------------------------------------
@@ -469,7 +457,8 @@ class VideoObjectStore:
             fetched = self._fetch(
                 record, encryptor, rng or np.random.default_rng(),
                 {name: (0, length)
-                 for name, length in record.stream_lengths.items()})
+                 for name, length in record.stream_lengths.items()},
+                range(record.frames))
             reports = fetched.reports
             result = ReadResult(
                 object_id=object_id, tenant=tenant, reader=reader,
@@ -634,32 +623,33 @@ class VideoObjectStore:
     def _fetch(self, record: ObjectRecord, encryptor,
                rng: np.random.Generator,
                windows: Dict[str, Tuple[int, int]],
-               positions: Optional[Sequence[int]] = None) -> _Fetched:
+               positions: Sequence[int]) -> _Fetched:
         """Read, judge, decrypt and merge byte windows of the streams.
 
         ``windows`` maps a stream name to the half-open byte window to
-        read; streams it leaves out are not read and merge as zeros.
-        Streams run in sorted-name order, stream id = sorted index, as
-        at ingest, so a seeded rng yields one flip pattern per plan
-        seed regardless of placement. Any stream that needed a retry,
-        was damaged or refused, or came from a non-primary replica
-        enqueues read-repair.
+        read (a whole read: every stream's full extent); streams it
+        leaves out are not read. Streams run in sorted-name order with
+        the ids :func:`~repro.crypto.streams.stream_ids` gives them at
+        ingest, so a seeded rng yields one flip pattern per plan seed
+        regardless of placement. Any stream that needed a retry, was
+        damaged or refused, or came from a non-primary replica enqueues
+        read-repair.
 
-        ``positions`` (a GOP plan's dependency closure) makes the fetch
-        a seek's: each stream's decrypted window stays at its aligned
-        byte offset, only those frames' payloads are merged from the
-        windows and damage is projected onto those frames only, into
-        the object's :class:`_MissTemplate`, so the work follows the
-        closure and not the object. ``None`` is a whole read: every
-        window is its whole stream, and every frame is merged.
+        ``positions`` (coded order) are the frames to serve: every
+        frame for a whole read, a GOP plan's dependency closure for a
+        seek. Each stream's decrypted window stays at its aligned byte
+        offset, only those frames' payloads are merged from the windows
+        and damage is projected onto those frames only, into the
+        object's :class:`_ReadTemplate`, so the work follows the frames
+        served and not the object.
         """
-        ordered = sorted(record.stream_lengths)
+        ids = stream_ids(record.stream_lengths)
         reads: Dict[str, Tuple[bytes, int]] = {}
         reports: Dict[str, StorageReport] = {}
         escalated: List[str] = []
         refusal = ""
         needs_repair = False
-        for name in ordered:
+        for name in ids:
             if name not in windows:
                 continue
             data, report, a_start, stream_refusal, index, rung = \
@@ -682,7 +672,7 @@ class VideoObjectStore:
             return fetched
         plain: Dict[str, Tuple[int, bytes]] = {}
         damage: Dict[str, List[Tuple[int, int]]] = {}
-        for stream_id, name in enumerate(ordered):
+        for name, stream_id in ids.items():
             if name not in reads:
                 continue
             data, a_start = reads[name]
@@ -697,20 +687,13 @@ class VideoObjectStore:
             shifted = [(lo, hi) for lo, hi in shifted if hi > lo]
             if shifted:
                 damage[name] = shifted
-        if positions is None:
-            fetched.container = record.container(merge_streams(
-                record, {name: data for name, (_, data) in plain.items()}))
-            if damage:
-                fetched.frame_damage = map_stream_damage(record, damage)
-        else:
-            template = _miss_template(record)
-            fetched.container = template.container(
-                positions, merge_streams(record, plain, positions,
-                                         cursors=template.cursors))
-            if damage:
-                fetched.frame_damage = map_stream_damage(
-                    record, damage, positions, cursors=template.cursors)
+        template = _read_template(record)
+        fetched.container = template.container(
+            positions, merge_streams(record, plain, positions,
+                                     cursors=template.cursors))
         if damage:
+            fetched.frame_damage = map_stream_damage(
+                record, damage, positions, cursors=template.cursors)
             fetched.outcome = CONCEALED
             fetched.concealed_streams = tuple(sorted(damage))
         elif sum(r.retry_successes for r in reports.values()) > 0:
@@ -734,7 +717,7 @@ class VideoObjectStore:
         scheme = scheme_by_name(name)
         best = None
         flaked = 0
-        for index, shard_id in enumerate(record.replica_chain(name)):
+        for index, shard_id in enumerate(record.replicas[name]):
             shard = self.pool.shard(shard_id)
             if not shard.has(key):
                 continue

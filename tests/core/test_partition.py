@@ -10,9 +10,15 @@ from repro.core import (
     map_stream_damage,
     merge_streams,
     partition_video,
+    stream_ranges_for_frames,
 )
 from repro.errors import AnalysisError
 from repro.video import frames_equal
+
+
+def _whole(streams):
+    """Whole streams as merge windows: each at byte offset 0."""
+    return {name: (0, data) for name, data in streams.items()}
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +28,7 @@ def protected(encoded_medium, importance_medium):
 
 class TestPartition:
     def test_split_merge_identity(self, protected, encoded_medium):
-        payloads = merge_streams(protected, protected.streams)
+        payloads = merge_streams(protected, _whole(protected.streams))
         assert payloads == encoded_medium.frame_payloads()
 
     def test_stream_bits_total_payload(self, protected, encoded_medium):
@@ -68,7 +74,7 @@ class TestMergeWithCorruption:
             if buffer:
                 buffer[int(rng.integers(0, len(buffer)))] ^= 0xFF
             corrupted[name] = bytes(buffer)
-        payloads = merge_streams(protected, corrupted)
+        payloads = merge_streams(protected, _whole(corrupted))
         assert [len(p) for p in payloads] == \
             [len(p) for p in encoded_medium.frame_payloads()]
 
@@ -82,14 +88,14 @@ class TestMergeWithCorruption:
         buffer = bytearray(corrupted[weakest])
         buffer[0] ^= 0x80
         corrupted[weakest] = bytes(buffer)
-        merged = merge_streams(protected, corrupted)
+        merged = merge_streams(protected, _whole(corrupted))
         clean = encoded_medium.frame_payloads()
         diffs = sum(1 for a, b in zip(merged, clean) if a != b)
         assert diffs == 1
 
     def test_decodes_after_roundtrip(self, protected, encoded_medium,
                                      decoded_medium):
-        payloads = merge_streams(protected, protected.streams)
+        payloads = merge_streams(protected, _whole(protected.streams))
         clone = encoded_medium.with_payloads(payloads)
         assert frames_equal(Decoder().decode(clone), decoded_medium)
 
@@ -97,14 +103,45 @@ class TestMergeWithCorruption:
         streams = dict(protected.streams)
         streams.pop(next(iter(streams)))
         with pytest.raises(AnalysisError):
-            merge_streams(protected, streams)
+            merge_streams(protected, _whole(streams))
 
     def test_resized_stream_rejected(self, protected):
         streams = dict(protected.streams)
         name = next(iter(streams))
         streams[name] = streams[name] + b"\x00"
         with pytest.raises(AnalysisError):
-            merge_streams(protected, streams)
+            merge_streams(protected, _whole(streams))
+
+    def test_window_at_a_negative_offset_rejected(self, protected):
+        # Every segment is still covered, one byte off: only the bounds
+        # check tells the merge that these payloads would be wrong.
+        for name, data in protected.streams.items():
+            windows = _whole(protected.streams)
+            windows[name] = (-1, data + b"\x00")
+            with pytest.raises(AnalysisError):
+                merge_streams(protected, windows)
+
+    def test_window_past_the_stream_end_rejected(self, protected):
+        # The last frame's windows, each from its segment's byte through
+        # the stream's end; then one of them one byte longer.
+        last = len(protected.pivots) - 1
+        windows = {name: (lo // 8, protected.streams[name][lo // 8:])
+                   for name, (lo, _) in stream_ranges_for_frames(
+                       protected, [last]).items()}
+        assert merge_streams(protected, windows, [last]) == \
+            [protected.encoded.frames[last].payload]
+        name = max(windows, key=lambda n: windows[n][0])
+        offset, data = windows[name]
+        assert offset > 0
+        windows[name] = (offset, data + b"\x00")
+        with pytest.raises(AnalysisError):
+            merge_streams(protected, windows, [last])
+
+    def test_unknown_stream_rejected(self, protected):
+        windows = _whole(protected.streams)
+        windows["BCH-99"] = (0, b"\x00")
+        with pytest.raises(AnalysisError):
+            merge_streams(protected, windows)
 
 
 class TestDensity:
@@ -154,7 +191,7 @@ class TestMapStreamDamage:
         bits[interval[0]:interval[1]] ^= 1
         corrupted = dict(protected.streams)
         corrupted[name] = np.packbits(bits).tobytes()
-        merged = merge_streams(protected, corrupted)
+        merged = merge_streams(protected, _whole(corrupted))
         diffs = self._diff_bits(merged, encoded_medium.frame_payloads())
 
         expected = {

@@ -1,5 +1,7 @@
 """Integration tests for the end-to-end approximate video store."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from repro.core import ApproximateVideoStore, UNIFORM_ASSIGNMENT
 from repro.crypto import StreamEncryptor
 from repro.errors import AnalysisError
 from repro.metrics import video_psnr
-from repro.storage import MLCCellModel
-from repro.video import frames_equal
+from repro.storage import MLCCellModel, ScrubPolicy
+from repro.video import SceneConfig, frames_equal, synthesize_scene
 
 KEY = bytes(range(16))
 MASTER_IV = bytes(range(16, 32))
@@ -163,3 +165,65 @@ class TestUniformBaseline:
             assignment=UNIFORM_ASSIGNMENT)
         uniform = uniform_store.put(small_video)
         assert uniform.density().cells > stored.density().cells
+
+
+#: The ``cabac_bframes_slices`` golden clip
+#: (tests/codec/test_golden_bitstreams.py): B frames and two slices.
+_GOLDEN_SCENE = SceneConfig(width=96, height=64, num_frames=9, seed=23,
+                            num_objects=3)
+_GOLDEN_CONFIG = EncoderConfig(crf=20, gop_size=9, bframes=2, slices=2)
+
+#: read -> (rng seed, encrypted, ``read`` arguments, SHA-256 of the
+#: decoded pixels). Frozen from the read path as it stood before its
+#: merge became the window walk; only an intentional change to what a
+#: read returns may move them.
+_READ_DIGESTS = {
+    "nominal": (
+        1, False, {},
+        "3841000432a36b11cf3ec69b1085ca9296459d3ee73c569f7e3448daad992680"),
+    "aged_concealed": (
+        2, False, {"t_days": 3650.0, "conceal": True},
+        "a9f8c006dbbbc2e78480c0e43dfdfe714d76a78e93ad9375ea28e25f9292e742"),
+    "ctr_aged": (
+        3, True, {"t_days": 3650.0},
+        "daa0ee73016a01d9fbfb33bb46ead85912a13f0eb338576e7b968ee26fe3abc0"),
+    "retries_scrubbed": (
+        0, False, {"t_days": 1e6, "read_retries": 2,
+                   "scrub": ScrubPolicy(interval_days=9e5)},
+        "336439172566143f15cee773482fa3decd5102ad75aa14ff9a642e6d93ab3575"),
+    "ctr_damaged_concealed": (
+        5, True, {"t_days": 1e5, "conceal": True},
+        "738a80fa2ca8fb1a0135046555be05ea75c2a08f3d5ca5eb793590c9551ba563"),
+}
+
+
+class TestReadDigests:
+    """``read`` returns the same pixels as the frozen table: device
+    flips, decryption, merge, damage projection and concealment all
+    stay bit-identical."""
+
+    @pytest.fixture(scope="class")
+    def clip(self):
+        return synthesize_scene(_GOLDEN_SCENE)
+
+    @pytest.mark.parametrize("name", sorted(_READ_DIGESTS))
+    def test_read_pixels_are_frozen(self, clip, name):
+        seed, encrypted, kwargs, want = _READ_DIGESTS[name]
+        store = ApproximateVideoStore(
+            config=_GOLDEN_CONFIG,
+            encryptor=(StreamEncryptor(key=KEY, master_iv=MASTER_IV)
+                       if encrypted else None))
+        video = store.read(store.put(clip),
+                           rng=np.random.default_rng(seed), **kwargs)
+        digest = hashlib.sha256()
+        for frame in video.frames:
+            digest.update(np.ascontiguousarray(frame).tobytes())
+        assert digest.hexdigest() == want
+        reports = store.last_storage_reports.values()
+        # Each read reaches the path it pins: flips on every read, the
+        # retry ladder's re-reads, and damage for the concealer.
+        assert sum(report.flipped_bits for report in reports) > 0
+        if "read_retries" in kwargs:
+            assert sum(report.retry_successes for report in reports) > 0
+        if name == "ctr_damaged_concealed":
+            assert any(report.uncorrectable for report in reports)

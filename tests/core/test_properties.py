@@ -16,6 +16,11 @@ from repro.storage import SCHEME_MENU
 from repro.video import SceneConfig, synthesize_scene
 
 
+def _whole(streams):
+    """Whole streams as merge windows: each at byte offset 0."""
+    return {name: (0, data) for name, data in streams.items()}
+
+
 @st.composite
 def assignments(draw):
     """Random valid class assignments over the scheme menu."""
@@ -49,7 +54,7 @@ class TestPartitionProperties:
         not just the paper's."""
         _video, encoded, importance = analyzed
         protected = partition_video(encoded, importance, assignment)
-        assert merge_streams(protected, protected.streams) == \
+        assert merge_streams(protected, _whole(protected.streams)) == \
             encoded.frame_payloads()
 
     @given(assignment=assignments())
@@ -78,7 +83,7 @@ class TestPartitionProperties:
                 buffer[position // 8] ^= 0x80 >> (position % 8)
                 flipped += 1
             corrupted[name] = bytes(buffer)
-        merged = merge_streams(protected, corrupted)
+        merged = merge_streams(protected, _whole(corrupted))
         clean = encoded.frame_payloads()
         diff_bits = sum(
             int(np.unpackbits(np.frombuffer(a, dtype=np.uint8)

@@ -366,8 +366,8 @@ def test_memo_bookkeeping_under_contention():
                 if rng.random() < 0.1:
                     memo.get(source)
                 else:
-                    memo.put(source, source,
-                             prefixes[int(rng.integers(len(prefixes)))])
+                    memo.put(source, (
+                        source, prefixes[int(rng.integers(len(prefixes)))]))
         except Exception as exc:  # reported below
             errors.append(repr(exc))
 

@@ -63,14 +63,15 @@ def _seek_fetches(monkeypatch, store, object_id, seed):
 
 
 def _full_streams(record, windows):
-    """The windows placed into zero-filled full-length streams."""
+    """The windows placed into zero-filled full-length streams, each a
+    window at offset 0."""
     streams = {}
     for name, length in record.stream_lengths.items():
         buffer = bytearray(length)
         if name in windows:
             offset, data = windows[name]
             buffer[offset:offset + len(data)] = data
-        streams[name] = bytes(buffer)
+        streams[name] = (0, bytes(buffer))
     return streams
 
 

@@ -83,7 +83,7 @@ def test_substrate_corruption_is_refused_not_served():
     # Rot ciphertext bytes behind the device's back on *every* replica:
     # a nominal-age read reports clean, but the bytes are not what was
     # written anywhere, so no replica walk can save the read.
-    for shard_id in record.replica_chain(name):
+    for shard_id in record.replicas[name]:
         shard = store.pool.shard(shard_id)
         blob = bytearray(shard.blobs[key])
         blob[0] ^= 0xFF
@@ -108,7 +108,7 @@ def test_chaos_fault_storm_quarantines_only_the_hit_shards():
     def replica_union(object_id):
         record = store.record("alice", object_id)
         return {sid for name in record.stream_sha
-                for sid in record.replica_chain(name)}
+                for sid in record.replicas[name]}
 
     victim_shards = replica_union(victim_id)
     # Find a second object whose full replica set avoids the victim's.

@@ -16,6 +16,7 @@ import pytest
 
 from repro.codec import EncoderConfig, EntropyCoder
 from repro.codec.decoder import dependency_closure
+from repro.codec.encoded import EncodedFrame, EncodedVideo
 from repro.codec.encoder import Encoder
 from repro.core import (
     PAPER_TABLE1,
@@ -65,6 +66,11 @@ def _quiet_store(**kwargs) -> VideoObjectStore:
     """A store whose devices essentially never flip a bit."""
     pool = ShardPool(count=3, cell_model=MLCCellModel(write_sigma=1e-9))
     return VideoObjectStore(pool=pool, keyring=Keyring(seed=5), **kwargs)
+
+
+def _whole(streams):
+    """Whole streams as merge windows: each at byte offset 0."""
+    return {name: (0, data) for name, data in streams.items()}
 
 
 def _leaves(value, path="record"):
@@ -191,13 +197,13 @@ class TestManifestHelpersEqualFullContainer:
 
     def test_merge_streams(self, layouts):
         protected, record = layouts
-        clean = merge_streams(record, protected.streams)
-        assert clean == merge_streams(protected, protected.streams)
+        clean = merge_streams(record, _whole(protected.streams))
+        assert clean == merge_streams(protected, _whole(protected.streams))
         assert clean == protected.encoded.frame_payloads()
         for seed in range(3):
             flipped, _ = _flipped(protected.streams, seed)
-            assert merge_streams(record, flipped) == \
-                merge_streams(protected, flipped)
+            assert merge_streams(record, _whole(flipped)) == \
+                merge_streams(protected, _whole(flipped))
 
     def test_merge_streams_rebuilds_only_the_listed_positions(self,
                                                               layouts):
@@ -206,14 +212,11 @@ class TestManifestHelpersEqualFullContainer:
         wanted += [(), (0,), tuple(range(0, record.frames, 2))]
         for seed in range(2):
             flipped, _ = _flipped(protected.streams, seed)
-            full = merge_streams(record, flipped)
+            full = merge_streams(record, _whole(flipped))
             for positions in wanted:
-                partial = merge_streams(record, flipped, positions)
-                assert len(partial) == len(full)
-                for position, payload in enumerate(partial):
-                    assert payload == (
-                        full[position] if position in positions
-                        else bytes(len(full[position])))
+                assert merge_streams(record, _whole(flipped),
+                                     positions) == \
+                    [full[position] for position in positions]
 
     def test_stream_ranges_for_frames(self, layouts):
         protected, record = layouts
@@ -233,7 +236,11 @@ class TestManifestHelpersEqualFullContainer:
         assert sorted(record.gop_plans) == anchors
         # What a seek miss computed before the plans were stored: the
         # closure over a header-only container, then its stream ranges.
-        header_only = record.container([b""] * record.frames)
+        header_only = EncodedVideo(
+            header=record.video_header,
+            frames=[EncodedFrame(header=header, payload=b"")
+                    for header in record.frame_headers],
+            seek_index=record.seek_index)
         for start, stop in zip(anchors, anchors[1:] + [index.num_frames]):
             plan = record.gop_plans[start]
             positions = dependency_closure(header_only, range(start, stop))

@@ -20,8 +20,11 @@ import numpy as np
 import pytest
 
 from repro.codec.decoder import Decoder
+from repro.codec.encoded import EncodedFrame, EncodedVideo
+from repro.core import partition
 from repro.core.partition import map_stream_damage, merge_streams
 from repro.service import Keyring, ShardPool, VideoObjectStore, stream_key
+from repro.service import store as store_module
 from repro.service.shards import Shard
 from repro.storage.ecc import scheme_by_name
 from repro.video import synthesize_scene
@@ -64,7 +67,7 @@ def _reference_get(store, tenant, object_id, rng) -> dict:
     for name in ordered:
         key = stream_key(tenant, object_id, name)
         best = None
-        for index, shard_id in enumerate(record.replica_chain(name)):
+        for index, shard_id in enumerate(record.replicas[name]):
             shard = store.pool.shard(shard_id)
             if not shard.has(key):
                 continue
@@ -101,15 +104,20 @@ def _reference_get(store, tenant, object_id, rng) -> dict:
     decrypted = store.keyring.encryptor(tenant).decrypt_streams(
         {i: read_back[name] for i, name in enumerate(ordered)})
     payloads = merge_streams(record, {
-        name: decrypted[i][:record.stream_lengths[name]]
+        name: (0, decrypted[i][:record.stream_lengths[name]])
         for i, name in enumerate(ordered)})
     damage = {
         name: [(min(b.bit_start, record.stream_bits[name]),
                 min(b.bit_end, record.stream_bits[name]))
                for b in report.uncorrectable]
         for name, report in reports.items() if report.uncorrectable}
+    container = EncodedVideo(
+        header=record.video_header,
+        frames=[EncodedFrame(header=header, payload=payload)
+                for header, payload in zip(record.frame_headers, payloads)],
+        seek_index=record.seek_index)
     video = Decoder(conceal_uncorrectable=True).decode(
-        record.container(payloads),
+        container,
         map_stream_damage(record, damage) if damage else {})
     seen["frames"] = [frame.copy() for frame in video.frames]
     if damage:
@@ -188,7 +196,7 @@ class TestWholeReadMatchesTheReference:
         # A BCH stream: a raw stream's device flips skip the hash check.
         name = max((n for n in record.stream_lengths if n != "None"),
                    key=record.stream_lengths.get)
-        primary = store.pool.shard(record.replica_chain(name)[0])
+        primary = store.pool.shard(record.replicas[name][0])
         key = stream_key("alice", object_id, name)
         blob = bytearray(primary.blobs[key])
         blob[len(blob) // 2] ^= 0x5A
@@ -211,7 +219,7 @@ class TestWholeReadMatchesTheReference:
         name = max((n for n in record.stream_lengths
                     if n != "None" and record.stream_lengths[n] % 64),
                    key=record.stream_lengths.get)
-        shard = store.pool.shard(record.replica_chain(name)[0])
+        shard = store.pool.shard(record.replicas[name][0])
         key = stream_key("alice", object_id, name)
         blob = shard.blobs[key]
         shard.blobs[key] = blob[:cut] if cut < 0 else blob + bytes(cut)
@@ -237,7 +245,7 @@ class TestWholeReadMatchesTheReference:
         record = store.record("alice", object_id)
         name = sorted(record.stream_lengths)[0]
         key = stream_key("alice", object_id, name)
-        for shard_id in record.replica_chain(name):
+        for shard_id in record.replicas[name]:
             store.pool.shard(shard_id).delete(key)
         read = _assert_same_read(store, "alice", object_id, 0)
         assert read["outcome"] == "refused"
@@ -271,3 +279,26 @@ def test_whole_read_is_one_full_extent_range_read_per_stream(monkeypatch):
          record.stream_lengths[name])
         for name in sorted(record.stream_lengths)]
     assert wholes == []
+
+
+def test_whole_reads_reuse_the_objects_cursors(monkeypatch):
+    # Damaged whole reads merge and project damage through the cursors
+    # of the object's read template, derived once, not once per read.
+    scene, config = GOLDEN_CLIPS["cabac_bframes_slices"]
+    store = _store(1, config)
+    object_id = store.put("alice", synthesize_scene(scene))
+    store.pool.set_age(1e6)
+    derived = []
+    original = partition.frame_cursors
+
+    def counted(layout):
+        derived.append(layout)
+        return original(layout)
+
+    monkeypatch.setattr(partition, "frame_cursors", counted)
+    monkeypatch.setattr(store_module, "frame_cursors", counted)
+    for seed in range(3):
+        result = store.get("alice", object_id,
+                           rng=np.random.default_rng(seed))
+        assert result.outcome == "concealed"
+    assert len(derived) == 1

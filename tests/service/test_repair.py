@@ -57,10 +57,10 @@ class TestQuarantineDrain:
         store, object_id = _store(replicas=2)
         record = store.record("alice", object_id)
         originals = {
-            name: store.pool.shard(record.placement[name]).blobs[
+            name: store.pool.shard(record.replicas[name][0]).blobs[
                 stream_key("alice", object_id, name)]
             for name in record.stream_sha}
-        victim = record.placement[sorted(record.stream_sha)[0]]
+        victim = record.replicas[sorted(record.stream_sha)[0]][0]
         store.pool.shard(victim).health = QUARANTINED
 
         report = run_repair_pass(store)
@@ -71,7 +71,7 @@ class TestQuarantineDrain:
         # Every stream is back at full replica width on healthy shards,
         # and every copy is bit-identical to what was written.
         for name in record.stream_sha:
-            chain = record.replica_chain(name)
+            chain = record.replicas[name]
             assert len(chain) == 2
             assert victim not in chain
             key = stream_key("alice", object_id, name)
@@ -85,7 +85,7 @@ class TestQuarantineDrain:
         store, object_id = _store(replicas=2)
         record = store.record("alice", object_id)
         name = sorted(record.stream_sha)[0]
-        victim = record.placement[name]
+        victim = record.replicas[name][0]
         store.pool.advance_all(1000.0)
         store.pool.shard(victim).health = QUARANTINED
         before = _counter("service_repair_cell_writes_total")
@@ -93,7 +93,7 @@ class TestQuarantineDrain:
         assert report.cell_writes > 0
         assert _counter("service_repair_cell_writes_total") == \
             before + report.cell_writes
-        for sid in store.record("alice", object_id).replica_chain(name):
+        for sid in store.record("alice", object_id).replicas[name]:
             shard = store.pool.shard(sid)
             key = stream_key("alice", object_id, name)
             # The rewrite reprogrammed the cells at day 1000: the key
@@ -105,7 +105,7 @@ class TestQuarantineDrain:
     def test_converges_and_second_pass_is_a_noop(self):
         store, _ = _store(replicas=2)
         record = store.objects()[0]
-        victim = record.placement[sorted(record.stream_sha)[0]]
+        victim = record.replicas[sorted(record.stream_sha)[0]][0]
         store.pool.shard(victim).health = QUARANTINED
         run_repair_pass(store)
         second = run_repair_pass(store)
@@ -140,7 +140,7 @@ class TestRepairUnderChaos:
         record = store.record("alice", object_id)
         name = sorted(record.stream_sha)[0]
         key = stream_key("alice", object_id, name)
-        chain = record.replica_chain(name)
+        chain = record.replicas[name]
         pristine = store.pool.shard(chain[0]).blobs[key]
         # Tamper the primary's at-rest blob, then force a repair.
         tampered = bytearray(pristine)
@@ -150,7 +150,7 @@ class TestRepairUnderChaos:
         run_repair_pass(store, scan=False)
         # The verified secondary was the donor: the primary's copy is
         # pristine again, not the tampered bytes.
-        for sid in store.record("alice", object_id).replica_chain(name):
+        for sid in store.record("alice", object_id).replicas[name]:
             assert store.pool.shard(sid).blobs[key] == pristine
 
     def test_all_copies_tampered_is_unrepairable(self):
@@ -202,7 +202,7 @@ class TestDeterminism:
         for _ in range(2):
             store, object_id = _store(replicas=2)
             record = store.record("alice", object_id)
-            victim = record.placement[sorted(record.stream_sha)[0]]
+            victim = record.replicas[sorted(record.stream_sha)[0]][0]
             store.pool.shard(victim).health = QUARANTINED
             report = run_repair_pass(store)
             blobs = {

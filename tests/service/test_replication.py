@@ -132,10 +132,10 @@ class TestReplicatedWrites:
         object_id = store.put("alice", _clip(1))
         record = store.record("alice", object_id)
         for name in record.stream_sha:
-            chain = record.replica_chain(name)
+            chain = record.replicas[name]
             assert len(chain) == 2
-            assert record.placement[name] == chain[0]
             key = stream_key("alice", object_id, name)
+            assert chain[0] == store.pool.place(key).shard_id
             blobs = [store.pool.shard(sid).blobs[key] for sid in chain]
             assert blobs[0] == blobs[1]
 
@@ -148,7 +148,7 @@ class TestReplicatedWrites:
             key = stream_key("alice", object_id, name)
             holders = [sid for sid in store.pool.shards
                        if store.pool.shard(sid).has(key)]
-            assert holders == [record.placement[name]]
+            assert holders == list(record.replicas[name])
 
 
 class TestReplicatedReads:
@@ -159,7 +159,7 @@ class TestReplicatedReads:
         object_id = store.put("alice", _clip(1))
         record = store.record("alice", object_id)
         # Storm the shard serving the most primaries.
-        primaries = list(record.placement.values())
+        primaries = [chain[0] for chain in record.replicas.values()]
         victim = max(sorted(set(primaries)), key=primaries.count)
         return store, object_id, victim
 

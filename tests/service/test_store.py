@@ -59,7 +59,7 @@ class TestWritePath:
     def test_streams_placed_by_the_ring(self, store):
         the_store, ids, _ = store
         record = the_store.record("alice", ids[0])
-        for name, shard_id in record.placement.items():
+        for name, (shard_id, *_) in record.replicas.items():
             key = stream_key("alice", ids[0], name)
             assert the_store.pool.place(key).shard_id == shard_id
             assert the_store.pool.shard(shard_id).has(key)
@@ -80,7 +80,7 @@ class TestWritePath:
         assert frame.outcome in ("clean", "corrected")
         np.testing.assert_array_equal(frame.frame,
                                       result.video.frames[2])
-        victim = record.placement[sorted(record.stream_sha)[0]]
+        victim = record.replicas[sorted(record.stream_sha)[0]][0]
         store.pool.shard(victim).health = QUARANTINED
         report = run_repair_pass(store)
         assert report.objects_repaired == 1
@@ -97,7 +97,7 @@ class TestWritePath:
             config=the_store.config).put(_clip(1)).protected.streams
         assert {name: len(data) for name, data in plaintext.items()} \
             == record.stream_lengths
-        for name, shard_id in record.placement.items():
+        for name, (shard_id, *_) in record.replicas.items():
             blob = the_store.pool.shard(shard_id).blobs[
                 stream_key("alice", ids[0], name)]
             plain = plaintext[name]
