@@ -41,6 +41,7 @@ from .importance import (
 )
 from .partition import (
     ProtectedVideo,
+    frame_cursors,
     map_stream_damage,
     merge_streams,
     partition_video,
@@ -187,9 +188,12 @@ class ApproximateVideoStore:
             decrypted = self.encryptor.decrypt_streams(
                 {i: streams[name] for name, i in ids.items()})
             streams = {name: decrypted[i] for name, i in ids.items()}
+        # One cursor table per read serves the merge and the damage map.
+        cursors = frame_cursors(stored.protected)
         payloads = merge_streams(
             stored.protected,
-            {name: (0, data) for name, data in streams.items()})
+            {name: (0, data) for name, data in streams.items()},
+            cursors=cursors)
         corrupted = stored.protected.encoded.with_payloads(payloads)
         self._last_storage_reports = reports
         if not conceal:
@@ -205,8 +209,8 @@ class ApproximateVideoStore:
             for name, report in reports.items()
             if report.uncorrectable and name in stored.protected.stream_bits
         }
-        frame_damage = map_stream_damage(stored.protected, damage) \
-            if damage else {}
+        frame_damage = map_stream_damage(
+            stored.protected, damage, cursors=cursors) if damage else {}
         if self._concealing_decoder is None:
             self._concealing_decoder = Decoder(conceal_uncorrectable=True)
         return self._concealing_decoder.decode(corrupted, frame_damage)

@@ -198,32 +198,42 @@ class ObjectRecord:
 class _ReadTemplate:
     """What every read of one object reuses.
 
-    ``cursors`` place each frame's payload segments in the streams, and
-    ``frames`` is the object's container with every payload zeroed —
-    what a frame outside a seek's dependency closure carries. A read
-    merges the payloads of the frames it needs from the windows it read
-    and copies the frame list with those positions filled in, so a
-    seek's merge and container do not grow with the clip, and no read
-    after the first derives cursors. It is derived from the manifest on
-    an object's first read and kept beside the record (see
-    :func:`_read_template`), so no pickle or copy of a store carries it.
+    ``cursors`` place each frame's payload segments in the streams. A
+    read merges the payloads of the frames it serves from the windows it
+    read and lays them into the object's container; a seek's frames
+    outside its dependency closure carry the zeroed payloads of
+    ``zeroed``, built on the object's first read that serves only some
+    frames. So a seek's merge and container do not grow with the clip, a
+    whole read keeps no zeroed copy, and no read after the first derives
+    cursors. The template is derived from the manifest on an object's
+    first read and kept beside the record (see :func:`_read_template`),
+    so no pickle or copy of a store carries it.
     """
 
     def __init__(self, record: ObjectRecord) -> None:
         self.cursors: FrameCursors = frame_cursors(record)
         self.header = record.video_header
+        self.frame_headers = record.frame_headers
         self.seek_index = record.seek_index
-        self.frames = [EncodedFrame(header=header,
-                                    payload=bytes(header.payload_bytes))
-                       for header in record.frame_headers]
+        self.zeroed: Optional[List[EncodedFrame]] = None
 
     def container(self, positions: Sequence[int],
                   payloads: Sequence[bytes]) -> EncodedVideo:
-        """The zeroed container with ``payloads`` at ``positions``."""
-        frames = list(self.frames)
+        """The container with ``payloads`` at ``positions`` (distinct
+        container positions); every other frame's payload is zeros."""
+        headers = self.frame_headers
+        if len(positions) == len(headers):
+            frames: List[Optional[EncodedFrame]] = [None] * len(headers)
+        else:
+            if self.zeroed is None:
+                self.zeroed = [
+                    EncodedFrame(header=header,
+                                 payload=bytes(header.payload_bytes))
+                    for header in headers]
+            frames = list(self.zeroed)
         for position, payload in zip(positions, payloads):
-            frames[position] = EncodedFrame(
-                header=frames[position].header, payload=payload)
+            frames[position] = EncodedFrame(header=headers[position],
+                                            payload=payload)
         return EncodedVideo(header=self.header, frames=frames,
                             seek_index=self.seek_index)
 

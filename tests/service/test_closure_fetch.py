@@ -63,16 +63,34 @@ def _seek_fetches(monkeypatch, store, object_id, seed):
 
 
 def _full_streams(record, windows):
-    """The windows placed into zero-filled full-length streams, each a
-    window at offset 0."""
+    """The windows placed into zero-filled full-length streams."""
     streams = {}
     for name, length in record.stream_lengths.items():
         buffer = bytearray(length)
         if name in windows:
             offset, data = windows[name]
             buffer[offset:offset + len(data)] = data
-        streams[name] = (0, bytes(buffer))
+        streams[name] = bytes(buffer)
     return streams
+
+
+def _whole_stream_merge(layout, streams):
+    """Every frame's payload from whole streams, by one cursor per stream
+    walked through the frames in coded order: an oracle independent of
+    :func:`~repro.core.partition.frame_cursors` and the window walk."""
+    bits = {name: np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+            for name, data in streams.items()}
+    cursor = dict.fromkeys(streams, 0)
+    payloads = []
+    for header, table in zip(layout.frame_headers, layout.pivots):
+        frame = np.zeros(8 * header.payload_bytes, dtype=np.uint8)
+        for segment in table.segments:
+            at = cursor[segment.scheme_name]
+            frame[segment.start_bit:segment.end_bit] = \
+                bits[segment.scheme_name][at:at + segment.bits]
+            cursor[segment.scheme_name] = at + segment.bits
+        payloads.append(np.packbits(frame).tobytes())
+    return payloads
 
 
 @given(frames=st.integers(9, 26), gop=st.sampled_from([4, 8]),
@@ -91,8 +109,7 @@ def test_closure_merge_and_damage_equal_the_whole_stream_ones(
         if fetched.container is None:
             continue
         positions = list(plan.positions)
-        full = partition.merge_streams(record,
-                                       _full_streams(record, windows))
+        full = _whole_stream_merge(record, _full_streams(record, windows))
         frames_out = fetched.container.frames
         assert len(frames_out) == record.frames
         for position, frame in enumerate(frames_out):

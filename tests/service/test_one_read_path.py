@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.codec import EncoderConfig
 from repro.codec.decoder import Decoder
 from repro.codec.encoded import EncodedFrame, EncodedVideo
 from repro.core import partition
@@ -27,7 +28,7 @@ from repro.service import Keyring, ShardPool, VideoObjectStore, stream_key
 from repro.service import store as store_module
 from repro.service.shards import Shard
 from repro.storage.ecc import scheme_by_name
-from repro.video import synthesize_scene
+from repro.video import SceneConfig, synthesize_scene
 
 from .test_manifest import GOLDEN_CLIPS
 
@@ -302,3 +303,19 @@ def test_whole_reads_reuse_the_objects_cursors(monkeypatch):
                            rng=np.random.default_rng(seed))
         assert result.outcome == "concealed"
     assert len(derived) == 1
+
+
+def test_only_a_partial_read_builds_the_zeroed_frames():
+    # A whole read fills every frame, so the template keeps no zeroed
+    # copy of the container until a seek serves only part of it.
+    store = _store(1, EncoderConfig(crf=28, gop_size=4, bframes=1))
+    object_id = store.put("alice", synthesize_scene(SceneConfig(
+        width=48, height=32, num_frames=8, seed=3)))
+    record = store.record("alice", object_id)
+    for seed in range(2):
+        store.get("alice", object_id, rng=np.random.default_rng(seed))
+    template = store_module._TEMPLATES[id(record)][1]
+    assert template.zeroed is None
+    store.get_frame("alice", object_id, 0, rng=np.random.default_rng(0))
+    assert [frame.payload for frame in template.zeroed] == [
+        bytes(header.payload_bytes) for header in record.frame_headers]
