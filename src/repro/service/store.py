@@ -196,16 +196,10 @@ class ObjectRecord:
 
 
 class _ReadTemplate:
-    """What every read of one object reuses.
-
-    ``cursors`` place each frame's payload segments in the streams. A
-    read merges the payloads of the frames it serves from the windows it
-    read and lays them into the object's container; a seek's frames
-    outside its dependency closure carry the zeroed payloads of
-    ``zeroed``, built on the object's first read that serves only some
-    frames. So a seek's merge and container do not grow with the clip, a
-    whole read keeps no zeroed copy, and no read after the first derives
-    cursors. The template is derived from the manifest on an object's
+    """What every read of one object reuses: the ``cursors`` that place
+    each frame's payload segments in the streams and, from the object's
+    first read that serves only some frames, ``zeroed``, its frames with
+    every payload zeroed. Derived from the manifest on the object's
     first read and kept beside the record (see :func:`_read_template`),
     so no pickle or copy of a store carries it.
     """
@@ -647,11 +641,9 @@ class VideoObjectStore:
 
         ``positions`` (coded order) are the frames to serve: every
         frame for a whole read, a GOP plan's dependency closure for a
-        seek. Each stream's decrypted window stays at its aligned byte
-        offset, only those frames' payloads are merged from the windows
-        and damage is projected onto those frames only, into the
-        object's :class:`_ReadTemplate`, so the work follows the frames
-        served and not the object.
+        seek. Only those frames are merged from the windows, at their
+        byte offsets, and damage-mapped, through the object's
+        :class:`_ReadTemplate`, so the work follows the frames served.
         """
         ids = stream_ids(record.stream_lengths)
         reads: Dict[str, Tuple[bytes, int]] = {}
