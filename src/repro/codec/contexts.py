@@ -14,14 +14,16 @@ coding-error propagation at frame boundaries).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from functools import cached_property
+from typing import Any, Dict
 
 from ..errors import BitstreamError
+from ..memo import Derived
 from .entropy import ContextGroup
 
 
 @dataclass
-class ContextModel:
+class ContextModel(Derived):
     """Allocates contiguous context index ranges to named groups."""
 
     groups: Dict[str, ContextGroup] = field(default_factory=dict)
@@ -42,22 +44,12 @@ class ContextModel:
     def __getitem__(self, name: str) -> ContextGroup:
         return self.groups[name]
 
-    def __getstate__(self) -> dict:
-        """Pickle the layout, never the syntax layer's memo caches.
-
-        The syntax layer memoizes whole-block op plans
-        (``_block_plan_caches``) and the resolved context groups
-        (``_syntax_contexts``) on the model, and the default model is
-        shared by every encoder and decoder in the process. The caches
-        are a pure speedup — rebuilt on miss — but the plan cache grows
-        with the coefficient patterns seen so far, so letting caches
-        ride in pickles would make encoder/decoder (and store) pickles
-        depend on coding history. Campaign journals hash those pickles
-        into the context digest; a history-dependent pickle would orphan
-        any journal on resume.
-        """
-        return {"groups": self.groups,
-                "total_contexts": self.total_contexts}
+    @cached_property
+    def syntax_tables(self) -> Dict[str, Any]:
+        """The resolved groups and block plans :mod:`repro.codec.syntax`
+        derives from the layout, by name; the plans grow with what the
+        process codes, so pickles leave them out."""
+        return {}
 
 
 def build_context_model() -> ContextModel:

@@ -45,18 +45,20 @@ differs (or references one that differs) always decodes afresh. Frames
 with a damage map are never memoized, so salvage and concealment run
 exactly as without the memo. Decoded frames are handed out read-only.
 The memo is a :class:`~repro.memo.ByteMemo`, the byte-bounded LRU the
-stream encryptors keep their keystreams in.
+stream encryptors keep their keystreams in, and a cached property
+(:class:`~repro.memo.Derived`) that pickles and copies leave out.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import BitstreamError
-from ..memo import ByteMemo
+from ..memo import ByteMemo, Derived
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..video.frame import MACROBLOCK_SIZE, VideoSequence
@@ -70,6 +72,7 @@ from .encoder import slice_bands
 from .motion import pad_reference
 from .neighbors import FrameMbState
 from .reconstruct import ReferenceSet, build_prediction, reconstruct_macroblock
+from .seek import SeekIndex
 from .syntax import finalize_macroblock, parse_macroblock, scatter_coefficients
 from .transform import reconstruct_residuals_many
 from .types import (
@@ -125,12 +128,6 @@ _FRAME_MEMO_BYTES = 2 << 20
 _NO_REFERENCE = bytes(32)
 
 
-def _frame_memo() -> ByteMemo:
-    """A decoder's memo of read-only decoded frames, keyed by content."""
-    return ByteMemo(_FRAME_MEMO_BYTES, lambda frame: frame.nbytes,
-                    "decode_frame_memo_evictions_total")
-
-
 #: Default ceiling on the pixel volume (width x height x frames) a
 #: container may *declare* before decode refuses it. Decode time and
 #: memory scale with the declared geometry — not with the payload bytes
@@ -142,7 +139,7 @@ def _frame_memo() -> ByteMemo:
 MAX_DECLARED_PIXELS = 1 << 32
 
 
-class Decoder:
+class Decoder(Derived):
     """H.264-like decoder; robust against corrupted payloads.
 
     ``conceal_uncorrectable`` arms the error-concealment path: I slices
@@ -164,16 +161,12 @@ class Decoder:
         self._model = DEFAULT_CONTEXT_MODEL
         self.conceal_uncorrectable = conceal_uncorrectable
         self.max_declared_pixels = int(max_declared_pixels)
-        self._memo = _frame_memo()
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_memo"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._memo = _frame_memo()
+    @cached_property
+    def _memo(self) -> ByteMemo:
+        """Read-only decoded frames, keyed by content."""
+        return ByteMemo(_FRAME_MEMO_BYTES, lambda frame: frame.nbytes,
+                        "decode_frame_memo_evictions_total")
 
     def decode(self, encoded: EncodedVideo,
                damage: Optional[DamageMap] = None, *,
@@ -739,8 +732,8 @@ class Decoder:
         return dict(zip(indices, residuals))
 
 
-def dependency_closure(encoded: EncodedVideo,
-                       targets: Sequence[int]) -> List[int]:
+def dependency_closure(encoded: EncodedVideo, targets: Sequence[int], *,
+                       index: Optional[SeekIndex] = None) -> List[int]:
     """Container positions (coded order) a display set depends on.
 
     Walks ``ref_forward``/``ref_backward`` display references from
@@ -749,9 +742,11 @@ def dependency_closure(encoded: EncodedVideo,
     Raises :class:`BitstreamError` on unresolvable references; callers
     treat that as "use the full decode". The storage layer uses the
     same closure to decide which byte ranges to fetch, so fetch plans
-    and decode workloads can never disagree.
+    and decode workloads can never disagree. ``index`` is the
+    container's trusted seek index, derived here if not given.
     """
-    index = encoded.seek_index_or_build()
+    if index is None:
+        index = encoded.seek_index_or_build()
     by_display = index.display_to_coded
     needed: set = set()
     worklist = list(targets)

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from ..errors import BitstreamError
+from ..memo import Derived
 
 #: Longest Exp-Golomb prefix a decoder will follow before giving up and
 #: clamping. Bounds worst-case work on corrupted streams.
@@ -58,7 +60,7 @@ def uint_bin_ops(value: int, ladder, tu_cap: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class ContextGroup:
+class ContextGroup(Derived):
     """A named block of adaptive contexts for one syntax element.
 
     Attributes:
@@ -71,6 +73,9 @@ class ContextGroup:
         tu_cap: truncated-unary cap; magnitudes beyond it continue in a
             bypass Exp-Golomb suffix.
         max_value: decoder-side clamp for the element's legal range.
+
+    Its ladders and op tables are cached properties, which pickles leave
+    out: which entries exist depends on what the process has coded.
     """
 
     base: int
@@ -82,20 +87,6 @@ class ContextGroup:
     @property
     def size(self) -> int:
         return self.variants + self.tail
-
-    def __getstate__(self) -> dict:
-        """Pickle only the layout fields, never the lazy memo tables.
-
-        ``_ladders`` / ``_uint_op_tables`` are derived purely from the
-        layout but populated on demand per *used* variant, so which
-        entries exist depends on what has been coded in this process.
-        A pickle that carried them would make encoder/decoder (and
-        store) identity depend on coding history — and campaign
-        journals hash those pickles, so resumes would break.
-        """
-        return {field: getattr(self, field)
-                for field in ("base", "variants", "tail", "tu_cap",
-                              "max_value")}
 
     def first_bin_context(self, variant: int) -> int:
         if not 0 <= variant < self.variants:
@@ -111,32 +102,35 @@ class ContextGroup:
             return self.base
         return self.base + self.variants + min(bin_index - 1, self.tail - 1)
 
+    @cached_property
+    def _ladders(self) -> Tuple[tuple, ...]:
+        return tuple(
+            (self.first_bin_context(v),)
+            + tuple(self.tail_context(index)
+                    for index in range(1, self.tu_cap))
+            for v in range(self.variants)
+        )
+
+    @cached_property
+    def _uint_op_tables(self) -> Dict[int, tuple]:
+        return {}
+
     def unary_ladder(self, variant: int) -> tuple:
         """Context index per truncated-unary bin position 0..tu_cap-1.
 
         The TU binarization selects contexts purely from the bin
         position — never from coder state — so the whole ladder is
-        computed once per variant and indexed in the backends' hot
+        computed once per group and indexed in the backends' hot
         loops. ``ladder[b]`` serves both the ``1`` bin at position
         ``b`` and the terminating ``0`` bin of value ``b``. Cached on
-        the instance (via ``object.__setattr__``, the dataclass being
-        frozen) because hashing the group per symbol costs more than
-        the lookup it saves.
+        the instance because hashing the group per symbol costs more
+        than the lookup it saves.
         """
         if not 0 <= variant < self.variants:
             raise BitstreamError(
                 f"context variant {variant} out of range 0..{self.variants - 1}"
             )
-        ladders = getattr(self, "_ladders", None)
-        if ladders is None:
-            ladders = tuple(
-                (self.first_bin_context(v),)
-                + tuple(self.tail_context(index)
-                        for index in range(1, self.tu_cap))
-                for v in range(self.variants)
-            )
-            object.__setattr__(self, "_ladders", ladders)
-        return ladders[variant]
+        return self._ladders[variant]
 
     def uint_op_table(self, variant: int) -> tuple:
         """Precomputed ``encode_bins`` op strings for small values.
@@ -146,17 +140,13 @@ class ContextGroup:
         on-the-fly planning beyond the table. Cached on the instance
         like :meth:`unary_ladder`.
         """
-        tables = getattr(self, "_uint_op_tables", None)
-        if tables is None:
-            tables = {}
-            object.__setattr__(self, "_uint_op_tables", tables)
-        table = tables.get(variant)
+        table = self._uint_op_tables.get(variant)
         if table is None:
             ladder = self.unary_ladder(variant)
             limit = min(self.max_value, UINT_OP_TABLE_LIMIT)
-            table = tuple(uint_bin_ops(value, ladder, self.tu_cap)
-                          for value in range(limit + 1))
-            tables[variant] = table
+            table = self._uint_op_tables[variant] = tuple(
+                uint_bin_ops(value, ladder, self.tu_cap)
+                for value in range(limit + 1))
         return table
 
 

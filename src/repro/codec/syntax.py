@@ -122,8 +122,9 @@ class _SyntaxContexts:
     """A model's context groups, resolved once per model.
 
     The macroblock grammar reads a dozen groups per macroblock; looking
-    each up by name per symbol is measurable at decode scale. Cached on
-    the model by :func:`_contexts` (and stripped from its pickle).
+    each up by name per symbol is measurable at decode scale. Kept in
+    the model's :attr:`~repro.codec.contexts.ContextModel.syntax_tables`
+    by :func:`_contexts`.
     """
 
     _GROUPS = ("skip_flag", "is_intra", "intra_mode", "partition_type",
@@ -145,10 +146,10 @@ class _SyntaxContexts:
 
 
 def _contexts(model: ContextModel) -> _SyntaxContexts:
-    resolved = getattr(model, "_syntax_contexts", None)
+    tables = model.syntax_tables
+    resolved = tables.get("contexts")
     if resolved is None:
-        resolved = _SyntaxContexts(model)
-        model._syntax_contexts = resolved
+        resolved = tables["contexts"] = _SyntaxContexts(model)
     return resolved
 
 
@@ -312,10 +313,11 @@ def encode_macroblock(enc: EntropyEncoder, model: ContextModel,
         # Whole-block plan caches live on the model (one per nnz
         # variant — the plan's nnz prefix depends on it; everything
         # else in the plan is variant-independent).
-        caches = getattr(model, "_block_plan_caches", None)
+        tables = model.syntax_tables
+        caches = tables.get("block_plans")
         if caches is None:
-            caches = tuple({} for _ in range(nnz_group.variants))
-            model._block_plan_caches = caches
+            caches = tables["block_plans"] = tuple(
+                {} for _ in range(nnz_group.variants))
         plan_cache = caches[nnz_variant]
         # All coded blocks of the MB go out in one encode_bins call:
         # the op streams concatenate exactly as the per-block calls

@@ -233,7 +233,8 @@ def merge_streams(layout: StreamLayout,
 
 
 def stream_ranges_for_frames(layout: StreamLayout,
-                             frame_positions: Sequence[int]
+                             frame_positions: Sequence[int], *,
+                             cursors: Optional[FrameCursors] = None
                              ) -> Dict[str, Tuple[int, int]]:
     """Per-stream bit extents a set of frames' payloads live in.
 
@@ -251,6 +252,8 @@ def stream_ranges_for_frames(layout: StreamLayout,
     convex hull of the touched segments, which over-fetches only when
     the requested set skips frames — the random-access path requests
     dependency closures, which are nearly contiguous GOP spans.
+    ``cursors`` is :func:`frame_cursors` of ``layout``, derived here if
+    not given, as in :func:`merge_streams`.
     """
     wanted = set(int(p) for p in frame_positions)
     if not wanted:
@@ -259,10 +262,11 @@ def stream_ranges_for_frames(layout: StreamLayout,
         if not 0 <= position < len(layout.pivots):
             raise AnalysisError(
                 f"frame position {position} outside the container")
-    segments = frame_cursors(layout).segments
+    if cursors is None:
+        cursors = frame_cursors(layout)
     ranges: Dict[str, Tuple[int, int]] = {}
     for frame_index in sorted(wanted):
-        for name, cursor, count, _ in segments[frame_index]:
+        for name, cursor, count, _ in cursors.segments[frame_index]:
             lo, hi = ranges.get(name, (cursor, cursor + count))
             ranges[name] = (min(lo, cursor), max(hi, cursor + count))
     return ranges

@@ -21,20 +21,22 @@ encryptor therefore keeps the keystream it has derived, one prefix
 (blocks ``0..k``) per stream in a byte-bounded LRU
 (:class:`~repro.memo.ByteMemo`) keyed by the IV-derivation input: a
 window inside a prefix costs one slice and one XOR, and AES runs only
-on blocks no earlier call derived. OFB keeps its direct path: no
-service path uses it, and its ``O(offset)`` random access is what
-Section 5 holds against it.
+on blocks no earlier call derived. The memo is a cached property
+(:class:`~repro.memo.Derived`), so no pickle or copy carries it. OFB
+keeps its direct path: no service path uses it, and its ``O(offset)``
+random access is what Section 5 holds against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from ..errors import CryptoError
-from ..memo import ByteMemo
+from ..memo import ByteMemo, Derived
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .aes import AES128, BLOCK_SIZE
@@ -81,15 +83,8 @@ def _iv_source(master_iv: bytes, stream_id: int) -> bytes:
         BLOCK_SIZE, "big")
 
 
-def _keystream_memo() -> ByteMemo:
-    """An encryptor's memo: IV-derivation input -> :data:`_Entry`; a
-    longer prefix of a stream replaces a shorter one."""
-    return ByteMemo(_KEYSTREAM_MEMO_BYTES, lambda entry: len(entry[1]),
-                    "crypto_keystream_memo_evictions_total")
-
-
 @dataclass
-class StreamEncryptor:
+class StreamEncryptor(Derived):
     """Encrypts/decrypts a set of reliability streams under one secret.
 
     In CTR mode the encryptor keeps every stream's derived IV and the
@@ -118,18 +113,13 @@ class StreamEncryptor:
             raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
         # Expanded once: every stream's IV and keystream share this cipher.
         self._cipher = AES128(self.key)
-        self._memo = _keystream_memo()
 
-    def __getstate__(self) -> dict:
-        # The keystream memo is derived state: a pickle or deep copy
-        # carries the same fields whichever streams were used before it.
-        state = self.__dict__.copy()
-        del state["_memo"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._memo = _keystream_memo()
+    @cached_property
+    def _memo(self) -> ByteMemo:
+        """IV-derivation input -> :data:`_Entry`; a longer prefix of a
+        stream replaces a shorter one."""
+        return ByteMemo(_KEYSTREAM_MEMO_BYTES, lambda entry: len(entry[1]),
+                        "crypto_keystream_memo_evictions_total")
 
     def _xor(self, stream_id: int, data: bytes, byte_offset: int) -> bytes:
         """XOR ``data`` with stream ``stream_id``'s keystream from

@@ -1,4 +1,8 @@
-"""A byte-bounded LRU memo, shared by threads and cleared on fork.
+"""Derived per-object state and a byte-bounded LRU memo.
+
+Every cache an object builds is a cached property of a :class:`Derived`
+class, which no pickle or copy carries: campaign journals hash store
+pickles, and a CTR keystream is key material.
 
 Each :class:`~repro.codec.decoder.Decoder` keeps decoded frames by
 content, and each :class:`~repro.crypto.streams.StreamEncryptor` the
@@ -17,9 +21,26 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
+from functools import cached_property
 from typing import Any, Callable, Hashable, Optional
 
 from .obs import metrics as obs_metrics
+
+
+class Derived:
+    """Base of a class whose caches are :func:`functools.cached_property`.
+
+    A cache lives in the instance ``__dict__`` from its first use, and
+    :meth:`__getstate__` leaves every one out, so a pickle or a copy
+    holds the configuration alone and builds each cache on first use.
+    On Python 3.12 two threads may both build one cache, and one copy
+    is dropped; each is a pure cache, so no output changes.
+    """
+
+    def __getstate__(self) -> dict:
+        cls = type(self)
+        return {name: value for name, value in self.__dict__.items()
+                if not isinstance(getattr(cls, name, None), cached_property)}
 
 
 class ByteMemo:

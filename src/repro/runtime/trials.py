@@ -31,6 +31,7 @@ from ..codec.decoder import Decoder
 from ..codec.encoded import EncodedVideo
 from ..metrics.psnr import psnr as frame_psnr
 from ..metrics.psnr import video_psnr
+from ..storage.device import ScrubPolicy
 from ..storage.injection import BitRange, inject_into_payloads, inject_single_flip
 from ..video.frame import VideoSequence
 
@@ -293,20 +294,11 @@ def execute_trial(state: WorkerState, spec: TrialSpec) -> TrialResult:
         value = frame_psnr(context.clean[spec.measure_frame],
                            damaged[spec.measure_frame])
         return TrialResult(spec.index, float(value), 1, False)
-    if spec.kind == KIND_STORED_READ:
+    if spec.kind in (KIND_STORED_READ, KIND_RETENTION_READ):
+        # A stored read is a retention read with the spec's defaults.
         if context.store is None or context.stored is None \
                 or context.reference is None:
-            raise AnalysisError("stored-read trial needs a store context")
-        rng = np.random.default_rng(spec.seed)
-        damaged = context.store.read(context.stored, rng=rng)
-        return TrialResult(spec.index,
-                           float(video_psnr(context.reference, damaged)), 0,
-                           False)
-    if spec.kind == KIND_RETENTION_READ:
-        if context.store is None or context.stored is None \
-                or context.reference is None:
-            raise AnalysisError("retention trial needs a store context")
-        from ..storage.device import ScrubPolicy
+            raise AnalysisError(f"{spec.kind} trial needs a store context")
         rng = np.random.default_rng(spec.seed)
         scrub = (None if spec.scrub_days is None
                  else ScrubPolicy(interval_days=spec.scrub_days))

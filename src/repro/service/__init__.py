@@ -36,7 +36,7 @@ from .loadgen import (
     run_durability_contrast,
     run_loadgen,
 )
-from .placement import HashRing
+from .placement import HashRing, stream_key
 from .repair import (
     RepairPassReport,
     RepairQueue,
@@ -56,7 +56,6 @@ from .store import (
     ReadResult,
     VideoObjectStore,
     object_id_for,
-    stream_key,
 )
 
 __all__ = [

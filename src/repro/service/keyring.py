@@ -8,7 +8,7 @@ test here, not secrecy). The keyring answers three questions:
 * **what key encrypts tenant T's streams** — :meth:`Keyring.encryptor`
   hands out the per-tenant :class:`~repro.crypto.streams.StreamEncryptor`
   (CTR mode: positional, so damage coordinates survive decryption),
-  built once per tenant;
+  built once per tenant (a cache no pickle or copy carries);
 * **may tenant A read tenant B's object** — owner always; otherwise
   only if B's policy lists A in ``shared_with`` (checked by
   :meth:`Keyring.check_read`, which raises
@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Set
 
 from ..crypto.streams import StreamEncryptor
 from ..errors import AccessDeniedError, ServiceError, StaleKeyError
+from ..memo import Derived
 
 
 @dataclass
@@ -60,26 +62,19 @@ def derive_tenant_key(tenant: str, seed: int) -> TenantKey:
     return TenantKey(tenant=tenant, key=digest[:16], master_iv=digest[16:])
 
 
-class Keyring:
+class Keyring(Derived):
     """Tenant key registry + access-policy check."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._keys: Dict[str, TenantKey] = {}
         self._policies: Dict[str, TenantPolicy] = {}
-        #: One encryptor per live key (expanded key schedule plus the
-        #: keystream it derived); rebuilt on demand, so it stays out of
-        #: pickles and deep copies, and dropped when the key retires.
-        self._encryptors: Dict[TenantKey, StreamEncryptor] = {}
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_encryptors"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._encryptors = {}
+    @cached_property
+    def _encryptors(self) -> Dict[TenantKey, StreamEncryptor]:
+        """One encryptor per live key (expanded key schedule plus the
+        keystream it derived), dropped when the key retires."""
+        return {}
 
     def add_tenant(self, tenant: str) -> TenantKey:
         """Register ``tenant`` (idempotent) and return its key."""

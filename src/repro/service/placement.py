@@ -34,6 +34,11 @@ from ..errors import ServiceError
 DEFAULT_VNODES = 64
 
 
+def stream_key(tenant: str, object_id: str, stream: str) -> str:
+    """The placement-ring key of one stored reliability stream."""
+    return f"{tenant}/{object_id}/{stream}"
+
+
 def _point(token: str) -> int:
     """Ring coordinate of ``token``: the first 8 bytes of its SHA-256."""
     return int.from_bytes(

@@ -46,6 +46,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..settings import argument
 from ..storage.ecc import scheme_by_name
+from .placement import stream_key
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def _wanted_placement(store, key: str) -> List[str]:
                                             healthy_only=True)]
 
 
-def _chain_violated(store, record, name: str, key: str) -> bool:
+def _chain_violated(store, record, name: str) -> bool:
     """True when ``name``'s replica chain needs a placement repair.
 
     A chain is violated when a copy is missing or when the chain
@@ -155,6 +156,7 @@ def _chain_violated(store, record, name: str, key: str) -> bool:
     falls back to the unfiltered ring, wanted equals the chain, and no
     un-actionable ticket is enqueued forever.
     """
+    key = stream_key(record.tenant, record.object_id, name)
     chain = record.replicas[name]
     held = [sid for sid in chain if store.pool.shard(sid).has(key)]
     if len(held) < len(chain):
@@ -173,10 +175,8 @@ def scan_placement(store) -> Tuple[int, int]:
     scanned = enqueued = 0
     for record in store.objects():
         scanned += 1
-        from .store import stream_key
         for name in sorted(record.stream_lengths):
-            key = stream_key(record.tenant, record.object_id, name)
-            if _chain_violated(store, record, name, key):
+            if _chain_violated(store, record, name):
                 if store.repair.enqueue(record.tenant, record.object_id,
                                         reason="placement"):
                     enqueued += 1
@@ -187,7 +187,6 @@ def scan_placement(store) -> Tuple[int, int]:
 def _repair_stream(store, record, name: str,
                    report: RepairPassReport) -> bool:
     """Repair one stream's replica chain; True if anything changed."""
-    from .store import stream_key
     key = stream_key(record.tenant, record.object_id, name)
     scheme = scheme_by_name(name)
     want = _wanted_placement(store, key)
@@ -286,19 +285,10 @@ def run_repair_pass(store, limit: Optional[int] = None,
 
 def replication_health(store) -> Dict[str, int]:
     """Replica-chain census: how healed the store currently is."""
-    from .store import stream_key
     full = under = 0
     for record in store.objects():
-        ok = True
-        for name in sorted(record.stream_lengths):
-            key = stream_key(record.tenant, record.object_id, name)
-            chain = record.replicas[name]
-            held = [sid for sid in chain
-                    if store.pool.shard(sid).has(key)]
-            if (len(held) < len(chain)
-                    or set(chain) != set(_wanted_placement(store, key))):
-                ok = False
-                break
+        ok = not any(_chain_violated(store, record, name)
+                     for name in sorted(record.stream_lengths))
         full += ok
         under += not ok
     return {"objects": len(store.objects()), "fully_replicated": full,

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ServiceError
+from ..memo import Derived
 from ..obs import metrics as obs_metrics
 from ..settings import argument
 from ..storage.device import ApproximateDevice, ScrubPolicy, StorageReport
@@ -225,7 +227,7 @@ class Shard:
         self.t_days = (self.t_days or 0.0) + float(days)
 
 
-class ShardPool:
+class ShardPool(Derived):
     """A fixed pool of shards behind one consistent-hash ring."""
 
     def __init__(self, count: Optional[int] = None,
@@ -262,18 +264,12 @@ class ShardPool:
                 cell_model=cell_model or MLCCellModel())
         self.ring = HashRing(sorted(self.shards), vnodes=(
             DEFAULT_VNODES if vnodes is None else vnodes))
-        #: Healthy shard ids (sorted) -> their ring, for :meth:`place_n`;
-        #: kept out of pickles and copies.
-        self._rings: Dict[Tuple[str, ...], HashRing] = {}
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_rings"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._rings = {}
+    @cached_property
+    def _rings(self) -> Dict[Tuple[str, ...], HashRing]:
+        """Healthy shard ids (sorted) -> their ring, for :meth:`place_n`;
+        a cache that pickles and copies leave out."""
+        return {}
 
     def __len__(self) -> int:
         return len(self.shards)

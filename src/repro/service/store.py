@@ -50,8 +50,8 @@ with its own source clip.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +76,7 @@ from ..core.partition import (
 from ..core.pivots import FramePivots
 from ..crypto.streams import stream_ids
 from ..errors import ServiceError, TransientShardError
+from ..memo import Derived
 # Not called here: the store measures no quality. The name stays so a
 # profiler that wraps ``repro.service.store.video_psnr`` (as it wraps
 # the codec and core names above) still resolves and counts 0 calls.
@@ -89,6 +90,7 @@ from ..video.frame import VideoSequence
 from .audit import AuditLog
 from .cache import CachedGop, GopCache
 from .keyring import Keyring
+from .placement import stream_key
 from .repair import RepairQueue
 from .shards import ShardPool
 
@@ -102,11 +104,6 @@ REFUSED = "refused"
 def object_id_for(serialized: bytes) -> str:
     """Content address of a serialized container: its SHA-256 hex."""
     return hashlib.sha256(serialized).hexdigest()
-
-
-def stream_key(tenant: str, object_id: str, stream: str) -> str:
-    """The placement-ring key of one stored reliability stream."""
-    return f"{tenant}/{object_id}/{stream}"
 
 
 @dataclass(frozen=True)
@@ -129,15 +126,18 @@ class GopPlan:
     ranges: Dict[str, Tuple[int, int]]
 
 
-def plan_gops(encoded: EncodedVideo,
-              layout: StreamLayout) -> Dict[int, GopPlan]:
-    """Every display GOP's :class:`GopPlan`, keyed by anchor display."""
-    index = encoded.seek_index_or_build()
+def plan_gops(encoded: EncodedVideo, layout: StreamLayout,
+              index: SeekIndex) -> Dict[int, GopPlan]:
+    """Every display GOP's :class:`GopPlan`, keyed by anchor display,
+    from ``encoded``'s seek ``index`` and one sweep of frame cursors."""
+    cursors = frame_cursors(layout)
     anchors = [entry.anchor_display for entry in index.gops]
     plans: Dict[int, GopPlan] = {}
     for start, stop in zip(anchors, anchors[1:] + [index.num_frames]):
-        positions = dependency_closure(encoded, range(start, stop))
-        ranges = stream_ranges_for_frames(layout, positions)
+        positions = dependency_closure(encoded, range(start, stop),
+                                       index=index)
+        ranges = stream_ranges_for_frames(layout, positions,
+                                          cursors=cursors)
         plans[start] = GopPlan(
             start=int(start), stop=int(stop),
             positions=tuple(int(p) for p in positions),
@@ -147,7 +147,7 @@ def plan_gops(encoded: EncodedVideo,
 
 
 @dataclass
-class ObjectRecord:
+class ObjectRecord(Derived):
     """The manifest of one placed object: its precise storage only.
 
     The paper keeps headers and pivot tables precise and puts every
@@ -159,7 +159,8 @@ class ObjectRecord:
     payload, stream or pixel bytes, so a read can only serve what the
     shards return. It is a :class:`~repro.core.partition.StreamLayout`:
     the core stream helpers read it as they read a full
-    :class:`~repro.core.partition.ProtectedVideo`.
+    :class:`~repro.core.partition.ProtectedVideo`. Its read template is
+    a cache (:class:`~repro.memo.Derived`) no pickle or copy carries.
     """
 
     object_id: str
@@ -194,14 +195,18 @@ class ObjectRecord:
             header.serialized_bits() + 8 * header.payload_bytes
             for header in self.frame_headers)
 
+    @cached_property
+    def _template(self) -> _ReadTemplate:
+        """The object's :class:`_ReadTemplate`, built on its first read."""
+        return _ReadTemplate(self)
+
 
 class _ReadTemplate:
     """What every read of one object reuses: the ``cursors`` that place
     each frame's payload segments in the streams and, from the object's
     first read that serves only some frames, ``zeroed``, its frames with
-    every payload zeroed. Derived from the manifest on the object's
-    first read and kept beside the record (see :func:`_read_template`),
-    so no pickle or copy of a store carries it.
+    every payload zeroed. Derived from the manifest and kept as the
+    record's cached ``_template``.
     """
 
     def __init__(self, record: ObjectRecord) -> None:
@@ -230,25 +235,6 @@ class _ReadTemplate:
                                             payload=payload)
         return EncodedVideo(header=self.header, frames=frames,
                             seek_index=self.seek_index)
-
-
-#: ``id(record)`` -> (weak reference to the record, its read template).
-#: A side table rather than store or record state, so pickles and copies
-#: carry no template; an entry leaves when its record is collected.
-_TEMPLATES: Dict[int, Tuple["weakref.ref[ObjectRecord]", _ReadTemplate]] = {}
-
-
-def _read_template(record: ObjectRecord) -> _ReadTemplate:
-    """``record``'s :class:`_ReadTemplate`, derived on its first read."""
-    key = id(record)
-    entry = _TEMPLATES.get(key)
-    if entry is not None and entry[0]() is record:
-        return entry[1]
-    template = _ReadTemplate(record)
-    _TEMPLATES[key] = (
-        weakref.ref(record, lambda _, key=key: _TEMPLATES.pop(key, None)),
-        template)
-    return template
 
 
 @dataclass
@@ -419,12 +405,13 @@ class VideoObjectStore:
                 shard.write(key, ciphertext[i])
             stream_sha[name] = hashlib.sha256(ciphertext[i]).hexdigest()
             replicas[name] = tuple(s.shard_id for s in chain)
+        index = encoded.seek_index_or_build()
         self._records[(tenant, object_id)] = ObjectRecord(
             object_id=object_id, tenant=tenant,
             video_header=encoded.header,
             frame_headers=protected.frame_headers,
-            seek_index=encoded.seek_index_or_build(),
-            gop_plans=plan_gops(encoded, protected),
+            seek_index=index,
+            gop_plans=plan_gops(encoded, protected, index),
             pivots=protected.pivots, stream_bits=protected.stream_bits,
             stream_lengths=protected.stream_lengths,
             stream_sha=stream_sha, replicas=replicas)
@@ -689,7 +676,7 @@ class VideoObjectStore:
             shifted = [(lo, hi) for lo, hi in shifted if hi > lo]
             if shifted:
                 damage[name] = shifted
-        template = _read_template(record)
+        template = record._template
         fetched.container = template.container(
             positions, merge_streams(record, plain, positions,
                                      cursors=template.cursors))

@@ -252,13 +252,14 @@ class TestBlockPlanCache:
         video = synthesize_scene(SceneConfig(width=48, height=32,
                                              num_frames=4, seed=5))
         config = EncoderConfig(crf=20, gop_size=4, bframes=1)
-        monkeypatch.delattr(MODEL, "_block_plan_caches", raising=False)
+        tables = MODEL.syntax_tables
+        monkeypatch.delitem(tables, "block_plans", raising=False)
         want = Encoder(config).encode(video).serialize()
         cap = 8
-        assert max(len(c) for c in MODEL._block_plan_caches) > cap
+        assert max(len(c) for c in tables["block_plans"]) > cap
         monkeypatch.setattr(syntax, "_PLAN_CACHE_LIMIT", cap)
-        monkeypatch.delattr(MODEL, "_block_plan_caches")
+        monkeypatch.delitem(tables, "block_plans")
         assert Encoder(config).encode(video).serialize() == want
-        sizes = [len(c) for c in MODEL._block_plan_caches]
+        sizes = [len(c) for c in tables["block_plans"]]
         assert max(sizes) == cap
         assert all(size <= cap for size in sizes)

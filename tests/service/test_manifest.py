@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.codec import EncoderConfig, EntropyCoder
+from repro.codec import encoded as encoded_module
+from repro.codec import seek as seek_module
 from repro.codec.decoder import dependency_closure
 from repro.codec.encoded import EncodedFrame, EncodedVideo
 from repro.codec.encoder import Encoder
@@ -26,7 +28,9 @@ from repro.core import (
     partition_video,
     stream_ranges_for_frames,
 )
+from repro.core import partition
 from repro.service import Keyring, ShardPool, VideoObjectStore, stream_key
+from repro.service import store as store_module
 from repro.storage import MLCCellModel
 from repro.video import SceneConfig, synthesize_scene
 
@@ -258,6 +262,39 @@ class TestManifestHelpersEqualFullContainer:
             plan = record.gop_plans[
                 index.gop_for_display(display).anchor_display]
             assert plan.start <= display < plan.stop
+
+    def test_a_put_plans_every_gop_from_one_sweep(self, monkeypatch):
+        # Ingest derives the frame cursors and the seek index once per
+        # put, whatever the clip's length, and every GOP's plan reads
+        # them: planning is linear in the frames.
+        calls = {"frame_cursors": 0, "build_seek_index": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (partition, store_module):
+            counted(module, "frame_cursors")
+        for module in (seek_module, encoded_module):
+            counted(module, "build_seek_index")
+        config = EncoderConfig(crf=28, gop_size=8, bframes=1)
+        seen = []
+        for frames in (32, 128):
+            store = VideoObjectStore(pool=ShardPool(count=2),
+                                     keyring=Keyring(seed=5), config=config)
+            clip = synthesize_scene(SceneConfig(
+                width=32, height=32, num_frames=frames, seed=1))
+            calls.update(frame_cursors=0, build_seek_index=0)
+            object_id = store.put("alice", clip)
+            assert len(store.record("alice", object_id).gop_plans) == \
+                frames // 8
+            seen.append(dict(calls))
+        assert [c["frame_cursors"] for c in seen] == [1, 1]
+        assert seen[0]["build_seek_index"] == seen[1]["build_seek_index"]
 
     def test_map_stream_damage(self, layouts):
         protected, record = layouts

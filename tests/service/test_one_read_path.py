@@ -314,7 +314,7 @@ def test_only_a_partial_read_builds_the_zeroed_frames():
     record = store.record("alice", object_id)
     for seed in range(2):
         store.get("alice", object_id, rng=np.random.default_rng(seed))
-    template = store_module._TEMPLATES[id(record)][1]
+    template = vars(record)["_template"]
     assert template.zeroed is None
     store.get_frame("alice", object_id, 0, rng=np.random.default_rng(0))
     assert [frame.payload for frame in template.zeroed] == [

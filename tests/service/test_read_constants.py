@@ -10,7 +10,6 @@ pickles).
 from __future__ import annotations
 
 import copy
-import gc
 import pickle
 import sys
 import threading
@@ -181,7 +180,7 @@ class TestPicklesIgnoreReads:
                 store.get_frame("alice", object_id, display,
                                 rng=_rng(seed))
         record = store.record("alice", object_id)
-        assert store_module._TEMPLATES[id(record)][0]() is record
+        assert "_template" in vars(record)
         assert store.pool._rings
 
         def state(obj):
@@ -197,17 +196,15 @@ class TestPicklesIgnoreReads:
             "write_sigma"]
         copied = copy.deepcopy(store)
         assert copied.pool._rings == {}
+        # A copied record starts without a template and builds its own.
+        copied_record = copied.record("alice", object_id)
+        assert "_template" not in vars(copied_record)
         served = copied.get_frame("alice", object_id, 5, rng=_rng(0))
         assert np.array_equal(
             served.frame,
             store.get_frame("alice", object_id, 5, rng=_rng(0)).frame)
-        # A copy's template is its own, and leaves with its record.
-        copied_record = copied.record("alice", object_id)
-        key = id(copied_record)
-        assert store_module._TEMPLATES[key][0]() is copied_record
-        del copied, copied_record
-        gc.collect()
-        assert key not in store_module._TEMPLATES
+        assert vars(copied_record)["_template"] is not vars(record)[
+            "_template"]
 
     def test_pipeline_store_with_encryptor_pickles_alike(self):
         key, master_iv = bytes(range(16)), bytes(range(16, 32))

@@ -1,26 +1,46 @@
-"""The one byte-bounded LRU memo behind the frame and keystream memos.
+"""The memo module: one byte-bounded LRU and one rule for caches.
 
 :class:`repro.memo.ByteMemo` keeps values by key under a byte budget,
 evicts least recently used first, is shared by threads, and starts
 empty in a forked child. These checks drive it directly, with byte
 strings as values; ``tests/codec/test_frame_memo.py`` and
 ``tests/crypto/test_streams.py`` check the two memos built on it.
+
+Every cache an object builds is a cached property of a
+:class:`repro.memo.Derived` class, and no pickle or copy carries one
+(campaign journals hash store pickles; a keystream is key material).
+The checks at the end hold every such cache in ``src/repro`` to that
+rule and keep hand-written pickle rules out of the package.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import os
+import pickle
 import sys
 import threading
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro.codec import Decoder, Encoder, EncoderConfig
+from repro.codec.cabac import CabacDecoder
+from repro.codec.contexts import build_context_model
+from repro.codec.entropy import ContextGroup
+from repro.codec.neighbors import FrameMbState
+from repro.codec.syntax import parse_macroblock
+from repro.codec.types import FrameType
+from repro.crypto import StreamEncryptor
 from repro.memo import ByteMemo
 from repro.obs import metrics as obs_metrics
+from repro.service import Keyring, ShardPool, VideoObjectStore
+from repro.service.shards import QUARANTINED
+from repro.video import SceneConfig, synthesize_scene
 
 PACKAGE = Path(repro.__file__).parent
 
@@ -165,3 +185,143 @@ def test_only_the_memo_module_registers_a_fork_hook():
         if lines:
             hooks[str(path.relative_to(PACKAGE))] = lines
     assert list(hooks) == ["memo.py"]
+
+
+#: Classes that keep a hand-written pickle rule, and why.
+OWN_PICKLE_RULE = {
+    ("service/audit.py", "AuditLog"):
+        "a lock must exist before its first concurrent use",
+    ("service/cache.py", "GopCache"):
+        "a lock must exist before its first concurrent use",
+    ("core/pipeline.py", "ApproximateVideoStore"):
+        "journal digests fold its reset keys (ROADMAP item 3)",
+    ("runtime/shm.py", "SharedClipStore"):
+        "it pickles a handle to a shared-memory segment, not a cache",
+}
+
+
+def _classes():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                yield path.relative_to(PACKAGE).as_posix(), node
+
+
+def _name(node: ast.AST) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(
+        node, "id", "")
+
+
+def _cached_properties(node: ast.ClassDef):
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and any(
+                _name(d) == "cached_property" for d in item.decorator_list):
+            yield item.name
+
+
+def test_only_the_memo_module_writes_a_pickle_rule():
+    rules = {(path, node.name) for path, node in _classes()
+             if path != "memo.py" and any(
+                 isinstance(item, ast.FunctionDef)
+                 and item.name in ("__getstate__", "__setstate__")
+                 for item in node.body)}
+    assert rules == set(OWN_PICKLE_RULE)
+
+
+def test_every_cache_is_derived_state():
+    offenders = [f"{path} {node.name}" for path, node in _classes()
+                 if any(_cached_properties(node))
+                 and "Derived" not in map(_name, node.bases)]
+    assert offenders == []
+
+
+CONFIG = EncoderConfig(crf=28, gop_size=4, bframes=1)
+
+
+@lru_cache(maxsize=None)
+def _clip():
+    return synthesize_scene(SceneConfig(width=48, height=32, num_frames=8,
+                                        seed=3))
+
+
+def _decoder():
+    decoder = Decoder(conceal_uncorrectable=True)
+    return decoder, lambda: decoder.decode(Encoder(CONFIG).encode(_clip()))
+
+
+def _encryptor():
+    encryptor = StreamEncryptor(key=bytes(range(16)),
+                                master_iv=bytes(range(16, 32)))
+    return encryptor, lambda: encryptor.encrypt_streams({0: bytes(40)})
+
+
+def _pool():
+    pool = ShardPool(count=4)
+    pool.shard("shard-1").health = QUARANTINED
+    return pool, lambda: pool.place_n("key", 2, healthy_only=True)
+
+
+def _keyring():
+    ring = Keyring(seed=3)
+    ring.add_tenant("alice")
+    return ring, lambda: ring.encryptor("alice").encrypt_streams(
+        {0: bytes(40)})
+
+
+def _group():
+    group = ContextGroup(base=4, variants=3, tail=7, tu_cap=8,
+                         max_value=1 << 15)
+    return group, lambda: group.uint_op_table(1)
+
+
+def _model():
+    model = build_context_model()
+    return model, lambda: parse_macroblock(
+        CabacDecoder(bytes(16), model.total_contexts), model,
+        FrameMbState(1, 1), FrameType.P, 0, 0, 0)
+
+
+def _record():
+    store = VideoObjectStore(pool=ShardPool(count=4),
+                             keyring=Keyring(seed=5), config=CONFIG)
+    object_id = store.put("alice", _clip())
+    return store.record("alice", object_id), lambda: store.get_frame(
+        "alice", object_id, 5, rng=np.random.default_rng(0))
+
+
+#: Every cache in ``src/repro``: (class.property, a fresh instance and
+#: the call that fills the cache).
+CACHES = [
+    ("Decoder._memo", _decoder),
+    ("StreamEncryptor._memo", _encryptor),
+    ("ShardPool._rings", _pool),
+    ("Keyring._encryptors", _keyring),
+    ("ContextGroup._ladders", _group),
+    ("ContextGroup._uint_op_tables", _group),
+    ("ContextModel.syntax_tables", _model),
+    ("ObjectRecord._template", _record),
+]
+
+
+def test_every_cache_is_checked_below():
+    found = {f"{node.name}.{name}" for _, node in _classes()
+             for name in _cached_properties(node)}
+    assert found == {cache for cache, _ in CACHES}
+
+
+@pytest.mark.parametrize("cache, make", CACHES,
+                         ids=[cache for cache, _ in CACHES])
+def test_caches_stay_out_of_pickles_and_copies(cache, make):
+    name = cache.split(".")[1]
+    instance, fill = make()
+    fill()
+    assert name in vars(instance)
+    # A warm instance pickles to the bytes of a fresh one built alike.
+    assert pickle.dumps(instance) == pickle.dumps(make()[0])
+    for clone in (copy.deepcopy(instance),
+                  pickle.loads(pickle.dumps(instance))):
+        assert name not in vars(clone)
+        # Used, the clone builds its own.
+        assert getattr(clone, name) is not vars(instance)[name]
+        assert name in vars(clone)
