@@ -10,9 +10,6 @@ run.
 Every configuration is timed best-of-3: pool startup, page-cache state,
 and scheduler noise all perturb a single run, and the minimum elapsed
 time is the stable estimator of what the configuration can deliver.
-The one-time dispatch cost of shipping the campaign context to a pool
-(pickle bytes and seconds) is measured and recorded separately so
-throughput regressions can be told apart from serialization bloat.
 
 Speedup is only asserted when the host can actually deliver it: set
 ``REPRO_REQUIRE_SCALING=1`` on a machine with >= 4 physical cores to
@@ -25,9 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import platform
-import time
 from pathlib import Path
 
 import numpy as np
@@ -58,26 +53,6 @@ def _best_of(repeats, fn):
                             < best.stats.elapsed_seconds):
             best = result
     return best
-
-
-def _dispatch_overhead(encoded, video, clean):
-    """Pickle cost of the context a pool ships to every worker once.
-
-    Mirrors the `quality_sweep` campaign context: the serialized
-    stream, the reference frames, and the clean decode. Returned as
-    (bytes, best-of-REPEATS seconds).
-    """
-    context = (encoded.serialize(), video, clean)
-    blob = pickle.dumps(context)
-    seconds = min(
-        _timed(lambda: pickle.dumps(context)) for _ in range(REPEATS))
-    return len(blob), seconds
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
 
 
 def test_parallel_scaling(benchmark, bench_video, bench_config, scale,
@@ -112,9 +87,6 @@ def test_parallel_scaling(benchmark, bench_video, bench_config, scale,
 
         configurations.append((workers, _best_of(REPEATS, run)))
 
-    pickle_bytes, pickle_seconds = _dispatch_overhead(
-        encoded, bench_video, clean)
-
     serial_rate = serial.stats.trials_per_second
     rows = []
     records = []
@@ -137,8 +109,6 @@ def test_parallel_scaling(benchmark, bench_video, bench_config, scale,
     print(format_table(("workers", "elapsed s", "trials/s", "speedup"),
                        rows, title="trial-engine parallel scaling "
                                    f"(best of {REPEATS})"))
-    print(f"dispatch context: {pickle_bytes} pickle bytes, "
-          f"{1e3 * pickle_seconds:.2f} ms to serialize")
 
     payload = {
         "exhibit": "parallel_scaling",
@@ -153,8 +123,6 @@ def test_parallel_scaling(benchmark, bench_video, bench_config, scale,
         "single_core_host": os.cpu_count() == 1,
         "platform": platform.platform(),
         "fork_available": fork_available(),
-        "dispatch_pickle_bytes": pickle_bytes,
-        "dispatch_pickle_seconds": pickle_seconds,
         "results": records,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")

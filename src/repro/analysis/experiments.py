@@ -375,12 +375,13 @@ class Figure11Result:
 def _slim_stored(stored):
     """A copy of a StoredVideo without the encoding trace or timings.
 
-    The read path never touches the trace, and it dominates the pickle
-    shipped to worker processes. The importance analysis wall-clock is
-    zeroed too: the campaign journal folds this object's pickle into
-    the campaign digest, and a timing that changes every run would
-    orphan the journal on resume (two identical campaigns would look
-    like different ones).
+    The campaign journal folds this object's pickle into the campaign
+    digest; no worker pipe carries it, since forked workers inherit the
+    context. The read path never touches the trace, and stripping it
+    keeps the digests of journals already written. The importance
+    analysis wall-clock is zeroed too: a timing that changes every run
+    would orphan the journal on resume (two identical campaigns would
+    look like different ones).
     """
     from dataclasses import replace
 

@@ -127,7 +127,7 @@ def quality_sweep(encoded: EncodedVideo,
     clean_psnr = video_psnr(reference, clean_decoded)
 
     context = TrialContext(
-        encoded_blob=_without_trace(encoded).serialize(),
+        encoded_blob=encoded.serialize(),
         reference=reference,
         clean_psnr=clean_psnr,
         ranges_table=(tuple(ranges),),
@@ -172,11 +172,3 @@ def quality_sweep(encoded: EncodedVideo,
         ))
     return SweepResult(points=points, targeted_bits=targeted_bits,
                        stats=stats)
-
-
-def _without_trace(encoded: EncodedVideo) -> EncodedVideo:
-    """A trace-free view for shipping to workers (decode ignores it)."""
-    if encoded.trace is None:
-        return encoded
-    return EncodedVideo(header=encoded.header, frames=encoded.frames,
-                        trace=None)

@@ -97,11 +97,10 @@ class ApproximateVideoStore:
     def __getstate__(self) -> dict:
         """Pickle only the store's identity, not its volatile state.
 
-        The campaign journal hashes this pickle into the context digest
-        (and workers deserialize it once per process), so the last
-        read's diagnostic reports and the lazily built concealing
-        decoder must not travel: they change after any read and would
-        silently orphan a campaign journal on resume.
+        The campaign journal hashes this pickle into the context digest,
+        so the last read's diagnostic reports and the lazily built
+        concealing decoder must not travel: they change after any read
+        and would silently orphan a campaign journal on resume.
         """
         state = self.__dict__.copy()
         state["_last_storage_reports"] = {}
@@ -113,7 +112,7 @@ class ApproximateVideoStore:
         """Per-stream :class:`StorageReport` of the most recent read.
 
         Empty before the first error-injecting read. Diagnostic only:
-        never shipped to workers or folded into campaign digests.
+        never folded into campaign digests.
         """
         return self._last_storage_reports
 

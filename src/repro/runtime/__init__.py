@@ -36,7 +36,6 @@ from .farm import (
 )
 from .journal import JOURNAL_VERSION, TrialJournal, campaign_digest, \
     context_digest, spec_digest
-from .shm import SharedClipStore, pack_clips
 from .trials import (
     DEFAULT_BATCH_SIZE,
     FAILURE_CRASH,
@@ -85,7 +84,6 @@ __all__ = [
     "KIND_STORED_READ",
     "KIND_SWEEP",
     "RunStats",
-    "SharedClipStore",
     "TrialContext",
     "TrialExecutor",
     "TrialFailure",
@@ -106,7 +104,6 @@ __all__ = [
     "execute_trial",
     "execute_trial_batch",
     "fork_available",
-    "pack_clips",
     "register_trial_kind",
     "run_campaign",
     "run_with_deadline",

@@ -1,10 +1,9 @@
 """Deterministic cross-layer fault injection for chaos testing.
 
 The fault-tolerance machinery — watchdogs, crash quarantine, the
-retry ladder, journal resume, the shared-memory fallback — is only
-trustworthy if it is *exercised*. This module injects faults at exactly
-the seams that machinery is supposed to absorb, on a reproducible
-schedule:
+retry ladder, journal resume — is only trustworthy if it is
+*exercised*. This module injects faults at exactly the seams that
+machinery is supposed to absorb, on a reproducible schedule:
 
 * **device reads failing beyond the modeled rates** — an armed policy
   makes :meth:`~repro.storage.device.ApproximateDevice.store_and_read`
@@ -25,9 +24,6 @@ schedule:
 * **trial faults** — a chosen trial raises mid-execution (a stand-in
   for a decoder exception), hangs past its watchdog budget, or kills
   its worker process outright;
-* **shared-memory segment loss** — the Nth clip access through a
-  :class:`~repro.runtime.shm.SharedClipStore` fails as if the segment
-  vanished mid-campaign;
 * **journal tail corruption** — the Nth journaled trial record is torn
   (partially truncated) right after its fsync, exactly the state a
   mid-write crash leaves behind.
@@ -39,10 +35,10 @@ Design rules:
   policy armed means no extra work, allocation, or randomness anywhere;
 * **deterministic** — fault decisions are keyed by stable coordinates
   (payload content hash for device reads, ``spec.index`` for trial
-  faults, access/record ordinals for shm and journal faults) folded
-  with the policy seed, never by wall clock or scheduling order. Same
-  policy, same workload → same fault schedule, which
-  :func:`schedule_digest` captures as a replayable fingerprint;
+  faults, record ordinals for journal faults) folded with the policy
+  seed, never by wall clock or scheduling order. Same policy, same
+  workload → same fault schedule, which :func:`schedule_digest`
+  captures as a replayable fingerprint;
 * **observable** — every injected fault is recorded in the event log,
   counted under ``chaos_*`` metrics, and traced as a ``chaos.fault``
   span.
@@ -50,8 +46,9 @@ Design rules:
 Arm programmatically (``arm(policy)`` / ``disarm()``), or via the
 ``REPRO_CHAOS_*`` environment variables read by :func:`policy_from_env`
 (the CLI arms them automatically, so any exhibit can run under chaos).
-Forked pool workers inherit the armed policy, like registered trial
-kinds.
+The executor starts its pool workers by ``fork``, so each inherits the
+armed policy with the rest of the parent's memory, as it inherits
+registered trial kinds; no policy is pickled.
 """
 
 from __future__ import annotations
@@ -124,10 +121,6 @@ class ChaosPolicy:
     #: Seconds a hung trial sleeps per poll (total sleep is unbounded;
     #: the watchdog is expected to fire long before).
     hang_seconds: float = 3600.0
-    #: Fail the Nth (0-based) clip access through a ``SharedClipStore``
-    #: as if the segment had vanished. One-shot: exactly one access
-    #: fails per armed policy per process.
-    shm_fail_at: Optional[int] = None
     #: Tear the Nth (0-based) journaled trial record: truncate part of
     #: it off the file tail right after the fsync, leaving exactly the
     #: torn-tail state a mid-write crash produces. One-shot.
@@ -176,7 +169,6 @@ class ChaosPolicy:
                 and not self.shard_flake_reads
                 and not self.fail_trials
                 and not self.hang_trials and not self.crash_trials
-                and self.shm_fail_at is None
                 and self.journal_tear_at is None)
 
 
@@ -186,8 +178,6 @@ class _ChaosState:
 
     policy: ChaosPolicy
     events: List[dict] = field(default_factory=list)
-    shm_accesses: int = 0
-    shm_fired: bool = False
     journal_records: int = 0
     journal_fired: bool = False
     #: Process-wide shard-read ordinal (drives flake scheduling).
@@ -199,8 +189,7 @@ class _ChaosState:
 
 
 #: The armed policy's state, or None (the common, zero-cost case).
-#: Forked workers inherit it; spawn-based pools do not (the scenario
-#: matrix and tests use fork, like the rest of the runtime).
+#: Pool workers inherit it: the executor starts them only by ``fork``.
 _ACTIVE: Optional[_ChaosState] = None
 
 
@@ -404,30 +393,6 @@ def trial_fault(index: int) -> None:
             f"{policy.seed})")
 
 
-def shm_access_fault(segment_name: str, index: int) -> None:
-    """Fail the scheduled clip access as a lost shared segment.
-
-    Counts accesses per process; when the ordinal matches
-    ``shm_fail_at`` (one-shot), raises :class:`ChaosError` — exactly
-    what a vanished segment produces at the call site, which the
-    executor converts into a quarantinable trial failure.
-    """
-    state = _ACTIVE
-    if state is None or state.policy.shm_fail_at is None:
-        return
-    ordinal = state.shm_accesses
-    state.shm_accesses += 1
-    if state.shm_fired or ordinal != state.policy.shm_fail_at:
-        return
-    state.shm_fired = True
-    # The segment name is process-random (it goes in the exception, not
-    # the event log, which must hash identically across runs).
-    _record("shm_loss", clip=index, ordinal=ordinal)
-    raise ChaosError(
-        f"chaos: shared clip segment {segment_name!r} lost at access "
-        f"{ordinal} (clip {index})")
-
-
 def journal_record_fault(path: Path, record_bytes: int) -> None:
     """Tear the scheduled journal record's tail after its fsync.
 
@@ -471,9 +436,9 @@ def policy_from_env() -> Optional[ChaosPolicy]:
     common case). Invalid values raise a clear :class:`AnalysisError`
     naming the variable. The CLI arms the result for every subcommand,
     so any exhibit — sweep, retention, farm — can run under an injected
-    fault schedule without code changes. Crash, hang and journal-tear
-    faults have no variable; a :class:`ChaosPolicy` built in code sets
-    them.
+    fault schedule without code changes; the campaign's forked workers
+    inherit the armed policy. Crash, hang and journal-tear faults have
+    no variable; a :class:`ChaosPolicy` built in code sets them.
     """
     seed = resolve("REPRO_CHAOS_SEED")
     rate = resolve("REPRO_CHAOS_DEVICE_RATE")
@@ -481,13 +446,11 @@ def policy_from_env() -> Optional[ChaosPolicy]:
     storm = resolve("REPRO_CHAOS_SHARD_STORM")
     flakes = resolve("REPRO_CHAOS_SHARD_FLAKES")
     fail = resolve("REPRO_CHAOS_FAIL_TRIALS")
-    shm_at = resolve("REPRO_CHAOS_SHM_AT")
     if (seed is None and rate is None and burst is None and storm is None
-            and not flakes and not fail and shm_at is None):
+            and not flakes and not fail):
         return None
     return ChaosPolicy(
         seed=seed or 0, device_fault_rate=rate or 0.0,
         device_burst_rate=burst or 0.0,
         device_burst_blocks=resolve("REPRO_CHAOS_BURST_BLOCKS"),
-        shard_storm=storm, shard_flake_reads=flakes,
-        fail_trials=fail, shm_fail_at=shm_at)
+        shard_storm=storm, shard_flake_reads=flakes, fail_trials=fail)

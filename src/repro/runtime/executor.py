@@ -6,9 +6,11 @@ order. Parallelism is opt-in and *never* changes the numbers:
 * ``workers=0`` (the default when ``REPRO_NUM_WORKERS`` is unset) runs
   every trial in-process;
 * ``workers>=1`` fans trials out over a ``ProcessPoolExecutor`` with
-  ``fork`` start method; the shared :class:`TrialContext` is shipped via
-  the pool initializer, so each worker deserializes the encoded stream
-  exactly once, and specs are submitted in chunks to amortize IPC;
+  the ``fork`` start method. The shared :class:`TrialContext` is an
+  argument of the pool initializer, so each worker inherits it with the
+  rest of the parent's memory when it forks (no context is pickled) and
+  parses the encoded stream exactly once; only specs and outcomes cross
+  the pipes, in chunks to amortize IPC;
 * when ``fork`` is unavailable (or there is nothing to parallelize) the
   executor silently falls back to the serial path.
 
@@ -105,7 +107,7 @@ _POLL_SECONDS = 0.05     #: future-poll period while a watchdog is armed
 _MAX_HEALTH_STRIKES = 3
 
 #: Wall-clock budget for one healthcheck round trip (covers the worker
-#: initializer deserializing a large :class:`TrialContext`).
+#: initializer building its state from a large :class:`TrialContext`).
 _HEALTHCHECK_TIMEOUT = 60.0
 
 _worker_state: Optional[WorkerState] = None
@@ -113,7 +115,7 @@ _worker_timeout: float = 0.0
 
 
 def _init_worker(context: TrialContext, timeout: float = 0.0) -> None:
-    """Pool initializer: deserialize shared state once per process."""
+    """Pool initializer: build worker state from the inherited context."""
     global _worker_state, _worker_timeout
     tracer = obs_trace.active()
     if tracer is not None:
@@ -248,7 +250,7 @@ def _pool_healthcheck() -> bool:
     """Sentinel task: proves a respawned pool can initialize and run.
 
     Runs no trial code — a failure implicates the pool itself (e.g. an
-    initializer that crashes deserializing the context), not any trial.
+    initializer that crashes building its state), not any trial.
     """
     return True
 

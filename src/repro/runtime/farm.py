@@ -1,10 +1,9 @@
 """The batched multi-clip encode farm.
 
 Encoding a corpus of clips one ``Encoder.encode`` call at a time leaves
-two kinds of throughput on the table: the vectorized kernels never see
-more than one clip of work per numpy call, and the trial machinery
-ships every clip's frames to workers by value. The farm fixes both by
-reframing corpus encoding as a *campaign*:
+throughput on the table: the vectorized kernels never see more than one
+clip of work per numpy call. The farm fixes that by reframing corpus
+encoding as a *campaign*:
 
 * each clip is split into GOP-aligned work units
   (:func:`~repro.codec.batch.gop_unit_bounds`) — independently
@@ -15,9 +14,9 @@ reframing corpus encoding as a *campaign*:
   same-geometry units into one
   :func:`~repro.codec.encoder.encode_batch_with_recon` call
   (one numpy call per stage for the whole stack);
-* clip frames travel to workers through one shared-memory segment
-  (:class:`~repro.runtime.shm.SharedClipStore`) instead of per-worker
-  pickles.
+* the clips ride in the campaign context as a plain tuple, which forked
+  pool workers inherit with the rest of the parent's memory: no clip is
+  pickled to a worker.
 
 Because the units are ordinary trials, everything the runtime already
 provides — journals and resume, watchdogs, crash quarantine, progress,
@@ -39,7 +38,6 @@ from ..obs.progress import ProgressReporter
 from ..video.frame import VideoSequence
 from .executor import run_campaign
 from .journal import TrialJournal
-from .shm import SharedClipStore, pack_clips
 from .trials import (
     DEFAULT_BATCH_SIZE,
     KIND_ENCODE_UNIT,
@@ -128,16 +126,9 @@ def build_encode_unit_specs(clips: Sequence[VideoSequence],
 
 def build_farm_context(clips: Sequence[VideoSequence],
                        config: EncoderConfig,
-                       use_shared_memory: bool = True,
                        batch_size: Optional[int] = None) -> TrialContext:
-    """Campaign context for an encode farm.
-
-    Clips are packed into a :class:`SharedClipStore` when
-    ``use_shared_memory`` is set, else shipped as a plain tuple; both
-    are indexed identically by the trial layer.
-    """
-    return TrialContext(clips=pack_clips(clips, use_shared_memory),
-                        encoder_config=config,
+    """Campaign context for an encode farm: the clips as a tuple."""
+    return TrialContext(clips=tuple(clips), encoder_config=config,
                         batch_size=batch_size)
 
 
@@ -170,14 +161,13 @@ def encode_farm(clips: Sequence[VideoSequence],
                 timeout: Optional[float] = None,
                 journal: Union[TrialJournal, str, Path, None] = None,
                 progress: Union[bool, ProgressReporter, None] = None,
-                rng: Optional[np.random.Generator] = None,
-                use_shared_memory: bool = True) -> FarmResult:
+                rng: Optional[np.random.Generator] = None) -> FarmResult:
     """Encode a corpus of clips as one batched campaign.
 
     Returns per-clip rate/quality aggregates plus the campaign's
     :class:`RunStats`. Results are bitwise independent of the worker
-    count, batch width, and shared-memory setting: those only change
-    *how* units are executed, never what each unit encodes.
+    count and batch width: those only change *how* units are executed,
+    never what each unit encodes.
 
     ``batch_size`` defaults to :data:`DEFAULT_BATCH_SIZE`, and
     ``chunksize`` to one batch width per chunk so pool scheduling hands
@@ -186,19 +176,13 @@ def encode_farm(clips: Sequence[VideoSequence],
     config = config or EncoderConfig()
     rng = rng or np.random.default_rng(0)
     specs = build_encode_unit_specs(clips, config, rng)
-    context = build_farm_context(clips, config, use_shared_memory,
-                                 batch_size)
+    context = build_farm_context(clips, config, batch_size=batch_size)
     if chunksize is None:
         chunksize = (DEFAULT_BATCH_SIZE if batch_size is None
                      else max(1, int(batch_size)))
-    try:
-        outcomes, stats = run_campaign(
-            context, specs, workers=workers, chunksize=chunksize,
-            timeout=timeout, journal=journal, progress=progress)
-    finally:
-        store = context.clips
-        if isinstance(store, SharedClipStore):
-            store.close()
+    outcomes, stats = run_campaign(
+        context, specs, workers=workers, chunksize=chunksize,
+        timeout=timeout, journal=journal, progress=progress)
     results = []
     cursor = 0
     for clip_index, clip in enumerate(clips):

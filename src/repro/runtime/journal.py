@@ -105,8 +105,7 @@ def context_digest(context: Optional[TrialContext]) -> str:
     tables, or stores must therefore never share a journal — this
     digest makes them distinguishable. Components that are plain bytes
     are hashed directly; structured ones (sequences, stores) through
-    their pickle, which is what already defines their identity on the
-    wire to worker processes.
+    their pickle, and clips through their pixel content.
     """
     if context is None:
         return hashlib.sha256(b"no-context").hexdigest()[:32]
@@ -131,9 +130,8 @@ def context_digest(context: Optional[TrialContext]) -> str:
         except Exception:  # unpicklable (serial-only context): best effort
             digest.update(repr(part).encode())
     if context.clips is not None:
-        # Hash clip *content*, not transport: the digest must not change
-        # between shared-memory and by-value clip shipping, or toggling
-        # ``use_shared_memory`` would orphan every encode-farm journal.
+        # Hash clip content, not the object that holds the clips, so
+        # farm journals written by earlier versions still resume.
         digest.update(b"|clips:")
         for index in range(len(context.clips)):
             clip = context.clips[index]

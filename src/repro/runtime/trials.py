@@ -7,8 +7,8 @@ structure of the workload:
 
 * the **context** carries the heavy, trial-invariant state (the encoded
   stream, the reference and clean-decode sequences, bit-range tables,
-  or a stored video plus its store) and is shipped to — and
-  deserialized by — each worker exactly once;
+  or a stored video plus its store); pool workers inherit it when they
+  fork, and each parses the encoded stream exactly once;
 * each **spec** is a tiny picklable record: what to damage (an error
   rate over bit ranges, a single flip position, or a storage read) and
   a pre-spawned RNG seed.
@@ -165,12 +165,12 @@ TrialOutcome = Union[TrialResult, TrialFailure]
 
 @dataclass
 class TrialContext:
-    """Heavy shared state, serialized once per worker process.
+    """Heavy shared state, inherited by every forked worker process.
 
     Exactly one of the two families of fields is populated:
 
     * stream trials (sweep / single flip): ``encoded_blob`` (a
-      serialized :class:`EncodedVideo`, deserialized once per worker),
+      serialized :class:`EncodedVideo`, parsed once per worker),
       ``reference``/``clean``/``clean_psnr``, and ``ranges_table``;
     * stored-read trials: ``store`` (an ``ApproximateVideoStore``) and
       ``stored`` (its ``StoredVideo``), plus ``reference``.
@@ -180,14 +180,12 @@ class TrialContext:
     reference: Optional[VideoSequence] = None
     clean: Optional[VideoSequence] = None
     clean_psnr: Optional[float] = None
-    #: Shared bit-range sets; specs point into this by index so large
-    #: range lists are pickled once, not once per trial.
+    #: Shared bit-range sets; specs point into this by index so a spec,
+    #: which is pickled to a worker, never carries a range list.
     ranges_table: Tuple[Tuple[BitRange, ...], ...] = ()
     store: Optional[object] = None   # ApproximateVideoStore
     stored: Optional[object] = None  # StoredVideo
-    #: Encode-farm clip table: any indexable of ``VideoSequence`` — a
-    #: plain tuple, or a ``SharedClipStore`` handle whose frames live in
-    #: shared memory and attach lazily in each worker.
+    #: Encode-farm clips: a tuple of ``VideoSequence``.
     clips: Optional[object] = None
     #: Encoder configuration for KIND_ENCODE_UNIT trials.
     encoder_config: Optional[object] = None

@@ -76,7 +76,6 @@ SETTINGS: Dict[str, Setting] = {setting.name: setting for setting in (
     Setting("REPRO_CHAOS_SHARD_STORM", str, None),
     Setting("REPRO_CHAOS_SHARD_FLAKES", indices, ()),
     Setting("REPRO_CHAOS_FAIL_TRIALS", indices, ()),
-    Setting("REPRO_CHAOS_SHM_AT", int, None, minimum=0),
 )}
 
 

@@ -41,6 +41,7 @@ flip.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -52,11 +53,14 @@ from ..errors import StorageError
 #: Raw bit error rates already derived, keyed by the cell parameters and
 #: the age: every device read asks for one, and a store's reads ask for
 #: the same few ages over and over. Decay and repair read many ages, so
-#: a full memo starts over. Dictionary reads and writes are atomic, so
-#: threads share it without a lock (two may derive the same rate, which
-#: is the same float). It is module-level: no pickle or copy carries it.
+#: a full memo starts over. Reads take no lock (two threads may derive
+#: the same rate, which is the same float); an insert holds
+#: ``_RATE_MEMO_LOCK``, since the size check and the insert must be one
+#: step for the limit to hold. It is module-level: no pickle or copy
+#: carries it.
 _RATE_MEMO: Dict[Tuple, float] = {}
 _RATE_MEMO_LIMIT = 1 << 12
+_RATE_MEMO_LOCK = threading.Lock()
 
 
 def gray_code(index: int) -> int:
@@ -256,9 +260,10 @@ class MLCCellModel:
         rate = _RATE_MEMO.get(key)
         if rate is None:
             rate = self.cell_error_rate(t_days) / self.bits_per_cell
-            if len(_RATE_MEMO) >= _RATE_MEMO_LIMIT:
-                _RATE_MEMO.clear()
-            _RATE_MEMO[key] = rate
+            with _RATE_MEMO_LOCK:
+                if len(_RATE_MEMO) >= _RATE_MEMO_LIMIT:
+                    _RATE_MEMO.clear()
+                _RATE_MEMO[key] = rate
         return rate
 
     # -- Monte Carlo write/read ------------------------------------------------

@@ -85,10 +85,9 @@ class TestPolicy:
         monkeypatch.setenv("REPRO_CHAOS_SEED", "7")
         monkeypatch.setenv("REPRO_CHAOS_DEVICE_RATE", "0.25")
         monkeypatch.setenv("REPRO_CHAOS_FAIL_TRIALS", "1,3")
-        monkeypatch.setenv("REPRO_CHAOS_SHM_AT", "2")
         policy = chaos_policy_from_env()
         assert policy == ChaosPolicy(seed=7, device_fault_rate=0.25,
-                                     fail_trials=(1, 3), shm_fail_at=2)
+                                     fail_trials=(1, 3))
 
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_FAIL_TRIALS", "one,two")
@@ -362,28 +361,3 @@ class TestJournalTear:
         resumed.close()
         assert len([e for e in chaos_events()
                     if e["kind"] == "journal_tear"]) == 1
-
-
-class TestShmFault:
-    def test_scheduled_access_lost_once(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        from repro.runtime import pack_clips
-        from repro.video import SceneConfig, synthesize_scene
-
-        clips = [synthesize_scene(SceneConfig(width=32, height=32,
-                                              num_frames=2, seed=s))
-                 for s in (0, 1)]
-        store = pack_clips(clips, use_shared_memory=True)
-        if isinstance(store, tuple):
-            pytest.skip("shared memory unavailable")
-        try:
-            arm_chaos(ChaosPolicy(shm_fail_at=1))
-            _ = store[0]
-            with pytest.raises(ChaosError, match="lost at access"):
-                _ = store[1]
-            # One-shot: the same clip reads fine on retry.
-            assert store[1].to_array().shape == (2, 32, 32)
-            events = [e for e in chaos_events() if e["kind"] == "shm_loss"]
-            assert events == [{"kind": "shm_loss", "clip": 1, "ordinal": 1}]
-        finally:
-            store.close()

@@ -1,9 +1,9 @@
 """Encode-farm integration: the batched campaign == the per-clip pipeline.
 
 The farm's whole contract is "same numbers, faster": GOP work units,
-batched execution, shared-memory clip transport, and journal resume
-must each be invisible in the results. Every test here compares a farm
-configuration against either the per-macroblock reference encoder
+batched execution, a worker pool and journal resume must each be
+invisible in the results. Every test here compares a farm configuration
+against either the per-macroblock reference encoder
 (:func:`~repro.codec.reference.encode_scalar`, one unit at a time) or
 another farm configuration and demands equality.
 """
@@ -20,12 +20,20 @@ from repro.codec.batch import gop_unit_bounds
 from repro.codec.decoder import Decoder
 from repro.codec.reference import encode_scalar
 from repro.metrics.psnr import video_psnr
-from repro.runtime import RunStats
+from repro.runtime import (
+    ChaosPolicy,
+    RunStats,
+    TrialContext,
+    arm_chaos,
+    campaign_digest,
+    disarm_chaos,
+    fork_available,
+)
 from repro.runtime.farm import (
     build_encode_unit_specs,
+    build_farm_context,
     encode_farm,
 )
-from repro.runtime.shm import SharedClipStore, pack_clips
 from repro.video.frame import VideoSequence
 
 _CONFIG = EncoderConfig(crf=30, gop_size=4)
@@ -60,8 +68,7 @@ def _per_clip_reference(clips, config):
 class TestFarmMatchesPerClip:
     def test_bits_and_psnr_match_scalar_pipeline(self):
         clips = _clips()
-        result = encode_farm(clips, _CONFIG, workers=0, batch_size=4,
-                             use_shared_memory=False)
+        result = encode_farm(clips, _CONFIG, workers=0, batch_size=4)
         expected = _per_clip_reference(clips, _CONFIG)
         assert len(result.clips) == len(clips)
         for clip_result, (bits, psnr) in zip(result.clips, expected):
@@ -73,8 +80,7 @@ class TestFarmMatchesPerClip:
 
     def test_unit_count_matches_gop_bounds(self):
         clips = _clips(count=2, frames=9)
-        result = encode_farm(clips, _CONFIG, workers=0,
-                             use_shared_memory=False)
+        result = encode_farm(clips, _CONFIG, workers=0)
         for clip, clip_result in zip(clips, result.clips):
             assert clip_result.units == len(
                 gop_unit_bounds(len(clip), _CONFIG))
@@ -89,77 +95,86 @@ class TestFarmInvariances:
 
     def test_batch_width_invariant(self):
         clips = _clips()
-        narrow = self._run(clips, batch_size=2, use_shared_memory=False)
-        wide = self._run(clips, batch_size=8, use_shared_memory=False)
+        narrow = self._run(clips, batch_size=2)
+        wide = self._run(clips, batch_size=8)
         assert narrow == wide
 
-    def test_shared_memory_invariant(self):
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="fork start method unavailable")
+class TestFarmPool:
+    def test_pool_campaign_pickles_no_context(self, monkeypatch):
+        """Forked workers inherit the context: neither it nor a clip is
+        pickled, so a pool that shipped the context by pickle (a
+        ``spawn`` start, say) fails here."""
+        pickled = {TrialContext: 0, VideoSequence: 0}
+
+        def counting(self, protocol):
+            pickled[type(self)] += 1
+            return object.__reduce_ex__(self, protocol)
+
+        for cls in pickled:
+            monkeypatch.setattr(cls, "__reduce_ex__", counting)
         clips = _clips()
-        by_value = self._run(clips, use_shared_memory=False)
-        by_segment = self._run(clips, use_shared_memory=True)
-        assert by_value == by_segment
+        serial = encode_farm(clips, _CONFIG, workers=0, batch_size=2)
+        pooled = encode_farm(clips, _CONFIG, workers=2, batch_size=2)
+        assert pooled.stats.workers == 2
+        assert pickled == {TrialContext: 0, VideoSequence: 0}
+        assert pooled.clips == serial.clips
+        # The counter sees a pickle when one happens.
+        pickle.dumps(build_farm_context(clips, _CONFIG))
+        assert pickled[TrialContext] == 1
+        assert pickled[VideoSequence] == len(clips)
+
+
+class TestFarmSkipAndScale:
+    """A failed unit is skipped and its clip scaled over the units that
+    survived; every other clip is untouched."""
+
+    @pytest.mark.parametrize("workers", [
+        0,
+        pytest.param(2, marks=pytest.mark.skipif(
+            not fork_available(), reason="fork start method unavailable")),
+    ])
+    def test_one_failed_unit(self, workers):
+        clips = _clips(count=2)
+        clean = encode_farm(clips, _CONFIG, workers=0, batch_size=1)
+        arm_chaos(ChaosPolicy(fail_trials=(0,)))
+        try:
+            farm = encode_farm(clips, _CONFIG, workers=workers,
+                               batch_size=1)
+        finally:
+            disarm_chaos()
+        assert farm.stats.failed == 1
+        assert sum(clip.failed_units for clip in farm.clips) == 1
+        lost, other = farm.clips
+        assert lost.failed_units == 1
+        assert lost.units == clean.clips[0].units
+        assert other.complete
+        assert (other.bits, other.psnr_db) == (clean.clips[1].bits,
+                                               clean.clips[1].psnr_db)
 
 
 class TestFarmJournalResume:
     def test_completed_farm_replays_from_journal(self, tmp_path):
         clips = _clips(count=2)
         journal = tmp_path / "farm.jsonl"
-        first = encode_farm(clips, _CONFIG, workers=0, journal=journal,
-                            use_shared_memory=False)
+        first = encode_farm(clips, _CONFIG, workers=0, journal=journal)
         assert first.stats.resumed == 0
-        second = encode_farm(clips, _CONFIG, workers=0, journal=journal,
-                             use_shared_memory=False)
+        second = encode_farm(clips, _CONFIG, workers=0, journal=journal)
         assert second.clips == first.clips
         assert second.stats.resumed == len(first.outcomes)
 
-    def test_journal_digest_transport_independent(self, tmp_path):
-        """A journal written with by-value clips resumes a shared-memory
-        run: digests hash clip content, not the transport wrapper."""
+    def test_journal_digest_transport_independent(self):
+        """Farm journals written before the clip transport went still
+        resume: the digest hashes clip content, not the object holding
+        the clips, and equals the one both earlier transports (by value
+        and shared memory) computed for this corpus."""
         clips = _clips(count=2)
-        journal = tmp_path / "farm.jsonl"
-        first = encode_farm(clips, _CONFIG, workers=0, journal=journal,
-                            use_shared_memory=False)
-        second = encode_farm(clips, _CONFIG, workers=0, journal=journal,
-                             use_shared_memory=True)
-        assert second.clips == first.clips
-        assert second.stats.resumed == len(first.outcomes)
-
-
-class TestSharedClipStore:
-    def test_roundtrip_and_handle_size(self):
-        clips = _clips(count=2, frames=4)
-        store = pack_clips(clips, use_shared_memory=True)
-        if not isinstance(store, SharedClipStore):
-            pytest.skip("shared memory unavailable on this host")
-        try:
-            blob = pickle.dumps(store)
-            # The handle ships the segment name and manifest, never the
-            # frame bytes.
-            assert len(blob) < 2048
-            attached = pickle.loads(blob)
-            assert attached.content_digest == store.content_digest
-            assert len(attached) == len(clips)
-            for clip, shared in zip(clips, attached):
-                np.testing.assert_array_equal(clip.to_array(),
-                                              shared.to_array())
-            attached.close()
-        finally:
-            store.close()
-
-    def test_pack_clips_disabled_returns_tuple(self):
-        clips = _clips(count=2, frames=3)
-        packed = pack_clips(clips, use_shared_memory=False)
-        assert isinstance(packed, tuple)
-        assert len(packed) == len(clips)
-
-    def test_closed_store_refuses_attachment(self):
-        clips = _clips(count=1, frames=3)
-        store = pack_clips(clips, use_shared_memory=True)
-        if not isinstance(store, SharedClipStore):
-            pytest.skip("shared memory unavailable on this host")
-        store.close()
-        with pytest.raises(Exception):
-            store[0].to_array()
+        specs = build_encode_unit_specs(clips, _CONFIG,
+                                        np.random.default_rng(0))
+        assert campaign_digest(specs, build_farm_context(clips, _CONFIG)) \
+            == "068c6f856b824a84f2aa265a69f90eb8"
 
 
 class TestFarmSpecs:
@@ -188,8 +203,7 @@ class TestFarmSpecs:
 
     def test_stats_shape(self):
         clips = _clips(count=2, frames=4)
-        result = encode_farm(clips, _CONFIG, workers=0,
-                             use_shared_memory=False)
+        result = encode_farm(clips, _CONFIG, workers=0)
         assert isinstance(result.stats, RunStats)
         assert result.stats.trials == len(result.outcomes)
 
@@ -218,7 +232,7 @@ class TestBFrameFallback:
     def test_farm_matches_scalar_on_bframe_corpus(self):
         clips = _clips(count=2, frames=6, seed=3)
         result = encode_farm(clips, self._BCONFIG, workers=0,
-                             batch_size=4, use_shared_memory=False)
+                             batch_size=4)
         for clip, clip_result in zip(clips, result.clips):
             encoded = encode_scalar(clip, self._BCONFIG)
             assert clip_result.complete
@@ -226,53 +240,3 @@ class TestBFrameFallback:
             assert clip_result.bits == 8 * len(encoded.serialize())
             assert clip_result.psnr_db == pytest.approx(
                 video_psnr(clip, Decoder().decode(encoded)), abs=1e-9)
-
-
-class TestSegmentLeaks:
-    """Shared segments must never outlive their campaign."""
-
-    @staticmethod
-    def _shm_names():
-        import pathlib
-
-        root = pathlib.Path("/dev/shm")
-        if not root.is_dir():
-            pytest.skip("/dev/shm unavailable")
-        return {p.name for p in root.iterdir()}
-
-    def test_failed_pack_leaves_no_segment(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-
-        class ExplodingStore(SharedClipStore):
-            def __init__(self, *args, **kwargs):
-                if kwargs.get("owner"):
-                    raise RuntimeError("simulated pack failure")
-                super().__init__(*args, **kwargs)
-
-        before = self._shm_names()
-        with pytest.raises(RuntimeError, match="simulated"):
-            ExplodingStore.pack(_clips(count=1, frames=2))
-        assert self._shm_names() <= before
-
-    def test_owner_atexit_unlinks_on_plain_exit(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        import subprocess
-        import sys
-
-        # The child packs a store, prints the segment name, and exits
-        # WITHOUT calling close(): the atexit hook must unlink.
-        script = (
-            "import numpy as np\n"
-            "from repro.runtime.shm import SharedClipStore\n"
-            "from repro.video.frame import VideoSequence\n"
-            "clip = VideoSequence.from_array(\n"
-            "    np.zeros((2, 32, 32), dtype=np.uint8))\n"
-            "store = SharedClipStore.pack([clip])\n"
-            "print(store.name)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        name = proc.stdout.strip()
-        assert name
-        assert name not in self._shm_names()

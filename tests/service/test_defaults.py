@@ -14,8 +14,7 @@ import pytest
 from repro.cli import main
 from repro.codec import EncoderConfig
 from repro.errors import ServiceError
-from repro.runtime import DEFAULT_BATCH_SIZE, SharedClipStore, \
-    build_farm_context
+from repro.runtime import DEFAULT_BATCH_SIZE, build_farm_context
 from repro.service import ServiceFrontend, ShardPool, VideoObjectStore, \
     run_repair_pass
 from repro.storage import scheme_by_name
@@ -78,10 +77,7 @@ def test_encode_farm_defaults():
     clip = synthesize_scene(SceneConfig(width=32, height=32, num_frames=2,
                                         seed=5, num_objects=1))
     context = build_farm_context([clip], EncoderConfig())
-    try:
-        assert isinstance(context.clips, SharedClipStore)
-    finally:
-        context.clips.close()
+    assert context.clips == (clip,)
     assert context.batch_size is None
     assert DEFAULT_BATCH_SIZE == 16
 

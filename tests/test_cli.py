@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.scenarios import DEFAULT_FAULTS
 from repro.cli import main
 from repro.obs import metrics, trace
 from repro.video import frames_equal, read_raw_video
@@ -252,7 +253,7 @@ class TestScenarios:
         assert "matrix digest" in text
         data = json.loads(report.read_text())
         assert data["passed"] is True
-        assert len(data["cells"]) == 6
+        assert len(data["cells"]) == len(DEFAULT_FAULTS)
 
     def test_repair_prints_flags_and_broken_invariants(self, tmp_path,
                                                        monkeypatch, capsys):

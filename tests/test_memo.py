@@ -195,8 +195,6 @@ OWN_PICKLE_RULE = {
         "a lock must exist before its first concurrent use",
     ("core/pipeline.py", "ApproximateVideoStore"):
         "journal digests fold its reset keys (ROADMAP item 3)",
-    ("runtime/shm.py", "SharedClipStore"):
-        "it pickles a handle to a shared-memory segment, not a cache",
 }
 
 

@@ -43,7 +43,6 @@ CASES = {
                                 None),
     "REPRO_CHAOS_SHARD_FLAKES": ((), "1,4", (1, 4), (0,), "a,b"),
     "REPRO_CHAOS_FAIL_TRIALS": ((), "1, 3", (1, 3), (2,), "one,two"),
-    "REPRO_CHAOS_SHM_AT": (None, "2", 2, 0, "-1"),
 }
 
 #: The error class callers catch for each variable (AnalysisError
@@ -68,9 +67,9 @@ class _NoEnvironment:
         raise AssertionError("the environment was read")
 
 
-def test_the_library_reads_sixteen_variables():
+def test_the_library_reads_fifteen_variables():
     assert set(CASES) == set(SETTINGS)
-    assert len(SETTINGS) == 16
+    assert len(SETTINGS) == 15
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -187,9 +186,11 @@ class TestKnobTableCheck:
 
     def test_missing_row_fails(self, tool, text):
         edited = "\n".join(line for line in text.splitlines()
-                           if not line.startswith("| `REPRO_CHAOS_SHM_AT`"))
+                           if not line.startswith(
+                               "| `REPRO_CHAOS_FAIL_TRIALS`"))
+        assert edited != text
         problems = tool.knob_table_problems(edited, SETTINGS)
-        assert len(problems) == 1 and "REPRO_CHAOS_SHM_AT" in problems[0]
+        assert len(problems) == 1 and "REPRO_CHAOS_FAIL_TRIALS" in problems[0]
 
     def test_changed_default_fails(self, tool, text):
         edited = text.replace("| `REPRO_MAX_RETRIES` | `2` |",

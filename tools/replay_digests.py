@@ -16,7 +16,10 @@ Usage::
 
 ``--base`` also runs the recipes on a ``git archive`` of ``REV`` in a
 temporary directory, prints both trees' digests and the names that
-differ, and exits 1 if any does.
+differ, and exits 1 if any does. For each recipe that differs it also
+prints why (:func:`report_diff`): the report's top-level keys that
+differ and, for a matrix report, the cells present on one side only and
+the fields that differ in each cell present on both.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,23 +53,78 @@ RECIPES: Dict[str, Tuple[List[str], Dict[str, str], Tuple[str, ...]]] = {
 }
 
 
-def run_recipes(tree: Path) -> Dict[str, Dict[str, str]]:
-    """Every recipe's digests, run on ``tree``'s ``src/``."""
+#: Fields of a matrix cell that hold its verdict; the others are axes.
+VERDICT_FIELDS = frozenset({"passed", "invariants", "flags",
+                            "schedule_digest", "chaos_events", "details"})
+
+
+def run_recipes(tree: Path) -> Dict[str, dict]:
+    """Every recipe's JSON report, run on ``tree``'s ``src/``."""
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
     env["PYTHONPATH"] = str(tree / "src")
-    digests: Dict[str, Dict[str, str]] = {}
+    reports: Dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for name, (args, extra, keys) in RECIPES.items():
+        for name, (args, extra, _keys) in RECIPES.items():
             report = Path(scratch, f"{name}.json")
             subprocess.run(
                 [sys.executable, "-m", "repro", *args, "--json",
                  str(report)],
                 cwd=scratch, env={**env, **extra}, check=True,
                 stdout=subprocess.DEVNULL)
-            data = json.loads(report.read_text())
-            digests[name] = {key: data.get(key) for key in keys}
-    return digests
+            reports[name] = json.loads(report.read_text())
+    return reports
+
+
+def digests_of(reports: Dict[str, dict]) -> Dict[str, Dict[str, str]]:
+    """Each recipe's digest keys, read from its report."""
+    return {name: {key: reports[name].get(key) for key in RECIPES[name][2]}
+            for name in reports}
+
+
+def _differing(ours: dict, theirs: dict) -> List[str]:
+    """Keys present on one side only or holding unequal values."""
+    return sorted(key for key in ours.keys() | theirs.keys()
+                  if key not in ours or key not in theirs
+                  or ours[key] != theirs[key])
+
+
+def _cells(report: dict) -> Dict[str, dict]:
+    """A matrix report's cells, each named by its axes."""
+    return {"/".join(f"{key}={cell[key]}" for key in sorted(cell)
+                     if key not in VERDICT_FIELDS): cell
+            for cell in report.get("cells", ())}
+
+
+def _cell_fields(ours: dict, theirs: dict) -> Iterable[str]:
+    """Names of one cell's differing fields; a dict field names its keys."""
+    for key in _differing(ours, theirs):
+        if isinstance(ours.get(key), dict) and isinstance(theirs.get(key),
+                                                          dict):
+            yield from (f"{key}.{sub}"
+                        for sub in _differing(ours[key], theirs[key]))
+        else:
+            yield key
+
+
+def report_diff(ours: dict, theirs: dict) -> dict:
+    """Why two reports of one recipe differ.
+
+    ``keys`` lists the top-level keys that differ. A matrix report (one
+    with ``cells``) also gets the cells present only in ``ours`` or only
+    in ``theirs`` and, for each cell on both sides whose fields differ,
+    the names of those fields.
+    """
+    diff: dict = {"keys": _differing(ours, theirs)}
+    if "cells" in ours or "cells" in theirs:
+        mine, other = _cells(ours), _cells(theirs)
+        diff["only_in_tree"] = [name for name in mine if name not in other]
+        diff["only_in_base"] = [name for name in other if name not in mine]
+        diff["cells"] = {name: fields for name, cell in mine.items()
+                         if name in other
+                         and (fields := list(_cell_fields(cell,
+                                                          other[name])))}
+    return diff
 
 
 def main(argv=None) -> int:
@@ -75,7 +133,8 @@ def main(argv=None) -> int:
                         help="also run on a git archive of REV and exit 1 "
                              "if any digest differs")
     options = parser.parse_args(argv)
-    digests = run_recipes(ROOT)
+    reports = run_recipes(ROOT)
+    digests = digests_of(reports)
     if options.base is None:
         print(json.dumps(digests, indent=2, sort_keys=True))
         return 0
@@ -84,12 +143,15 @@ def main(argv=None) -> int:
             ["git", "-C", str(ROOT), "archive", options.base],
             check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
-        base_digests = run_recipes(Path(base))
+        base_reports = run_recipes(Path(base))
+    base_digests = digests_of(base_reports)
     differs = sorted(name for name in RECIPES
                      if digests[name] != base_digests[name])
+    why = {name: report_diff(reports[name], base_reports[name])
+           for name in differs}
     print(json.dumps({"tree": digests, "base": base_digests,
-                      "base_rev": options.base, "differs": differs},
-                     indent=2, sort_keys=True))
+                      "base_rev": options.base, "differs": differs,
+                      "why": why}, indent=2, sort_keys=True))
     return 1 if differs else 0
 
 
